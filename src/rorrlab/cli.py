@@ -3,8 +3,7 @@
 Subcommands: sample-matrix, check-good, rorrelate, classify, sample-dist,
 moments, qsim, fourier, tree-corpus, advantage, verify-paper, report.
 Every command validates its inputs before any file is written and writes
-output files atomically. Randomness is controlled by --seed everywhere;
-RORRLAB_WORKERS sets the worker pool for embarrassingly parallel loops.
+output files atomically. Randomness is controlled by --seed everywhere.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, boolfn, dist, distinguish, dtree, ortho, qsim, rorrelation
-from .util import parallel_map
 from .verify import (
     VerifyConfig,
     build_manifest,
@@ -229,6 +227,9 @@ def cmd_fourier(args) -> int:
 
 def cmd_tree_corpus(args) -> int:
     out_dir = Path(args.out_dir)
+    if args.count < 1:
+        print("error: count must be positive", file=sys.stderr)
+        return 2
     if args.d > args.n:
         print("error: depth cannot exceed variable count", file=sys.stderr)
         return 2
@@ -258,11 +259,7 @@ def cmd_advantage(args) -> int:
         pairs = [(Path(args.tree).stem, tree)]
     else:
         pairs = distinguish.standard_corpus(u, args.k, args.seed)
-    reports = parallel_map(
-        lambda item: distinguish.advantage(item[1], u, args.k, args.samples,
-                                           args.seed, tree_id=item[0]),
-        pairs,
-    )
+    reports = distinguish.advantage_corpus(pairs, u, args.k, args.samples, args.seed)
     worst = max(
         (abs(r.estimate) / max(r.theory_bound, 1e-300) for r in reports),
         default=0.0,
@@ -397,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rorrlab",
         description="Rorrelation laboratory: sample, simulate, verify, report.",
-        epilog="Set RORRLAB_WORKERS to parallelize batch loops.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

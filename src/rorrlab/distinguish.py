@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .dist import sample_duk_batch, sample_uniform_batch
-from .dtree import DecisionTree, Node, TreeMixture, random_tree
+from .dtree import DecisionTree, Node, TreeMixture, evaluate_rows, random_tree
 from .ortho import OrthogonalMatrix
 from .rorrelation import classify_value, phi_batch, Label
 from .util import derive_rng, sub_seed
@@ -27,7 +27,9 @@ __all__ = [
     "MisclassificationReport",
     "global_index",
     "evaluate_batch",
+    "two_arm_advantage",
     "advantage",
+    "advantage_corpus",
     "thm_main_bound",
     "conjectured_bound",
     "lower_bound_depth",
@@ -52,19 +54,22 @@ def evaluate_batch(tree: DecisionTree | TreeMixture, batch: np.ndarray) -> np.nd
     if isinstance(tree, TreeMixture):
         out = np.zeros(batch.shape[0])
         for weight, component in tree.components:
-            out += weight * evaluate_batch(component, batch)
+            out += weight * evaluate_rows(component, batch)
         return out
-    if batch.shape[1] != tree.n:
-        raise ValueError(f"batch has {batch.shape[1]} variables, tree wants {tree.n}")
-    out = np.empty(batch.shape[0])
-    nodes = tree.nodes
-    for row in range(batch.shape[0]):
-        x = batch[row]
-        node = nodes[tree.root]
-        while not node.is_leaf:
-            node = nodes[node.child_plus if x[node.query_var - 1] == 1 else node.child_minus]
-        out[row] = node.output
-    return out
+    return evaluate_rows(tree, batch).astype(float)
+
+
+def two_arm_advantage(
+    tree: DecisionTree | TreeMixture, uniform: np.ndarray, chained: np.ndarray
+) -> tuple[float, float]:
+    """E[F(uniform)] - E[F(chained)] over two flat batches, with its stderr."""
+    f_uniform = evaluate_batch(tree, uniform)
+    f_chained = evaluate_batch(tree, chained)
+    estimate = float(f_uniform.mean() - f_chained.mean())
+    stderr = float(math.sqrt(
+        f_uniform.var(ddof=1) / f_uniform.size + f_chained.var(ddof=1) / f_chained.size
+    ))
+    return estimate, stderr
 
 
 @dataclass(frozen=True)
@@ -103,26 +108,44 @@ def advantage(
     tree_id: str = "tree",
 ) -> AdvantageReport:
     """Two-arm Monte-Carlo estimate of the distinguishing advantage."""
-    if tree.n != k * u.n:
-        raise ValueError(f"tree has {tree.n} variables, expected k*N = {k * u.n}")
+    return advantage_corpus([(tree_id, tree)], u, k, samples, seed)[0]
+
+
+def advantage_corpus(
+    pairs: Sequence[tuple[str, DecisionTree | TreeMixture]],
+    u: OrthogonalMatrix,
+    k: int,
+    samples: int,
+    seed: int,
+) -> list[AdvantageReport]:
+    """Advantage of every (tree_id, tree) pair on one draw of each arm.
+
+    The arms' seeds do not depend on the tree, so each report equals the
+    one `advantage` gives for that tree alone.
+    """
+    if samples < 2:
+        raise ValueError(f"advantage needs at least 2 samples per arm, got {samples}")
+    for _, tree in pairs:
+        if tree.n != k * u.n:
+            raise ValueError(f"tree has {tree.n} variables, expected k*N = {k * u.n}")
     uniform = sample_uniform_batch(k, u.n, samples, sub_seed(seed, "adv-uniform"))
     chained = sample_duk_batch(u, k, samples, sub_seed(seed, "adv-duk"))
-    f_uniform = evaluate_batch(tree, uniform.reshape(samples, -1))
-    f_chained = evaluate_batch(tree, chained.reshape(samples, -1))
-    estimate = float(f_uniform.mean() - f_chained.mean())
-    stderr = float(
-        math.sqrt(f_uniform.var(ddof=1) / samples + f_chained.var(ddof=1) / samples)
-    )
-    return AdvantageReport(
-        tree_id=tree_id,
-        estimate=estimate,
-        stderr=stderr,
-        theory_bound=thm_main_bound(max(tree.depth, 1), k, u.n),
-        d=tree.depth,
-        k=k,
-        n=u.n,
-        samples=samples,
-    )
+    uniform = uniform.reshape(samples, -1)
+    chained = chained.reshape(samples, -1)
+    reports = []
+    for tree_id, tree in pairs:
+        estimate, stderr = two_arm_advantage(tree, uniform, chained)
+        reports.append(AdvantageReport(
+            tree_id=tree_id,
+            estimate=estimate,
+            stderr=stderr,
+            theory_bound=thm_main_bound(max(tree.depth, 1), k, u.n),
+            d=tree.depth,
+            k=k,
+            n=u.n,
+            samples=samples,
+        ))
+    return reports
 
 
 def thm_main_bound(d: int, k: int, n: int) -> float:

@@ -25,7 +25,6 @@ from .boolfn import (
     OutputConvention,
     binomial,
     fourier_from_truth_table,
-    point_from_index,
     validate_bit_vector,
 )
 from .util import derive_rng
@@ -36,7 +35,7 @@ __all__ = [
     "LeafSignature",
     "NodeStats",
     "TreeMixture",
-    "evaluate",
+    "evaluate_rows",
     "sparse_fourier",
     "decomposition_sides",
     "relabel_nonnegative",
@@ -150,24 +149,18 @@ class DecisionTree:
         point = validate_bit_vector(x)
         if point.size != self.n:
             raise ValueError(f"input has {point.size} entries, expected {self.n}")
-        idx = self.root
-        node = self.nodes[idx]
-        while not node.is_leaf:
-            if point[node.query_var - 1] == 1:
-                idx = node.child_plus
-            else:
-                idx = node.child_minus
-            node = self.nodes[idx]
-        return node.output
+        return int(evaluate_rows(self, point[np.newaxis, :])[0])
 
     def truth_table(self) -> np.ndarray:
         """Dense 0/1 table in position order; guarded to n <= 20."""
         if self.n > 20:
             raise ValueError("truth table limited to n <= 20")
-        table = np.empty(1 << self.n, dtype=np.int8)
-        for b in range(1 << self.n):
-            table[b] = self.evaluate(point_from_index(b, self.n))
-        return table
+        # Row b is point_from_index(b, n): bit i of b set means x_{i+1} = -1.
+        index = np.arange(1 << self.n)
+        points = np.empty((index.size, self.n), dtype=np.int8)
+        for i in range(self.n):
+            points[:, i] = 1 - 2 * ((index >> i) & 1)
+        return evaluate_rows(self, points)
 
     def node_stats(self) -> tuple[NodeStats, ...]:
         """Stats for every internal node; built once, tree is immutable."""
@@ -214,8 +207,29 @@ def _subtree_acceptance(tree: DecisionTree) -> dict[int, float]:
     return accept
 
 
-def evaluate(tree: DecisionTree, x: Sequence[int]) -> int:
-    return tree.evaluate(x)
+def evaluate_rows(tree: DecisionTree, batch: np.ndarray) -> np.ndarray:
+    """Output bits (int8) of the tree on every row of an (m, n) +-1 batch.
+
+    Row indices start together at the root; each internal node splits
+    its rows with one mask on the queried column (entry 1 goes to the
+    plus child, anything else to the minus child) and each leaf writes
+    its output to its rows. Nodes no row reaches are never visited.
+    """
+    if batch.ndim != 2 or batch.shape[1] != tree.n:
+        raise ValueError(f"batch shape {batch.shape} does not give {tree.n} variables per row")
+    out = np.empty(batch.shape[0], dtype=np.int8)
+    frontier = [(tree.root, np.arange(batch.shape[0]))]
+    while frontier:
+        idx, rows = frontier.pop()
+        node = tree.nodes[idx]
+        if node.is_leaf:
+            out[rows] = node.output
+            continue
+        plus = batch[rows, node.query_var - 1] == 1
+        for child, part in ((node.child_plus, rows[plus]), (node.child_minus, rows[~plus])):
+            if part.size:
+                frontier.append((child, part))
+    return out
 
 
 def acceptance_probability(tree: DecisionTree) -> float:
@@ -340,7 +354,8 @@ def relabel_nonnegative(tree: DecisionTree) -> DecisionTree:
     accept = _subtree_acceptance(tree)
     new_nodes = []
     for idx, node in enumerate(tree.nodes):
-        if node.is_leaf:
+        # Nodes the root cannot reach have no acceptance value; copy them.
+        if node.is_leaf or idx not in accept:
             new_nodes.append(node)
             continue
         if accept[node.child_plus] < accept[node.child_minus]:

@@ -2,8 +2,6 @@
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -12,8 +10,6 @@ __all__ = [
     "sub_seed",
     "mean_and_stderr",
     "variance_and_stderr",
-    "worker_count",
-    "parallel_map",
 ]
 
 
@@ -58,26 +54,3 @@ def variance_and_stderr(values: np.ndarray) -> tuple[float, float]:
     var = float(np.sum(centered**2) / (n - 1))
     m4 = float(np.mean(centered**4))
     return var, float(np.sqrt(max(m4 - var**2, 0.0) / n))
-
-
-def worker_count() -> int:
-    """Worker pool size, from RORRLAB_WORKERS (default 1 = sequential)."""
-    raw = os.environ.get("RORRLAB_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Map preserving order; threads only when RORRLAB_WORKERS > 1.
-
-    Work items must be independent; results are merged in submission
-    order, so the output is identical to a sequential map.
-    """
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -447,20 +447,11 @@ def check_distinguishing(cfg: VerifyConfig) -> CheckResult:
         flat_u = uniform.reshape(cfg.advantage_samples, -1)
         flat_d = chained.reshape(cfg.advantage_samples, -1)
 
-        def measured(tree):
-            f_u = distinguish.evaluate_batch(tree, flat_u)
-            f_d = distinguish.evaluate_batch(tree, flat_d)
-            est = float(f_u.mean() - f_d.mean())
-            stderr = float(math.sqrt(
-                f_u.var(ddof=1) / cfg.advantage_samples
-                + f_d.var(ddof=1) / cfg.advantage_samples
-            ))
-            return est, stderr
-
         corpus = distinguish.standard_corpus(u, k, cfg.seed)
-        est, _ = measured(dict(corpus)["const1"])
+        est, _ = distinguish.two_arm_advantage(dict(corpus)["const1"], flat_u, flat_d)
         const_ok = est == 0.0
-        dict_est, dict_err = measured(distinguish.dictator_tree(k, n, 1, 1))
+        dict_est, dict_err = distinguish.two_arm_advantage(
+            distinguish.dictator_tree(k, n, 1, 1), flat_u, flat_d)
         dict_ok = abs(dict_est) <= 4.0 * max(dict_err, 1e-12)
         ok &= const_ok and dict_ok
         null_rows.append({"n": n, "const_advantage": est, "const_ok": const_ok,
@@ -468,7 +459,7 @@ def check_distinguishing(cfg: VerifyConfig) -> CheckResult:
                           "dictator_ok": dict_ok})
 
         tree = distinguish.cross_block_parity_tree(k, n, 1, 1)
-        est, stderr = measured(tree)
+        est, stderr = distinguish.two_arm_advantage(tree, flat_u, flat_d)
         closed = -0.5 * rorrelation.sign_correlation(u.entries[0, 0])
         parity_ok = abs(est - closed) <= 4.0 * stderr
         ok &= parity_ok
@@ -476,7 +467,7 @@ def check_distinguishing(cfg: VerifyConfig) -> CheckResult:
                              "closed_form": closed, "passed": parity_ok})
 
         for name, tree in corpus:
-            est, stderr = measured(tree)
+            est, stderr = distinguish.two_arm_advantage(tree, flat_u, flat_d)
             bound = distinguish.thm_main_bound(max(tree.depth, 1), k, n)
             passed = abs(est) <= 10.0 * bound
             ok &= passed

@@ -1,5 +1,6 @@
 """End-to-end CLI flows on temporary files."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,27 @@ def test_tree_corpus_cli(tmp_path, capsys):
     code, _, err = run(["tree-corpus", "--n", "2", "--d", "3", "--count", "1",
                         "--seed", "0", "--out-dir", str(out_dir)], capsys)
     assert code == 2
+
+
+def test_tree_corpus_rejects_nonpositive_count(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    for count in ("-1", "0"):
+        code, stdout, err = run(["tree-corpus", "--n", "6", "--d", "3", "--count", count,
+                                 "--out-dir", str(out_dir)], capsys)
+        assert code == 2 and stdout == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert not out_dir.exists()
+
+
+def test_advantage_cli_rejects_one_sample(tmp_path, capsys):
+    matrix = tmp_path / "u.mat"
+    run(["sample-matrix", "--n", "16", "--seed", "2", "--out", str(matrix)], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(["advantage", "--matrix", str(matrix), "--k", "2",
+                                 "--samples", "1", "--seed", "1"], capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_advantage_cli(tmp_path, capsys):

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rorrlab import dist, distinguish, dtree, ortho, rorrelation
 from rorrlab.distinguish import (
     advantage,
+    advantage_corpus,
     conjectured_bound,
     cross_block_parity_tree,
     dictator_tree,
@@ -75,6 +78,80 @@ def test_within_block_parity_uniform_mean():
     batch = dist.sample_uniform_batch(2, 8, 10_000, seed=5).reshape(10_000, -1)
     mean = evaluate_batch(tree, batch).mean()
     assert abs(mean - 0.5) <= 4.0 * math.sqrt(0.25 / 10_000)
+
+
+def reference_walk(tree, batch):
+    """Per-row root-to-leaf walk; mixtures sum weighted component outputs."""
+    if isinstance(tree, dtree.TreeMixture):
+        return sum(w * reference_walk(t, batch) for w, t in tree.components)
+    out = []
+    for x in batch:
+        node = tree.nodes[tree.root]
+        while not node.is_leaf:
+            node = tree.nodes[node.child_plus if x[node.query_var - 1] == 1 else node.child_minus]
+        out.append(node.output)
+    return np.array(out, dtype=float)
+
+
+HAND_ARENAS = (
+    # Leaf root; node 1 is an unreachable internal node.
+    DecisionTree(2, [Node(output=1), Node(query_var=1, child_minus=2, child_plus=3),
+                     Node(output=0), Node(output=1)]),
+    # Root stored last, a subtree shared by two parents, node 4 unreachable.
+    DecisionTree(3, [Node(output=0), Node(output=1),
+                     Node(query_var=2, child_minus=0, child_plus=1),
+                     Node(query_var=1, child_minus=2, child_plus=5),
+                     Node(query_var=3, child_minus=1, child_plus=0),
+                     Node(query_var=3, child_minus=2, child_plus=1)], root=3),
+)
+
+
+@st.composite
+def trees(draw):
+    kind = draw(st.sampled_from(["random", "hand", "mixture"]))
+    if kind == "hand":
+        return draw(st.sampled_from(HAND_ARENAS))
+    n = draw(st.integers(min_value=1, max_value=7))
+
+    def one():
+        depth = draw(st.integers(min_value=0, max_value=n))
+        return dtree.random_tree(n, depth, draw(st.integers(0, 2**32 - 1)))
+
+    if kind == "random":
+        return one()
+    weight = draw(st.floats(min_value=0.05, max_value=0.95))
+    return dtree.TreeMixture(components=((weight, one()), (1.0 - weight, one())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees(), st.integers(min_value=0, max_value=40), st.integers(0, 2**32 - 1))
+def test_frontier_evaluator_matches_reference_walk(tree, rows, seed):
+    batch = np.random.default_rng(seed).choice(
+        np.array([-1, 1], dtype=np.int8), size=(rows, tree.n))
+    expected = reference_walk(tree, batch)
+    got = evaluate_batch(tree, batch)
+    assert got.dtype == np.float64 and np.array_equal(got, expected)
+    if isinstance(tree, DecisionTree):
+        assert np.array_equal(dtree.evaluate_rows(tree, batch), expected)
+    for x, value in zip(batch, expected):
+        assert tree.evaluate(x) == value
+
+
+def test_advantage_corpus_matches_per_tree_advantage():
+    u = ortho.sample_haar(16, seed=23)
+    corpus = standard_corpus(u, 2, seed=24)
+    reports = advantage_corpus(corpus, u, 2, samples=500, seed=25)
+    assert reports == [advantage(tree, u, 2, samples=500, seed=25, tree_id=name)
+                       for name, tree in corpus]
+
+
+def test_advantage_needs_two_samples():
+    u = ortho.sample_haar(16, seed=0)
+    tree = dictator_tree(2, 16, 1, 1)
+    with pytest.raises(ValueError):
+        advantage(tree, u, 2, samples=1, seed=0)
+    with pytest.raises(ValueError):
+        advantage_corpus([("t", tree)], u, 2, samples=0, seed=0)
 
 
 def test_thm_main_bound_values():

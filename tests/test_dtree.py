@@ -67,6 +67,22 @@ def test_evaluate_dimension_mismatch():
         tree.evaluate([1])
 
 
+def test_truth_table_matches_evaluate():
+    tree = random_tree(12, 8, seed=3)
+    table = tree.truth_table()
+    assert table.dtype == np.int8 and table.size == 1 << 12
+    for b in range(1 << 12):
+        assert table[b] == tree.evaluate(point_from_index(b, 12))
+
+
+def test_evaluate_rows_shape_mismatch():
+    tree = make_dictator(2, 1)
+    with pytest.raises(ValueError):
+        dtree.evaluate_rows(tree, np.ones((4, 3), dtype=np.int8))
+    with pytest.raises(ValueError):
+        dtree.evaluate_rows(tree, np.ones(2, dtype=np.int8))
+
+
 def test_repeated_variable_rejected():
     nodes = [
         Node(query_var=1, child_minus=1, child_plus=2),
@@ -156,6 +172,20 @@ def test_relabel_single_swap():
     out = relabel_nonnegative(tree)
     assert out.evaluate([1]) == 1
     assert out.evaluate([-1]) == 0
+
+
+def test_relabel_copies_unreachable_nodes():
+    # Node 1 is internal but unreachable from the leaf root; relabeling
+    # used to look up its children's acceptance and raise KeyError.
+    arena = [Node(output=1), Node(query_var=1, child_minus=2, child_plus=3),
+             Node(output=0), Node(output=1)]
+    tree = DecisionTree(2, arena)
+    assert relabel_nonnegative(tree).nodes == tree.nodes
+    # A reachable node that needs a swap still gets one.
+    rooted = DecisionTree(2, arena + [Node(query_var=2, child_minus=3, child_plus=2)], root=4)
+    out = relabel_nonnegative(rooted)
+    assert out.nodes[:4] == rooted.nodes[:4]
+    assert out.nodes[4] == Node(query_var=2, child_minus=2, child_plus=3)
 
 
 def test_relabel_invariants_random_trees():
