@@ -14,11 +14,14 @@ import csv
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+
+from .util import json_int
 
 __all__ = [
     "DROP_THRESHOLD",
@@ -96,9 +99,6 @@ class FourierSpectrum:
 
     def squared_mass(self) -> float:
         return float(sum(c * c for c in self.coeffs.values()))
-
-    def restricted_to_level(self, ell: int) -> dict[tuple[int, ...], float]:
-        return {s: c for s, c in self.coeffs.items() if len(s) == ell}
 
 
 def truth_table_index(x: np.ndarray) -> int:
@@ -206,11 +206,22 @@ def spectrum_to_json(spec: FourierSpectrum) -> str:
 
 def spectrum_from_json(text: str) -> FourierSpectrum:
     doc = json.loads(text)
-    coeffs = {
-        tuple(sorted(i + 1 for i in entry["S"])): float(entry["coeff"])
-        for entry in doc["coefficients"]
-    }
-    return FourierSpectrum(n=int(doc["n"]), coeffs=coeffs)
+    if not isinstance(doc, dict) or not isinstance(doc.get("coefficients"), list):
+        raise ValueError('spectrum JSON must be an object with a "coefficients" list')
+    coeffs = {}
+    for idx, entry in enumerate(doc["coefficients"]):
+        if not isinstance(entry, dict) or not isinstance(entry.get("S"), list):
+            raise ValueError(f'coefficient {idx} must be an object with an "S" list')
+        coeff = entry.get("coeff")
+        # A number a double holds: no booleans, NaN, infinities or huge integers.
+        if type(coeff) not in (int, float) or not abs(coeff) <= sys.float_info.max:
+            raise ValueError(f"coefficient {idx} must be a finite number")
+        subset = tuple(sorted(json_int(i, f"coefficient {idx} variable") + 1
+                              for i in entry["S"]))
+        if subset in coeffs:
+            raise ValueError(f"coefficient {idx} repeats the subset {entry['S']}")
+        coeffs[subset] = float(coeff)
+    return FourierSpectrum(n=json_int(doc.get("n"), "n"), coeffs=coeffs)
 
 
 def write_truth_table_bytes(path: str | Path, values: Sequence[int]) -> None:
@@ -243,11 +254,15 @@ def write_truth_table_csv(path: str | Path, values: Sequence[int]) -> None:
 
 def read_truth_table_csv(path: str | Path) -> np.ndarray:
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    arr = np.array([int(row[0]) for row in rows], dtype=np.int8)
-    if not np.all(np.abs(arr) == 1):
+        try:
+            values = [int(row[0]) for row in csv.reader(fh) if row]
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if any(v not in (1, -1) for v in values):
         raise ValueError("CSV truth tables hold +-1 values")
-    return arr
+    if not values or len(values) & (len(values) - 1):
+        raise ValueError("CSV truth table length must be a power of two")
+    return np.array(values, dtype=np.int8)
 
 
 def binomial(n: int, k: int) -> float:

@@ -4,6 +4,8 @@ Subcommands: sample-matrix, check-good, rorrelate, classify, sample-dist,
 moments, qsim, fourier, tree-corpus, advantage, verify-paper, report.
 Every command validates its inputs before any file is written and writes
 output files atomically. Randomness is controlled by --seed everywhere.
+A refused input (a ValueError or OSError from any layer) ends in exit
+code 2 and one `error:` line on stderr, printed by `main` alone.
 """
 from __future__ import annotations
 
@@ -14,10 +16,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, boolfn, dist, distinguish, dtree, ortho, qsim, rorrelation
 from .verify import (
@@ -29,19 +29,19 @@ from .verify import (
 )
 
 
-def _atomic_write(path: str | Path, data: str | bytes) -> None:
+def _atomic_write(path: str | Path, text: str) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    if isinstance(data, str):
-        tmp.write_text(data)
-    else:
-        tmp.write_bytes(data)
+    tmp.write_text(text)
     os.replace(tmp, path)
 
 
-def _load_matrix(path: str) -> ortho.OrthogonalMatrix:
-    matrix = ortho.load_matrix(path)
-    return matrix
+def _emit(text: str, out: str | None) -> None:
+    """Write `text` to --out (atomically) when given, and echo it to stdout
+    ending with one newline."""
+    if out:
+        _atomic_write(out, text)
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,6 @@ def _load_matrix(path: str) -> ortho.OrthogonalMatrix:
 # ---------------------------------------------------------------------------
 
 def cmd_sample_matrix(args) -> int:
-    if args.n < 1:
-        print("error: n must be positive", file=sys.stderr)
-        return 2
     u = ortho.sample_haar(args.n, args.seed)
     digest = ortho.save_matrix(args.out, u)
     if args.csv:
@@ -62,65 +59,49 @@ def cmd_sample_matrix(args) -> int:
 
 
 def cmd_check_good(args) -> int:
-    u = _load_matrix(args.matrix)
+    u = ortho.load_matrix(args.matrix)
     report = ortho.check_goodness(u, sampled_pairs=args.pairs,
                                   max_block=args.max_block, seed=args.seed)
-    text = report.to_json()
-    if args.out:
-        _atomic_write(args.out, text)
-    print(text)
+    _emit(report.to_json(), args.out)
     return 0 if report.violation_count == 0 else 1
 
 
-def cmd_rorrelate(args) -> int:
-    u = _load_matrix(args.matrix)
+def _per_instance(args, row) -> int:
+    """One sorted JSON line per instance of --instances, row(u, index, instance)
+    giving its fields, with U read from --matrix."""
+    u = ortho.load_matrix(args.matrix)
     instances, _, _ = rorrelation.load_instances(args.instances)
-    lines = []
-    for inst in instances:
-        value = rorrelation.phi(u, inst.vectors)
-        lines.append(json.dumps({"k": inst.k, "N": inst.n, "phi": value},
-                                sort_keys=True))
-    output = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, output)
-    sys.stdout.write(output)
+    lines = [json.dumps(row(u, i, inst), sort_keys=True) for i, inst in enumerate(instances)]
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def cmd_rorrelate(args) -> int:
+    return _per_instance(args, lambda u, _, inst: {
+        "k": inst.k, "N": inst.n, "phi": rorrelation.phi(u, inst.vectors)})
 
 
 def cmd_classify(args) -> int:
-    u = _load_matrix(args.matrix)
-    instances, _, _ = rorrelation.load_instances(args.instances)
-    lines = []
-    for inst in instances:
+    def row(u, _, inst):
         label = rorrelation.classify(u, inst.vectors)
-        lines.append(json.dumps({"k": inst.k, "N": inst.n, "phi": label.phi,
-                                 "label": label.tag.value}, sort_keys=True))
-    output = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, output)
-    sys.stdout.write(output)
-    return 0
+        return {"k": inst.k, "N": inst.n, "phi": label.phi, "label": label.tag.value}
+    return _per_instance(args, row)
 
 
 def cmd_sample_dist(args) -> int:
     if args.count < 1:
-        print("error: count must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("count must be positive")
     if args.dist == "duk":
         if not args.matrix:
-            print("error: --matrix required for the chain distribution",
-                  file=sys.stderr)
-            return 2
-        u = _load_matrix(args.matrix)
+            raise ValueError("--matrix required for the chain distribution")
+        u = ortho.load_matrix(args.matrix)
         batch = dist.sample_duk_batch(u, args.k, args.count, args.seed)
         matrix_path = args.matrix
         matrix_hash = ortho.file_sha256(args.matrix)
         n = u.n
     else:
         if not args.n:
-            print("error: --n required for the uniform distribution",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--n required for the uniform distribution")
         batch = dist.sample_uniform_batch(args.k, args.n, args.count, args.seed)
         matrix_path = ""
         matrix_hash = ""
@@ -139,32 +120,23 @@ def cmd_sample_dist(args) -> int:
 
 def _parse_parts(text: str) -> list[tuple[int, ...]]:
     """Block parts like '1,2;;3' -> [(1,2), (), (3,)] (1-based, ; between blocks)."""
-    parts = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        parts.append(tuple(int(v) for v in chunk.split(",") if v.strip()) if chunk else ())
-    return parts
+    return [tuple(int(v) for v in chunk.split(",") if v.strip()) for chunk in text.split(";")]
 
 
 def cmd_moments(args) -> int:
-    u = _load_matrix(args.matrix)
+    u = ortho.load_matrix(args.matrix)
     if args.audit:
         report = dist.moment_bound_audit(
             u, args.k, trials=args.trials, max_size=args.max_size,
             seed=args.seed, mc_samples=args.mc_samples,
         )
-        text = report.to_json()
-        if args.out:
-            _atomic_write(args.out, text)
-        print(text)
+        _emit(report.to_json(), args.out)
         return 0 if not report.violations else 1
     if not args.set:
-        print("error: provide --set or --audit", file=sys.stderr)
-        return 2
+        raise ValueError("provide --set or --audit")
     parts = _parse_parts(args.set)
     if len(parts) != args.k:
-        print(f"error: --set must list exactly k={args.k} blocks", file=sys.stderr)
-        return 2
+        raise ValueError(f"--set must list exactly k={args.k} blocks")
     est = dist.d_hat_product(u, parts, method=args.method,
                              samples=args.mc_samples, seed=args.seed)
     size = sum(len(p) for p in parts)
@@ -175,64 +147,48 @@ def cmd_moments(args) -> int:
         "exact": est.exact,
         "bound": dist.duk_moment_bound(size, u.n, args.k) if size >= 1 else None,
     }
-    text = json.dumps(doc, sort_keys=True)
-    if args.out:
-        _atomic_write(args.out, text)
-    print(text)
+    _emit(json.dumps(doc, sort_keys=True), args.out)
     return 0
 
 
 def cmd_qsim(args) -> int:
-    u = _load_matrix(args.matrix)
-    instances, _, _ = rorrelation.load_instances(args.instances)
-    lines = []
-    for i, inst in enumerate(instances):
+    def row(u, i, inst):
         run = qsim.simulate_circuit(u, inst.vectors)
         reps = args.repetitions or qsim.default_repetitions(inst.k)
-        decision = qsim.amplified_solver(u, inst.vectors, reps,
-                                         seed=args.seed + i)
-        lines.append(json.dumps({
+        decision = qsim.amplify(run, reps, seed=args.seed + i)
+        return {
             "phi": run.branch_inner_product,
             "p_accept": run.acceptance_probability,
             "queries": run.queries,
             "repetitions": reps,
             "verdict": "accept" if decision.accept else "reject",
-        }, sort_keys=True))
-    output = "\n".join(lines) + "\n"
-    if args.out:
-        _atomic_write(args.out, output)
-    sys.stdout.write(output)
-    return 0
+        }
+    return _per_instance(args, row)
 
 
 def cmd_fourier(args) -> int:
     if args.tree:
         tree = dtree.tree_from_json(Path(args.tree).read_text())
-        convention = (boolfn.OutputConvention.ZERO_ONE if args.convention == "01"
-                      else boolfn.OutputConvention.PLUS_MINUS_ONE)
-        spec = dtree.sparse_fourier(tree, convention)
-    else:
+        spec = dtree.sparse_fourier(tree, boolfn.OutputConvention(args.convention))
+    elif args.table:
         if args.table.endswith(".csv"):
             values = boolfn.read_truth_table_csv(args.table).astype(float)
         else:
             values = boolfn.read_truth_table_bytes(args.table).astype(float)
-        n = int(np.log2(values.size))
-        spec = boolfn.fourier_from_truth_table(values, n)
-    text = boolfn.spectrum_to_json(spec)
-    if args.out:
-        _atomic_write(args.out, text)
-    print(text)
+        # Both readers refuse tables whose length is not a power of two.
+        spec = boolfn.fourier_from_truth_table(values, values.size.bit_length() - 1)
+    else:
+        raise ValueError("provide --table or --tree")
+    _emit(boolfn.spectrum_to_json(spec), args.out)
     return 0
 
 
 def cmd_tree_corpus(args) -> int:
     out_dir = Path(args.out_dir)
     if args.count < 1:
-        print("error: count must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("count must be positive")
     if args.d > args.n:
-        print("error: depth cannot exceed variable count", file=sys.stderr)
-        return 2
+        raise ValueError("depth cannot exceed variable count")
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_lines = []
     for i in range(args.count):
@@ -253,7 +209,7 @@ def cmd_tree_corpus(args) -> int:
 
 
 def cmd_advantage(args) -> int:
-    u = _load_matrix(args.matrix)
+    u = ortho.load_matrix(args.matrix)
     if args.tree:
         tree = dtree.tree_from_json(Path(args.tree).read_text())
         pairs = [(Path(args.tree).stem, tree)]
@@ -264,35 +220,22 @@ def cmd_advantage(args) -> int:
         (abs(r.estimate) / max(r.theory_bound, 1e-300) for r in reports),
         default=0.0,
     )
-    output = "\n".join(r.to_json() for r in reports) + "\n"
-    if args.out:
-        _atomic_write(args.out, output)
-    sys.stdout.write(output)
+    _emit("\n".join(r.to_json() for r in reports) + "\n", args.out)
     print(f"# max |advantage| / bound = {worst:.4f}", file=sys.stderr)
     return 0
 
 
 def cmd_verify_paper(args) -> int:
+    cfg = VerifyConfig.reduced() if args.reduced else VerifyConfig()
     if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-    else:
-        overrides = {}
-    base = VerifyConfig.reduced() if args.reduced else VerifyConfig()
-    fields = asdict(base)
-    unknown = set(overrides) - set(fields)
-    if unknown:
-        print(f"error: unknown config keys {sorted(unknown)}", file=sys.stderr)
-        return 2
-    fields.update(overrides)
+        cfg = cfg.with_overrides(json.loads(Path(args.config).read_text()))
     if args.seed is not None:
-        fields["seed"] = args.seed
-    cfg = VerifyConfig(**fields)
+        cfg = replace(cfg, seed=args.seed)
     names = args.checks.split(",") if args.checks else None
     if names:
         bad = [n for n in names if n not in CHECK_NAMES]
         if bad:
-            print(f"error: unknown checks {bad}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown checks {bad}")
     started = time.perf_counter()
     results = run_all(cfg, names)
     manifest = build_manifest(cfg, results)
@@ -338,13 +281,15 @@ def _report_rows(manifest: dict) -> list[dict]:
     return rows
 
 
+def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 def cmd_report(args) -> int:
-    manifests = []
-    for path in args.manifests:
-        if not Path(path).exists():
-            print(f"error: missing manifest {path}", file=sys.stderr)
-            return 2
-        manifests.append(json.loads(Path(path).read_text()))
+    manifests = [json.loads(Path(path).read_text()) for path in args.manifests]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     all_rows = []
@@ -353,21 +298,11 @@ def cmd_report(args) -> int:
             all_rows.append({"manifest": Path(path).name, **row})
 
     csv_path = out_dir / "report.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["manifest", "check", "quantity", "measured",
-                            "reference", "passed"])
-        writer.writeheader()
-        writer.writerows(all_rows)
-
-    shape_rows = [r for r in all_rows if r["check"] == "distinguishing_sanity"]
+    _write_csv(csv_path, ["manifest", "check", "quantity", "measured", "reference",
+                          "passed"], all_rows)
     shape_path = out_dir / "advantage_vs_bound.csv"
-    with open(shape_path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["manifest", "quantity", "measured", "reference"])
-        writer.writeheader()
-        writer.writerows([{k: r[k] for k in ("manifest", "quantity", "measured",
-                                             "reference")} for r in shape_rows])
+    _write_csv(shape_path, ["manifest", "quantity", "measured", "reference"],
+               [r for r in all_rows if r["check"] == "distinguishing_sanity"])
 
     lines = ["# Verification report", ""]
     lines.append("| manifest | check | quantity | measured | reference | passed |")

@@ -27,7 +27,7 @@ from .boolfn import (
     fourier_from_truth_table,
     validate_bit_vector,
 )
-from .util import derive_rng
+from .util import derive_rng, json_int
 
 __all__ = [
     "Node",
@@ -115,8 +115,18 @@ class DecisionTree:
         self._validate()
 
     def _validate(self) -> None:
+        if self.n < 0:
+            raise ValueError("variable count must be nonnegative")
         if not self.nodes:
             raise ValueError("empty node arena")
+        size = len(self.nodes)
+        if not 0 <= self.root < size:
+            raise ValueError(f"root {self.root} outside the arena of {size} nodes")
+        for idx, node in enumerate(self.nodes):
+            for child in (node.child_minus, node.child_plus):
+                if child is not None and not 0 <= child < size:
+                    raise ValueError(f"node {idx} has child {child} outside the arena "
+                                     f"of {size} nodes")
         seen_vars: list[int] = []
 
         def walk(idx: int, depth: int) -> None:
@@ -678,19 +688,24 @@ def tree_to_json(tree: DecisionTree) -> str:
 
 def tree_from_json(text: str) -> DecisionTree:
     doc = json.loads(text)
+    if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
+        raise ValueError('tree JSON must be an object with a "nodes" list')
     nodes = []
-    for row in doc["nodes"]:
-        if row["q"] is None:
-            nodes.append(Node(output=int(row["out"])))
+    for idx, row in enumerate(doc["nodes"]):
+        if not isinstance(row, dict):
+            raise ValueError(f"tree node {idx} must be an object")
+        if row.get("q") is None:
+            nodes.append(Node(output=json_int(row.get("out"), f"node {idx} out")))
         else:
             nodes.append(
                 Node(
-                    query_var=int(row["q"]) + 1,
-                    child_minus=int(row["lo"]),
-                    child_plus=int(row["hi"]),
+                    query_var=json_int(row["q"], f"node {idx} q") + 1,
+                    child_minus=json_int(row.get("lo"), f"node {idx} lo"),
+                    child_plus=json_int(row.get("hi"), f"node {idx} hi"),
                 )
             )
-    return DecisionTree(int(doc["n"]), nodes, int(doc.get("root", 0)))
+    return DecisionTree(json_int(doc.get("n"), "n"), nodes,
+                        json_int(doc.get("root", 0), "root"))
 
 
 def cross_check_spectrum(tree: DecisionTree, convention: OutputConvention) -> float:

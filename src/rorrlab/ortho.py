@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,15 +59,20 @@ class OrthogonalMatrix:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("dimension must be positive")
         if self.entries.shape != (self.n, self.n):
             raise ValueError("entry block must be n x n")
         err = self.orthogonality_error()
-        if err > ORTHOGONALITY_TOL:
+        # Written so that a NaN error (non-finite entries) fails too.
+        if not err <= ORTHOGONALITY_TOL:
             raise ValueError(f"matrix is not orthogonal: max |U^T U - I| = {err:.3e}")
 
     def orthogonality_error(self) -> float:
-        gram = self.entries.T @ self.entries
-        return float(np.max(np.abs(gram - np.eye(self.n))))
+        # Huge or non-finite entries give inf or NaN here, without warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.entries.T @ self.entries
+            return float(np.max(np.abs(gram - np.eye(self.n))))
 
 
 def _qr_haar(gaussians: np.ndarray) -> np.ndarray:
@@ -196,17 +202,8 @@ class _GoodnessAccumulator:
         self.violation_count = 0
 
     def record(self, rows, cols, norm: float, bound: float) -> None:
-        self.checked += 1
-        ratio = norm / bound
-        if ratio > self.worst_ratio:
-            self.worst_ratio = ratio
-            self.worst_pair = (tuple(rows), tuple(cols))
-        if norm > bound:
-            self.violation_count += 1
-            if len(self.violations) < MAX_STORED_VIOLATIONS:
-                self.violations.append(
-                    {"S": list(rows), "T": list(cols), "norm": norm, "bound": bound}
-                )
+        over = [(rows, cols, norm, bound)] if norm > bound else []
+        self.record_bulk(1, norm / bound, (tuple(rows), tuple(cols)), over)
 
     def record_bulk(self, count: int, max_ratio: float, max_pair, over: list) -> None:
         """Vectorized passes report only their max ratio and violations."""
@@ -404,8 +401,6 @@ def bilinear_tail_check(
     """Exceedance frequencies of e_1^T U e_1 >= t / sqrt(n) over fresh Haar
     samples, against the sub-Gaussian budget 2 e^{-t^2/8} and the
     Gaussian-limit tail."""
-    from scipy.stats import norm as normal_dist
-
     samples = haar_corner_samples(n, trials, seed)
     rows = []
     for t in thresholds:
@@ -417,7 +412,7 @@ def bilinear_tail_check(
                 "frequency": freq,
                 "stderr": stderr,
                 "subgaussian_bound": float(2.0 * np.exp(-(t**2) / 8.0)),
-                "gaussian_tail": float(normal_dist.sf(t)),
+                "gaussian_tail": 0.5 * math.erfc(t / math.sqrt(2.0)),
             }
         )
     return TailCheckReport(n=n, trials=trials, rows=rows)
@@ -429,29 +424,27 @@ def bilinear_tail_check(
 
 def save_matrix(path: str | Path, u: OrthogonalMatrix) -> str:
     """Write the binary matrix file; returns its sha256 hex digest."""
+    seed = u.seed if u.seed is not None else 0
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} does not fit the unsigned 64-bit header field")
     payload = u.entries.astype("<f8").tobytes()
-    header = MATRIX_MAGIC + struct.pack("<QQ", u.n, u.seed if u.seed is not None else 0)
+    header = MATRIX_MAGIC + struct.pack("<QQ", u.n, seed)
     Path(path).write_bytes(header + payload)
     return file_sha256(path)
 
 
-def load_matrix(path: str | Path, verify: bool = True) -> OrthogonalMatrix:
+def load_matrix(path: str | Path) -> OrthogonalMatrix:
     blob = Path(path).read_bytes()
     if blob[:4] != MATRIX_MAGIC:
         raise ValueError(f"{path}: not a matrix file (bad magic)")
+    if len(blob) < 20:
+        raise ValueError(f"{path}: truncated header")
     n, seed = struct.unpack("<QQ", blob[4:20])
-    expected = 20 + 8 * n * n
-    if len(blob) != expected:
+    if len(blob) != 20 + 8 * n * n:
         raise ValueError(f"{path}: truncated or oversized payload")
     entries = np.frombuffer(blob[20:], dtype="<f8").reshape(n, n).copy()
-    if verify:
-        # Constructor re-checks orthogonality; corrupt files fail here.
-        return OrthogonalMatrix(n=int(n), entries=entries, seed=int(seed))
-    m = object.__new__(OrthogonalMatrix)
-    object.__setattr__(m, "n", int(n))
-    object.__setattr__(m, "entries", entries)
-    object.__setattr__(m, "seed", int(seed))
-    return m
+    # The constructor checks the shape and orthogonality; corrupt files fail there.
+    return OrthogonalMatrix(n=int(n), entries=entries, seed=int(seed))
 
 
 def save_matrix_csv(path: str | Path, u: OrthogonalMatrix) -> None:

@@ -32,6 +32,7 @@ __all__ = [
     "amplification_threshold",
     "default_repetitions",
     "amplified_solver",
+    "amplify",
 ]
 
 NORM_TOL = 1e-10
@@ -187,9 +188,13 @@ def amplified_solver(
     The per-run acceptance probability is computed exactly once; the
     repetitions are classical Bernoulli draws from it.
     """
+    return amplify(simulate_circuit(u, vectors), repetitions, seed)
+
+
+def amplify(run: CircuitRun, repetitions: int, seed: int) -> AmplifiedDecision:
+    """The amplified decision for an already simulated circuit run."""
     if repetitions < 1:
         raise ValueError("need at least one repetition")
-    run = simulate_circuit(u, vectors)
     rng = derive_rng(seed, "amplify", run.n, run.k, repetitions)
     p = min(max(run.acceptance_probability, 0.0), 1.0)
     successes = int(rng.binomial(repetitions, p))

@@ -71,10 +71,6 @@ class RorrelationInstance:
     def n(self) -> int:
         return self.vectors.shape[1]
 
-    def flattened(self) -> np.ndarray:
-        """Block-major layout: coordinate (j-1)*N + i is z^(j)_i."""
-        return self.vectors.reshape(-1)
-
 
 def _check_dimensions(u: OrthogonalMatrix, vectors: np.ndarray) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=float)
@@ -230,18 +226,25 @@ def load_instances(path: str | Path) -> tuple[list[RorrelationInstance], str, st
     blob = Path(path).read_bytes()
     if blob[:4] != INSTANCE_MAGIC:
         raise ValueError(f"{path}: not an instance file (bad magic)")
+    if len(blob) < 16:
+        raise ValueError(f"{path}: truncated header")
     k, n, hash_len, path_len = struct.unpack("<IIHH", blob[4:16])
     pos = 16
+    if len(blob) < pos + hash_len + path_len + 4:
+        raise ValueError(f"{path}: truncated header")
+    if n < 1:
+        raise ValueError(f"{path}: vector length must be positive")
     matrix_hash = blob[pos : pos + hash_len].decode()
     pos += hash_len
     matrix_path = blob[pos : pos + path_len].decode()
     pos += path_len
     (count,) = struct.unpack("<I", blob[pos : pos + 4])
     pos += 4
-    expected = pos + count * k * n
-    if len(blob) != expected:
+    if len(blob) != pos + count * k * n:
         raise ValueError(f"{path}: truncated or oversized payload")
     raw = np.frombuffer(blob[pos:], dtype=np.uint8).reshape(count, k, n)
+    if np.any(raw > 1):
+        raise ValueError(f"{path}: sign bytes must be 0 or 1")
     instances = [
         RorrelationInstance(
             k=k,

@@ -1,4 +1,5 @@
-"""Shared helpers: deterministic seed derivation and Monte-Carlo statistics."""
+"""Shared helpers: deterministic seed derivation, Monte-Carlo statistics
+and JSON field checks."""
 from __future__ import annotations
 
 import hashlib
@@ -10,6 +11,7 @@ __all__ = [
     "sub_seed",
     "mean_and_stderr",
     "variance_and_stderr",
+    "json_int",
 ]
 
 
@@ -54,3 +56,10 @@ def variance_and_stderr(values: np.ndarray) -> tuple[float, float]:
     var = float(np.sum(centered**2) / (n - 1))
     m4 = float(np.mean(centered**4))
     return var, float(np.sqrt(max(m4 - var**2, 0.0) / n))
+
+
+def json_int(value, name: str) -> int:
+    """A JSON integer field, refusing missing values, floats and booleans."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
+    return value

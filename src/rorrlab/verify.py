@@ -13,16 +13,20 @@ import itertools
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__, boolfn, dist, distinguish, dtree, ortho, qsim, rorrelation
 from .boolfn import OutputConvention, binomial
-from .util import derive_rng, mean_and_stderr, sub_seed, variance_and_stderr
+from .util import derive_rng, json_int, mean_and_stderr, sub_seed, variance_and_stderr
 
 __all__ = ["VerifyConfig", "CheckResult", "run_check", "run_all", "build_manifest",
            "manifest_to_json", "strip_timing", "CHECK_NAMES"]
+
+
+# Counts behind a standard error need two samples; every other count one.
+_MIN_COUNTS = {"uniform_var_samples": 2, "moment_mc_samples": 2, "advantage_samples": 2}
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,22 @@ class VerifyConfig:
     goodness_pairs: int = 10_000
     tail_trials: int = 10_000
     advantage_samples: int = 10_000
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = json_int(getattr(self, f.name), f"config key {f.name!r}")
+            low = _MIN_COUNTS.get(f.name, 1)
+            if f.name != "seed" and value < low:
+                raise ValueError(f"config key {f.name!r} must be at least {low}, got {value}")
+
+    def with_overrides(self, overrides) -> "VerifyConfig":
+        """This configuration with fields replaced from a parsed JSON object."""
+        if not isinstance(overrides, dict):
+            raise ValueError("config must be a JSON object of field overrides")
+        unknown = set(overrides) - set(asdict(self))
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        return replace(self, **overrides)
 
     @classmethod
     def reduced(cls, seed: int = 2026) -> "VerifyConfig":

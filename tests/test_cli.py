@@ -7,6 +7,7 @@ import pytest
 
 from rorrlab import boolfn, dtree, ortho, rorrelation
 from rorrlab.cli import main
+from rorrlab.verify import VerifyConfig
 
 
 def run(argv, capsys):
@@ -244,3 +245,117 @@ def test_missing_matrix_file_is_clean_error(tmp_path, capsys):
     code, _, err = run(["check-good", "--matrix", str(tmp_path / "no.mat")], capsys)
     assert code == 2
     assert "error" in err
+
+
+def _matrix_and_instances(tmp_path):
+    matrix, inst = tmp_path / "u.mat", tmp_path / "z.inst"
+    ortho.save_matrix(matrix, ortho.sample_haar(4, seed=1))
+    rng = np.random.default_rng(0)
+    rorrelation.save_instances(inst, [rorrelation.RorrelationInstance(
+        k=2, vectors=2 * rng.integers(0, 2, (2, 4)) - 1)])
+    return str(matrix), str(inst)
+
+
+def _nan_matrix(tmp_path):
+    _, inst = _matrix_and_instances(tmp_path)
+    path = tmp_path / "nan.mat"
+    path.write_bytes(ortho.MATRIX_MAGIC + (4).to_bytes(8, "little") + bytes(8)
+                     + np.full(16, np.nan).astype("<f8").tobytes())
+    return ["rorrelate", "--matrix", str(path), "--instances", inst]
+
+
+def _truncated_matrix(tmp_path):
+    path = tmp_path / "short.mat"
+    path.write_bytes(b"RORU\x01")
+    return ["check-good", "--matrix", str(path)]
+
+
+def _truncated_instances(tmp_path):
+    matrix, _ = _matrix_and_instances(tmp_path)
+    path = tmp_path / "short.inst"
+    path.write_bytes(b"RORI\x03\x00")
+    return ["rorrelate", "--matrix", matrix, "--instances", str(path)]
+
+
+def _tree_file(doc):
+    def build(tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(doc))
+        return ["fourier", "--tree", str(path)]
+    return build
+
+
+def _empty_csv(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    return ["fourier", "--table", str(path)]
+
+
+def _config_file(doc):
+    def build(tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return ["verify-paper", "--reduced", "--config", str(path),
+                "--checks", "distinguishing_sanity", "--out", str(tmp_path / "m.json")]
+    return build
+
+
+def _child(lo, hi):
+    return {"n": 4, "root": 0, "nodes": [
+        {"q": 0, "lo": lo, "hi": hi, "out": None},
+        {"q": None, "lo": None, "hi": None, "out": 1}]}
+
+
+@pytest.mark.parametrize("build", [
+    _nan_matrix,
+    _truncated_matrix,
+    _truncated_instances,
+    _tree_file(_child(-1, 1)),
+    _tree_file(_child(1, 7)),
+    _tree_file([1, 2, 3]),
+    _empty_csv,
+    lambda tmp_path: ["fourier"],
+    _config_file({"quantum_triples": "5"}),
+    _config_file({"advantage_samples": 1}),
+    _config_file([1]),
+], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "negative-child",
+        "child-out-of-range", "tree-is-a-list", "empty-csv", "fourier-without-input",
+        "config-count-is-text", "config-one-advantage-sample", "config-not-an-object"])
+def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys):
+    argv = build(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_qsim_simulates_each_instance_once(tmp_path, capsys, monkeypatch):
+    from rorrlab import qsim
+
+    matrix, inst = _matrix_and_instances(tmp_path)
+    calls = []
+    simulate = qsim.simulate_circuit
+    monkeypatch.setattr(qsim, "simulate_circuit",
+                        lambda *a: calls.append(1) or simulate(*a))
+    code, stdout, _ = run(["qsim", "--matrix", matrix, "--instances", inst,
+                           "--repetitions", "9", "--seed", "4"], capsys)
+    assert code == 0 and len(calls) == 1
+    row = json.loads(stdout)
+    decision = qsim.amplified_solver(ortho.load_matrix(matrix),
+                                     rorrelation.load_instances(inst)[0][0].vectors, 9, 4)
+    assert row["verdict"] == ("accept" if decision.accept else "reject")
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"goodness_pairs": 0}, "goodness_pairs"),
+    ({"tail_trials": True}, "tail_trials"),
+    ({"moment_sets": 2.0}, "moment_sets"),
+    ({"uniform_var_samples": 1}, "uniform_var_samples"),
+    ({"seed": "7"}, "seed"),
+    ({"nope": 1}, "nope"),
+])
+def test_verify_config_refuses_bad_fields(overrides, key):
+    with pytest.raises(ValueError, match=key):
+        VerifyConfig.reduced().with_overrides(overrides)
