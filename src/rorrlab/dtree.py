@@ -56,8 +56,8 @@ __all__ = [
     "tree_from_json",
 ]
 
-# sparse_fourier enumerates every subset of every leaf path; this caps
-# sum over leaves of 2^depth(leaf).
+# sparse_fourier's budget on sum over leaves of 2^depth(leaf), which bounds
+# the number of nonzero coefficients (each lies on a subset of a leaf path).
 MAX_FOURIER_WORK = 1 << 26
 
 MAX_LEAVES = 1 << 22
@@ -279,42 +279,46 @@ def sparse_fourier(
     tree: DecisionTree,
     convention: OutputConvention = OutputConvention.ZERO_ONE,
 ) -> FourierSpectrum:
-    """Exact spectrum from leaf paths.
-
-    Each leaf contributes value * 2^-depth to every subset of its fixed
-    variables, signed by the path. All terms are dyadic, so the result
-    is exact and agrees with the dense transform whenever that fits.
-    """
+    """Exact spectrum merged bottom-up on bitmask subsets: at a node querying
+    x_i, f = (f_minus + f_plus)/2 + x_i (f_plus - f_minus)/2. All terms are
+    dyadic, so the result is exact and agrees with the dense transform
+    whenever that fits."""
     cached = tree._spectra.get(convention)
     if cached is not None:
         return cached
-    leaves = leaf_signatures(tree)
-    work = sum(1 << leaf.depth for leaf in leaves)
-    if work > MAX_FOURIER_WORK:
+    if sum(1 << leaf.depth for leaf in leaf_signatures(tree)) > MAX_FOURIER_WORK:
         raise ValueError("tree too deep for exact sparse Fourier budget")
-    coeffs: dict[tuple[int, ...], float] = {}
-    for leaf in leaves:
-        if convention == OutputConvention.ZERO_ONE:
-            value = float(leaf.output)
-        else:
-            value = float(2 * leaf.output - 1)
-        if value == 0.0:
-            continue
-        weight = value * 0.5**leaf.depth
-        _accumulate_subsets(leaf.fixed, 0, (), 1, weight, coeffs)
-    coeffs = {s: c for s, c in coeffs.items() if c != 0.0}
-    spec = FourierSpectrum(n=tree.n, coeffs=coeffs)
+    leaf_value = (0.0 if convention == OutputConvention.ZERO_ONE else -1.0, 1.0)
+
+    def walk(idx: int) -> dict[int, float]:
+        node = tree.nodes[idx]
+        if node.is_leaf:
+            value = leaf_value[node.output]
+            return {0: value} if value else {}
+        minus, plus = walk(node.child_minus), walk(node.child_plus)
+        bit = 1 << (node.query_var - 1)
+        merged: dict[int, float] = {}
+        for mask in minus.keys() | plus.keys():
+            a, b = minus.get(mask, 0.0), plus.get(mask, 0.0)
+            if a + b:
+                merged[mask] = 0.5 * (a + b)
+            if b - a:
+                merged[mask | bit] = 0.5 * (b - a)
+        return merged
+
+    coeffs = sorted((_mask_subset(mask), c) for mask, c in walk(tree.root).items())
+    spec = FourierSpectrum(n=tree.n, coeffs=dict(coeffs))
     tree._spectra[convention] = spec
     return spec
 
 
-def _accumulate_subsets(fixed, idx, subset, sign, weight, out) -> None:
-    if idx == len(fixed):
-        out[subset] = out.get(subset, 0.0) + sign * weight
-        return
-    var, eps = fixed[idx]
-    _accumulate_subsets(fixed, idx + 1, subset, sign, weight, out)
-    _accumulate_subsets(fixed, idx + 1, subset + (var,), sign * eps, weight, out)
+def _mask_subset(mask: int) -> tuple[int, ...]:
+    """The 1-based variables whose bits are set in mask, increasing."""
+    subset = []
+    while mask:
+        subset.append((mask & -mask).bit_length())
+        mask &= mask - 1
+    return tuple(subset)
 
 
 def decomposition_sides(

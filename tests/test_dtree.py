@@ -126,6 +126,28 @@ def test_sparse_matches_dense_random_trees():
             assert dtree.cross_check_spectrum(tree, conv) <= 1e-9
 
 
+def test_sparse_equals_dense_exactly_with_shared_subtree():
+    # Node 2 is reached from both children of the root; coefficients are
+    # dyadic, so the merge must match the dense transform bit for bit.
+    shared = DecisionTree(4, [
+        Node(query_var=3, child_minus=1, child_plus=4),
+        Node(query_var=1, child_minus=2, child_plus=5),
+        Node(query_var=4, child_minus=5, child_plus=6),
+        Node(output=0),
+        Node(query_var=2, child_minus=2, child_plus=6),
+        Node(output=1),
+        Node(output=0),
+    ])
+    for tree in (shared, random_tree(10, 7, 3)):
+        for conv in (ZO, PM):
+            table = tree.truth_table().astype(float)
+            if conv == PM:
+                table = 2.0 * table - 1.0
+            dense = boolfn.fourier_from_truth_table(table, tree.n)
+            assert sparse_fourier(tree, conv).coeffs == {
+                s: c for s, c in dense.coeffs.items() if c != 0.0}
+
+
 def test_decomposition_depth_one():
     tree = make_dictator(1, 1)
     lhs, rhs = decomposition_sides(tree, (1,), ZO)
