@@ -117,8 +117,11 @@ def point_from_index(b: int, n: int) -> np.ndarray:
 
 
 def walsh_hadamard_inplace(values: np.ndarray) -> np.ndarray:
-    """Unnormalized in-place Walsh-Hadamard butterfly on a length-2^n array."""
+    """Unnormalized in-place Walsh-Hadamard butterfly on a length-2^n array;
+    dividing by sqrt(2^n) makes it the unitary Hadamard layer."""
     m = values.size
+    if m < 1 or m & (m - 1):
+        raise ValueError("length must be a power of two")
     h = 1
     while h < m:
         blocks = values.reshape(-1, 2 * h)

@@ -19,11 +19,15 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, boolfn, dist, distinguish, dtree, ortho, qsim, rorrelation
 from .verify import (
     VerifyConfig,
     build_manifest,
+    manifest_from_json,
     manifest_to_json,
+    report_rows,
     run_all,
     CHECK_NAMES,
 )
@@ -66,26 +70,32 @@ def cmd_check_good(args) -> int:
     return 0 if report.violation_count == 0 else 1
 
 
-def _per_instance(args, row) -> int:
-    """One sorted JSON line per instance of --instances, row(u, index, instance)
-    giving its fields, with U read from --matrix."""
-    u = ortho.load_matrix(args.matrix)
+def _per_instance(args, rows) -> int:
+    """One sorted JSON line per instance of --instances; rows(u, batch) gives
+    the fields of every instance of the (m, k, N) batch, with U read from
+    --matrix. The instance file is read first, so a malformed one is refused
+    before the matrix is loaded and Gram-checked."""
     instances, _, _ = rorrelation.load_instances(args.instances)
-    lines = [json.dumps(row(u, i, inst), sort_keys=True) for i, inst in enumerate(instances)]
-    _emit("\n".join(lines) + "\n", args.out)
+    u = ortho.load_matrix(args.matrix)
+    fields = rows(u, np.array([inst.vectors for inst in instances])) if instances else []
+    _emit("\n".join(json.dumps(row, sort_keys=True) for row in fields) + "\n", args.out)
     return 0
 
 
 def cmd_rorrelate(args) -> int:
-    return _per_instance(args, lambda u, _, inst: {
-        "k": inst.k, "N": inst.n, "phi": rorrelation.phi(u, inst.vectors)})
+    return _per_instance(args, lambda u, batch: [
+        {"k": batch.shape[1], "N": u.n, "phi": float(value)}
+        for value in rorrelation.phi_batch(u, batch)])
 
 
 def cmd_classify(args) -> int:
-    def row(u, _, inst):
-        label = rorrelation.classify(u, inst.vectors)
-        return {"k": inst.k, "N": inst.n, "phi": label.phi, "label": label.tag.value}
-    return _per_instance(args, row)
+    def rows(u, batch):
+        k = batch.shape[1]
+        labels = [rorrelation.classify_value(float(value), k)
+                  for value in rorrelation.phi_batch(u, batch)]
+        return [{"k": k, "N": u.n, "phi": label.phi, "label": label.tag.value}
+                for label in labels]
+    return _per_instance(args, rows)
 
 
 def cmd_sample_dist(args) -> int:
@@ -152,18 +162,20 @@ def cmd_moments(args) -> int:
 
 
 def cmd_qsim(args) -> int:
-    def row(u, i, inst):
-        run = qsim.simulate_circuit(u, inst.vectors)
-        reps = args.repetitions or qsim.default_repetitions(inst.k)
-        decision = qsim.amplify(run, reps, seed=args.seed + i)
-        return {
-            "phi": run.branch_inner_product,
-            "p_accept": run.acceptance_probability,
-            "queries": run.queries,
-            "repetitions": reps,
-            "verdict": "accept" if decision.accept else "reject",
-        }
-    return _per_instance(args, row)
+    def rows(u, batch):
+        reps = args.repetitions or qsim.default_repetitions(batch.shape[1])
+        out = []
+        for i, run in enumerate(qsim.simulate_batch(u, batch)):
+            decision = qsim.amplify(run, reps, seed=args.seed + i)
+            out.append({
+                "phi": run.branch_inner_product,
+                "p_accept": run.acceptance_probability,
+                "queries": run.queries,
+                "repetitions": reps,
+                "verdict": "accept" if decision.accept else "reject",
+            })
+        return out
+    return _per_instance(args, rows)
 
 
 def cmd_fourier(args) -> int:
@@ -187,8 +199,7 @@ def cmd_tree_corpus(args) -> int:
     out_dir = Path(args.out_dir)
     if args.count < 1:
         raise ValueError("count must be positive")
-    if args.d > args.n:
-        raise ValueError("depth cannot exceed variable count")
+    dtree.check_random_tree_shape(args.n, args.d)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_lines = []
     for i in range(args.count):
@@ -249,38 +260,6 @@ def cmd_verify_paper(args) -> int:
     return 0 if manifest["all_passed"] else 1
 
 
-def _report_rows(manifest: dict) -> list[dict]:
-    rows = []
-    for check in manifest["checks"]:
-        name, details = check["name"], check["details"]
-        if name == "expected_phi":
-            for row in details.get("monte_carlo", []):
-                rows.append({"check": name, "quantity": f"E[phi] k={row['k']}",
-                             "measured": row["estimate"],
-                             "reference": row["exact"], "passed": row["passed"]})
-        elif name == "uniform_variance":
-            rows.append({"check": name, "quantity": "Var[phi] uniform",
-                         "measured": details["empirical_variance"],
-                         "reference": details["target"],
-                         "passed": details["empirical_passed"]})
-        elif name == "level_bounds":
-            for key in ("max_binom_ratio", "max_level1_ratio", "max_level_ell_ratio"):
-                rows.append({"check": name, "quantity": key,
-                             "measured": details[key], "reference": 1.0,
-                             "passed": details[key] <= 1.0})
-        elif name == "distinguishing_sanity":
-            for row in details.get("envelope", []):
-                rows.append({"check": name,
-                             "quantity": f"advantage {row['tree']} N={row['n']}",
-                             "measured": row["advantage"],
-                             "reference": row["bound"], "passed": row["passed"]})
-        else:
-            rows.append({"check": name, "quantity": "passed",
-                         "measured": float(check["passed"]), "reference": 1.0,
-                         "passed": check["passed"]})
-    return rows
-
-
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
@@ -289,13 +268,13 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 
 
 def cmd_report(args) -> int:
-    manifests = [json.loads(Path(path).read_text()) for path in args.manifests]
+    all_rows = []
+    for path in args.manifests:
+        manifest = manifest_from_json(Path(path).read_text())
+        for row in report_rows(manifest):
+            all_rows.append({"manifest": Path(path).name, **row})
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_rows = []
-    for path, manifest in zip(args.manifests, manifests):
-        for row in _report_rows(manifest):
-            all_rows.append({"manifest": Path(path).name, **row})
 
     csv_path = out_dir / "report.csv"
     _write_csv(csv_path, ["manifest", "check", "quantity", "measured", "reference",

@@ -48,8 +48,8 @@ MC_CHUNK = 8192
 
 
 def _sign(values: np.ndarray) -> np.ndarray:
-    """Sign with sgn(0) := +1."""
-    return np.where(values >= 0, 1, -1).astype(np.int8)
+    """Sign with sgn(0) := +1, as int8."""
+    return np.where(values >= 0, np.int8(1), np.int8(-1))
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,13 @@ def sample_duk_batch(u: OrthogonalMatrix, k: int, count: int, seed: int) -> np.n
     while done < count:
         m = min(MC_CHUNK, count - done)
         x = rng.standard_normal((m, k - 1, u.n))
-        y = x @ u.entries
-        z = np.empty((m, k, u.n))
-        z[:, 0] = x[:, 0]
+        # One GEMM over all m(k-1) rows; row i of a draw becomes U^T x_i.
+        y = (x.reshape(-1, u.n) @ u.entries).reshape(x.shape)
+        z = out[done : done + m]
+        z[:, 0] = _sign(x[:, 0])
         for i in range(1, k - 1):
-            z[:, i] = y[:, i - 1] * x[:, i]
-        z[:, k - 1] = y[:, k - 2]
-        out[done : done + m] = _sign(z)
+            z[:, i] = _sign(y[:, i - 1] * x[:, i])
+        z[:, k - 1] = _sign(y[:, k - 2])
         done += m
     return out
 

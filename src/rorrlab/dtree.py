@@ -49,6 +49,7 @@ __all__ = [
     "make_dictator",
     "make_parity",
     "random_tree",
+    "check_random_tree_shape",
     "mixture_spectrum",
     "level1_bound",
     "level_ell_bound",
@@ -60,6 +61,7 @@ __all__ = [
 # the number of nonzero coefficients (each lies on a subset of a leaf path).
 MAX_FOURIER_WORK = 1 << 26
 
+# Leaf budget of leaf_signatures and of random_tree's complete trees.
 MAX_LEAVES = 1 << 22
 
 
@@ -560,8 +562,7 @@ def random_tree(n: int, d: int, seed: int) -> DecisionTree:
     """Full binary tree of depth exactly d with non-repeating query paths
     and uniform leaf bits; deterministic for a given seed.
     """
-    if d > n:
-        raise ValueError(f"depth {d} exceeds variable count {n}")
+    check_random_tree_shape(n, d)
     rng = derive_rng(seed, "random-tree", n, d)
     nodes: list[Node] = []
 
@@ -582,6 +583,16 @@ def random_tree(n: int, d: int, seed: int) -> DecisionTree:
 
     root = build(0, [])
     return DecisionTree(n, nodes, root)
+
+
+def check_random_tree_shape(n: int, d: int) -> None:
+    """Refuse a depth random_tree cannot build: above the variable count,
+    negative, or with more than MAX_LEAVES leaves."""
+    if d > n:
+        raise ValueError(f"depth {d} exceeds variable count {n}")
+    if d < 0 or 2**d > MAX_LEAVES:
+        raise ValueError(f"depth {d} outside 0..{MAX_LEAVES.bit_length() - 1} "
+                         f"(at most {MAX_LEAVES} leaves)")
 
 
 # ---------------------------------------------------------------------------

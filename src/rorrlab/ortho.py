@@ -72,7 +72,8 @@ class OrthogonalMatrix:
         # Huge or non-finite entries give inf or NaN here, without warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             gram = self.entries.T @ self.entries
-            return float(np.max(np.abs(gram - np.eye(self.n))))
+            gram.flat[:: self.n + 1] -= 1.0
+            return float(np.max(np.abs(gram, out=gram)))
 
 
 def _qr_haar(gaussians: np.ndarray) -> np.ndarray:

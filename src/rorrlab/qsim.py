@@ -10,6 +10,11 @@ the control in the |+> state, which equals (1 + phi_U(z)) / 2.
 A "query round" applies the oracle on whichever branches are still
 consuming inputs; rounds, not per-branch oracle calls, are what the
 query model counts, so a full run costs ceil(k/2) queries.
+
+`simulate_batch` runs a batch of m instances at once: each branch is an
+(m, N) block of real amplitudes, so every layer of U or U^T is one GEMM
+for the whole batch (O(mN) working space), and norm drift is tracked per
+row. `simulate_circuit` is its one-row case.
 """
 from __future__ import annotations
 
@@ -18,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .boolfn import walsh_hadamard_inplace
 from .ortho import OrthogonalMatrix
 from .util import derive_rng
 
@@ -25,9 +31,9 @@ __all__ = [
     "QueryState",
     "CircuitRun",
     "AmplifiedDecision",
-    "hadamard_transform",
     "query_count",
     "simulate_circuit",
+    "simulate_batch",
     "run_rorrelation_circuit",
     "amplification_threshold",
     "default_repetitions",
@@ -64,23 +70,6 @@ class CircuitRun:
     max_norm_drift: float
 
 
-def hadamard_transform(vec: np.ndarray) -> np.ndarray:
-    """Normalized in-place Hadamard butterfly; length must be a power of two."""
-    m = vec.size
-    if m & (m - 1):
-        raise ValueError("length must be a power of two")
-    h = 1
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    while h < m:
-        blocks = vec.reshape(-1, 2 * h)
-        left = blocks[:, :h].copy()
-        right = blocks[:, h:].copy()
-        blocks[:, :h] = (left + right) * inv_sqrt2
-        blocks[:, h:] = (left - right) * inv_sqrt2
-        h *= 2
-    return vec
-
-
 def query_count(k: int) -> int:
     """Queries made by one circuit run: ceil(k/2)."""
     if k < 2:
@@ -88,66 +77,74 @@ def query_count(k: int) -> int:
     return (k + 1) // 2
 
 
-def _check_inputs(u: OrthogonalMatrix, vectors: np.ndarray) -> np.ndarray:
-    vecs = np.asarray(vectors, dtype=float)
-    if vecs.ndim != 2 or vecs.shape[0] < 2:
-        raise ValueError("need a (k, N) stack of query vectors with k >= 2")
-    if vecs.shape[1] != u.n:
-        raise ValueError(f"vectors have length {vecs.shape[1]}, matrix is {u.n}")
+def _check_inputs(u: OrthogonalMatrix, batch: np.ndarray) -> np.ndarray:
+    z = np.asarray(batch)
+    if z.ndim != 3 or z.shape[1] < 2:
+        raise ValueError("need (k, N) stacks of query vectors with k >= 2")
+    if z.shape[2] != u.n:
+        raise ValueError(f"vectors have length {z.shape[2]}, matrix is {u.n}")
     if u.n & (u.n - 1) or u.n < 1:
         raise ValueError("N must be a power of two")
-    if not np.all(np.abs(vecs) == 1):
+    if not np.all(np.abs(z) == 1):
         raise ValueError("query vectors must be +-1 valued")
-    return vecs
+    return z
 
 
 def simulate_circuit(u: OrthogonalMatrix, vectors: np.ndarray) -> CircuitRun:
-    """Run the two-branch circuit and return the full diagnostic record."""
-    z = _check_inputs(u, vectors)
-    k, n = z.shape
-    drift = 0.0
+    """Run the two-branch circuit on one (k, N) instance and return the full
+    diagnostic record: the one-row case of simulate_batch."""
+    return simulate_batch(u, np.asarray(vectors)[None])[0]
 
-    def track(vec: np.ndarray) -> np.ndarray:
-        nonlocal drift
-        drift = max(drift, abs(float(np.linalg.norm(vec)) - 1.0))
-        return vec
 
-    # Both branches start at |0..0> and receive the Hadamard layer.
-    half0 = np.zeros(n)
-    half0[0] = 1.0
-    track(hadamard_transform(half0))
-    half1 = np.zeros(n)
-    half1[0] = 1.0
-    track(hadamard_transform(half1))
+def simulate_batch(u: OrthogonalMatrix, batch: np.ndarray) -> list[CircuitRun]:
+    """Run the circuit on every instance of an (m, k, N) batch; one
+    CircuitRun per instance, in order."""
+    z = _check_inputs(u, batch)
+    m, k, n = z.shape
+    drift = np.zeros(m)
+
+    def track(block: np.ndarray) -> np.ndarray:
+        np.maximum(drift, np.abs(np.linalg.norm(block, axis=1) - 1.0), out=drift)
+        return block
+
+    # Both branches start at the Hadamard layer applied to |0..0>.
+    start = np.zeros(n)
+    start[0] = 1.0
+    walsh_hadamard_inplace(start)
+    start /= math.sqrt(n)
+    half0 = track(np.tile(start, (m, 1)))
+    half1 = half0.copy()
 
     rounds = query_count(k)
     lower = k // 2  # rounds in which the control-1 branch still queries
     queries = 0
+    # Rows are amplitude vectors h, so h @ U is U^T h and h @ U^T is U h.
     for t in range(1, rounds + 1):
         if t >= 2:
-            half0 = track(u.entries.T @ half0)
+            half0 = track(half0 @ u.entries)
             if t <= lower:
-                half1 = track(u.entries @ half1)
-        half0 = track(half0 * z[t - 1])
+                half1 = track(half1 @ u.entries.T)
+        half0 = track(half0 * z[:, t - 1])
         if t <= lower:
-            half1 = track(half1 * z[k - t])
+            half1 = track(half1 * z[:, k - t])
         queries += 1
-    half0 = track(u.entries.T @ half0)
+    half0 = track(half0 @ u.entries)
 
-    inner = float(half0 @ half1)
-    prob = 0.25 * float(np.sum((half0 + half1) ** 2))
-    state = QueryState(
-        amplitudes=np.concatenate([half0, half1]) / math.sqrt(2.0), n=n
-    )
-    return CircuitRun(
-        n=n,
-        k=k,
-        acceptance_probability=prob,
-        branch_inner_product=inner,
-        queries=queries,
-        final_state=state,
-        max_norm_drift=drift,
-    )
+    inner = np.einsum("mi,mi->m", half0, half1)
+    prob = 0.25 * np.sum((half0 + half1) ** 2, axis=1)
+    amplitudes = np.concatenate([half0, half1], axis=1) / math.sqrt(2.0)
+    return [
+        CircuitRun(
+            n=n,
+            k=k,
+            acceptance_probability=float(prob[i]),
+            branch_inner_product=float(inner[i]),
+            queries=queries,
+            final_state=QueryState(amplitudes=amplitudes[i], n=n),
+            max_norm_drift=float(drift[i]),
+        )
+        for i in range(m)
+    ]
 
 
 def run_rorrelation_circuit(u: OrthogonalMatrix, vectors: np.ndarray) -> float:

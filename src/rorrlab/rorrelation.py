@@ -1,8 +1,11 @@
 """The k-fold Rorrelation functional phi_U and the YES/NO promise problem.
 
 phi_U(z^(1), ..., z^(k)) is the normalized alternating chain
-z^(1)^T U diag(z^(2)) U ... U z^(k) / N, evaluated right-to-left with
-vector intermediates (O(k N^2) time, O(N) extra space). On +-1 inputs
+z^(1)^T U diag(z^(2)) U ... U z^(k) / N, evaluated right-to-left for a
+whole batch of m instances at once: each of the k-1 links is one GEMM of
+the (m, N) intermediate with U^T, so U is read k-1 times per batch, not
+per instance (O(k m N^2) time, O(mN) working space). `phi` is the
+one-row case of `phi_batch`. On +-1 inputs
 its value lies in [-1, 1]; YES instances have phi >= 2^-k, NO instances
 |phi| <= 2^-(k+1), everything between is outside the promise.
 """
@@ -82,20 +85,15 @@ def _check_dimensions(u: OrthogonalMatrix, vectors: np.ndarray) -> np.ndarray:
 
 
 def phi(u: OrthogonalMatrix, vectors: Sequence[Sequence[float]] | np.ndarray) -> float:
-    """k-fold Rorrelation via k-1 chained matrix-vector products."""
-    vecs = _check_dimensions(u, np.asarray(vectors))
-    k = vecs.shape[0]
-    w = vecs[k - 1]
-    for j in range(k - 2, 0, -1):
-        w = vecs[j] * (u.entries @ w)
-    w = u.entries @ w
-    return float(vecs[0] @ w) / u.n
+    """k-fold Rorrelation of one instance: the one-row case of phi_batch."""
+    return float(phi_batch(u, _check_dimensions(u, np.asarray(vectors))[None])[0])
 
 
 def phi_batch(u: OrthogonalMatrix, batch: np.ndarray) -> np.ndarray:
-    """phi for a batch of instances, shape (m, k, N) -> (m,)."""
-    if batch.ndim != 3 or batch.shape[2] != u.n:
-        raise ValueError("batch must have shape (m, k, N)")
+    """phi for a batch of instances, shape (m, k, N) -> (m,), via k-1
+    chained products of the (m, N) intermediate with U^T."""
+    if batch.ndim != 3 or batch.shape[1] < 2 or batch.shape[2] != u.n:
+        raise ValueError("batch must have shape (m, k, N) with k >= 2")
     k = batch.shape[1]
     w = batch[:, k - 1, :].astype(float)
     for j in range(k - 2, 0, -1):

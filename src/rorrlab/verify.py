@@ -22,7 +22,8 @@ from .boolfn import OutputConvention, binomial
 from .util import derive_rng, json_int, mean_and_stderr, sub_seed, variance_and_stderr
 
 __all__ = ["VerifyConfig", "CheckResult", "run_check", "run_all", "build_manifest",
-           "manifest_to_json", "strip_timing", "CHECK_NAMES"]
+           "manifest_to_json", "manifest_from_json", "report_rows", "strip_timing",
+           "CHECK_NAMES"]
 
 
 # Counts behind a standard error need two samples; every other count one.
@@ -581,3 +582,82 @@ def strip_timing(manifest: dict) -> dict:
 
 def manifest_to_json(manifest: dict) -> str:
     return json.dumps(manifest, sort_keys=True, indent=2)
+
+
+# Detail fields that report_rows tabulates, per check: the list of rows they
+# sit in (None: the details object itself), the fields that must be numbers,
+# and the fields that must only be present.
+_REPORTED_DETAILS = {
+    "expected_phi": ("monte_carlo", ("estimate", "exact"), ("k", "passed")),
+    "uniform_variance": (None, ("empirical_variance", "target"), ("empirical_passed",)),
+    "level_bounds": (None, ("max_binom_ratio", "max_level1_ratio",
+                            "max_level_ell_ratio"), ()),
+    "distinguishing_sanity": ("envelope", ("advantage", "bound"), ("tree", "n", "passed")),
+}
+
+
+def manifest_from_json(text: str) -> dict:
+    """Parse a manifest and check the shape report_rows reads: an object
+    whose `checks` is a list of objects with a string `name`, a boolean
+    `passed` and an object `details` holding the tabulated fields."""
+    manifest = json.loads(text)
+    checks = manifest.get("checks") if isinstance(manifest, dict) else None
+    if not isinstance(checks, list):
+        raise ValueError("manifest must be an object with a list of checks")
+    for check in checks:
+        if not (isinstance(check, dict) and isinstance(check.get("name"), str)
+                and isinstance(check.get("passed"), bool)
+                and isinstance(check.get("details"), dict)):
+            raise ValueError("each manifest check needs a string name, a boolean "
+                             "passed and an object details")
+        if check["name"] not in _REPORTED_DETAILS:
+            continue
+        rows_key, numbers, present = _REPORTED_DETAILS[check["name"]]
+        rows = check["details"].get(rows_key, []) if rows_key else [check["details"]]
+        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+            raise ValueError(f"manifest check {check['name']}: {rows_key} must be "
+                             "a list of objects")
+        for row in rows:
+            for key in numbers:
+                value = row.get(key)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"manifest check {check['name']}: {key} must be "
+                                     "a number")
+            missing = [key for key in present if key not in row]
+            if missing:
+                raise ValueError(f"manifest check {check['name']}: missing {missing}")
+    return manifest
+
+
+def report_rows(manifest: dict) -> list[dict]:
+    """The rows `rorrlab report` tabulates from a manifest that
+    manifest_from_json accepted."""
+    rows = []
+    for check in manifest["checks"]:
+        name, details = check["name"], check["details"]
+        if name == "expected_phi":
+            for row in details.get("monte_carlo", []):
+                rows.append({"check": name, "quantity": f"E[phi] k={row['k']}",
+                             "measured": row["estimate"],
+                             "reference": row["exact"], "passed": row["passed"]})
+        elif name == "uniform_variance":
+            rows.append({"check": name, "quantity": "Var[phi] uniform",
+                         "measured": details["empirical_variance"],
+                         "reference": details["target"],
+                         "passed": details["empirical_passed"]})
+        elif name == "level_bounds":
+            for key in ("max_binom_ratio", "max_level1_ratio", "max_level_ell_ratio"):
+                rows.append({"check": name, "quantity": key,
+                             "measured": details[key], "reference": 1.0,
+                             "passed": details[key] <= 1.0})
+        elif name == "distinguishing_sanity":
+            for row in details.get("envelope", []):
+                rows.append({"check": name,
+                             "quantity": f"advantage {row['tree']} N={row['n']}",
+                             "measured": row["advantage"],
+                             "reference": row["bound"], "passed": row["passed"]})
+        else:
+            rows.append({"check": name, "quantity": "passed",
+                         "measured": float(check["passed"]), "reference": 1.0,
+                         "passed": check["passed"]})
+    return rows

@@ -61,6 +61,19 @@ def test_matches_brute_force_oracle():
         )
 
 
+def test_walsh_hadamard_butterfly_unitary():
+    # Scaled by 1/sqrt(N) the butterfly is the unitary Hadamard layer: it
+    # keeps the norm and is its own inverse.
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(32)
+    w = boolfn.walsh_hadamard_inplace(v.copy()) / math.sqrt(32)
+    assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(v))
+    assert np.allclose(boolfn.walsh_hadamard_inplace(w.copy()) / math.sqrt(32), v)
+    for size in (0, 3, 12):
+        with pytest.raises(ValueError, match="power of two"):
+            boolfn.walsh_hadamard_inplace(np.ones(size))
+
+
 def test_size_mismatch_rejected():
     with pytest.raises(ValueError):
         fourier_from_truth_table([1.0, 1.0, 1.0], 2)

@@ -334,18 +334,67 @@ def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys):
 def test_qsim_simulates_each_instance_once(tmp_path, capsys, monkeypatch):
     from rorrlab import qsim
 
-    matrix, inst = _matrix_and_instances(tmp_path)
-    calls = []
-    simulate = qsim.simulate_circuit
-    monkeypatch.setattr(qsim, "simulate_circuit",
-                        lambda *a: calls.append(1) or simulate(*a))
-    code, stdout, _ = run(["qsim", "--matrix", matrix, "--instances", inst,
+    matrix = tmp_path / "u.mat"
+    ortho.save_matrix(matrix, ortho.sample_haar(8, seed=1))
+    rng = np.random.default_rng(0)
+    instances = [rorrelation.RorrelationInstance(k=3, vectors=2 * rng.integers(0, 2, (3, 8)) - 1)
+                 for _ in range(3)]
+    inst = tmp_path / "z.inst"
+    rorrelation.save_instances(inst, instances)
+    rows = []
+    simulate = qsim.simulate_batch
+    monkeypatch.setattr(qsim, "simulate_batch",
+                        lambda u, batch: rows.append(len(batch)) or simulate(u, batch))
+    code, stdout, _ = run(["qsim", "--matrix", str(matrix), "--instances", str(inst),
                            "--repetitions", "9", "--seed", "4"], capsys)
-    assert code == 0 and len(calls) == 1
-    row = json.loads(stdout)
-    decision = qsim.amplified_solver(ortho.load_matrix(matrix),
-                                     rorrelation.load_instances(inst)[0][0].vectors, 9, 4)
-    assert row["verdict"] == ("accept" if decision.accept else "reject")
+    # One batch call holding every instance exactly once.
+    assert code == 0 and rows == [len(instances)]
+    monkeypatch.undo()
+    u = ortho.load_matrix(matrix)
+    for i, (line, instance) in enumerate(zip(stdout.splitlines(), instances, strict=True)):
+        decision = qsim.amplified_solver(u, instance.vectors, 9, 4 + i)
+        assert json.loads(line)["verdict"] == ("accept" if decision.accept else "reject")
+
+
+def test_rorrelate_reads_instances_before_matrix(tmp_path, capsys):
+    path = tmp_path / "short.inst"
+    path.write_bytes(b"RORI\x03\x00")
+    code, stdout, err = run(["rorrelate", "--matrix", str(tmp_path / "absent.mat"),
+                             "--instances", str(path)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "short.inst" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [1],
+    {"checks": {}},
+    {"checks": [{"name": "goodness", "passed": 1, "details": {}}]},
+    {"checks": [{"name": "level_bounds", "passed": True, "details": {}}]},
+    {"checks": [{"name": "expected_phi", "passed": True,
+                 "details": {"monte_carlo": [{"k": 2, "estimate": "0.5", "exact": 0.5,
+                                              "passed": True}]}}]},
+    {"checks": [{"name": "distinguishing_sanity", "passed": True,
+                 "details": {"envelope": [{"advantage": 0.1, "bound": 0.2}]}}]},
+], ids=["empty-object", "list", "checks-not-a-list", "passed-not-bool", "missing-ratio",
+        "estimate-is-text", "envelope-row-short"])
+def test_report_refuses_malformed_manifest(doc, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, stdout, err = run(["report", str(manifest), "--out-dir", str(out_dir)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert not out_dir.exists()
+
+
+def test_tree_corpus_refuses_depth_over_leaf_budget(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    code, stdout, err = run(["tree-corpus", "--n", "30", "--d", "25", "--count", "1",
+                             "--out-dir", str(out_dir)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("overrides, key", [

@@ -1,4 +1,5 @@
 """Chain distribution samplers and moment machinery."""
+import hashlib
 import math
 
 import numpy as np
@@ -81,6 +82,21 @@ def test_duk_batch_matches_single():
     batch = sample_duk_batch(u, 4, 10, seed=13)
     assert batch.shape == (10, 4, 8)
     assert np.all(np.abs(batch) == 1)
+
+
+@pytest.mark.parametrize("n, k, count, seed, matrix_seed, digest", [
+    (16, 2, 50, 1, 2, "a75889c18d9374bf50548f6d7e21f9f40808c7cfc6f1b9ad350e70fe936217a0"),
+    (16, 3, 50, 1, 2, "3126ec396476106c9537fe124ac06cde4e34669ff2273eef66463c8401e9904b"),
+    (256, 2, 8200, 5, 4, "79e3caf504cd9acb2a9ecf792beaf034f971989432af7f8b9ce3b05a4a7feee6"),
+    (256, 3, 8200, 5, 4, "ee5ef9d290e99720c86e6e2cdb39ade0d4c733790f09b287bfe327010f894dac"),
+])
+def test_duk_batch_stream_is_pinned(n, k, count, seed, matrix_seed, digest):
+    # Digests of the stacked (m, k-1, N) @ U sampler; the N=256 draws span
+    # two MC_CHUNK chunks. Any change to the stream or the signs shows here.
+    assert n < 256 or count > dist.MC_CHUNK
+    batch = sample_duk_batch(ortho.sample_haar(n, matrix_seed), k, count, seed)
+    assert batch.dtype == np.int8 and batch.shape == (count, k, n)
+    assert hashlib.sha256(batch.tobytes()).hexdigest() == digest
 
 
 def test_uniform_sampler():

@@ -365,6 +365,10 @@ def test_random_tree_structure():
     assert all(leaf.depth == 4 for leaf in leaves)
     with pytest.raises(ValueError):
         random_tree(3, 4, seed=0)
+    # 2^23 leaves exceed MAX_LEAVES; refused before any node is built.
+    for depth in (-1, 23, 25):
+        with pytest.raises(ValueError, match="leaves"):
+            random_tree(30, depth, seed=0)
 
 
 def test_leaf_sum_distribution_exact():

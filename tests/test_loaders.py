@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rorrlab import boolfn, dtree, ortho, rorrelation
+from rorrlab import boolfn, dtree, ortho, rorrelation, verify
 
 FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -114,6 +114,34 @@ def test_spectrum_from_json_refuses_only_with_value_error(doc):
     spec = _load_or_none(boolfn.spectrum_from_json, json.dumps(doc))
     if spec is not None:
         assert all(np.isfinite(c) for c in spec.coeffs.values())
+
+
+_report_row_docs = st.fixed_dictionaries({}, optional={key: _scalars for key in (
+    "k", "n", "tree", "estimate", "exact", "advantage", "bound", "passed")})
+_details_docs = st.fixed_dictionaries({}, optional={
+    **{key: _scalars for key in ("empirical_variance", "target", "empirical_passed",
+                                 "max_binom_ratio", "max_level1_ratio",
+                                 "max_level_ell_ratio")},
+    **{key: st.one_of(_scalars, st.lists(st.one_of(_scalars, _report_row_docs), max_size=3))
+       for key in ("monte_carlo", "envelope")},
+})
+_manifest_docs = st.fixed_dictionaries({}, optional={
+    "checks": st.one_of(_scalars, st.lists(st.one_of(_scalars, st.fixed_dictionaries({}, optional={
+        "name": st.one_of(_scalars, st.sampled_from(sorted(verify.CHECK_NAMES))),
+        "passed": _scalars,
+        "details": st.one_of(_scalars, _details_docs),
+    })), max_size=4)),
+})
+
+
+@FUZZ
+@given(doc=st.one_of(_json_values, _manifest_docs))
+def test_manifest_from_json_refuses_only_with_value_error(doc):
+    manifest = _load_or_none(verify.manifest_from_json, json.dumps(doc))
+    if manifest is not None:
+        for row in verify.report_rows(manifest):
+            # report formats both with :.6g
+            assert all(isinstance(row[key], (int, float)) for key in ("measured", "reference"))
 
 
 _csv_lines = st.lists(st.sampled_from(["1", "-1", " 1", "0", "2", "300", "x", "", "1,-1",

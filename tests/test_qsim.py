@@ -3,32 +3,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rorrlab import ortho, qsim, rorrelation
 from rorrlab.qsim import (
     amplification_threshold,
     amplified_solver,
     default_repetitions,
-    hadamard_transform,
     query_count,
     run_rorrelation_circuit,
+    simulate_batch,
     simulate_circuit,
 )
 
 
 def identity_matrix(n):
     return ortho.OrthogonalMatrix(n=n, entries=np.eye(n), seed=None)
-
-
-def test_hadamard_transform_unitary():
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(32)
-    w = hadamard_transform(v.copy())
-    assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(v))
-    # Applying twice recovers the input.
-    assert np.allclose(hadamard_transform(w.copy()), v)
-    with pytest.raises(ValueError):
-        hadamard_transform(np.ones(3))
 
 
 def test_acceptance_identity_trivial_cases():
@@ -172,3 +163,33 @@ def test_odd_and_even_k_split():
         assert run.acceptance_probability == pytest.approx(
             (1 + rorrelation.phi(u, z)) / 2, abs=1e-10
         )
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_n=st.integers(0, 6), k=st.integers(2, 5), m=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_rows_match_one_row_calls(log_n, k, m, seed):
+    n = 1 << log_n
+    u = ortho.sample_haar(n, seed)
+    rng = np.random.default_rng(seed)
+    batch = (2 * rng.integers(0, 2, size=(m, k, n)) - 1).astype(np.int8)
+    values = rorrelation.phi_batch(u, batch)
+    runs = simulate_batch(u, batch)
+    assert len(runs) == m
+    for z, value, run in zip(batch, values, runs):
+        one = simulate_circuit(u, z)
+        assert abs(value - rorrelation.phi(u, z)) <= 1e-12
+        assert abs(run.branch_inner_product - one.branch_inner_product) <= 1e-12
+        assert abs(run.acceptance_probability - one.acceptance_probability) <= 1e-12
+        assert abs(run.acceptance_probability - (1.0 + value) / 2.0) <= 1e-10
+
+    # Stretching one column by 1e-11 (inside the Gram tolerance) gives each
+    # instance its own norm drift, so a drift shared across the batch would
+    # miss the one-row value by far more than rounding.
+    entries = u.entries.copy()
+    entries[:, 0] *= 1.0 + 1e-11
+    skew = ortho.OrthogonalMatrix(n=n, entries=entries, seed=None)
+    for z, run in zip(batch, simulate_batch(skew, batch)):
+        one = simulate_circuit(skew, z)
+        assert abs(run.max_norm_drift - one.max_norm_drift) <= 1e-14
+        assert run.queries == one.queries == query_count(k)
