@@ -168,6 +168,11 @@ def u_tilde_mc(
 
     Pairs (X, -X) make the estimate identically zero when |S| + |T| is
     odd; stderr comes from the pair means.
+
+    Only x_S and y_T = (U^T X)_T are drawn, from their joint law:
+    y_T = U[S,T]^T x_S + R^T g with g ~ N(0, I_r) independent of x_S and
+    R the (r, |T|) triangular factor of U[S^c,T], so R^T R is the
+    covariance U[S^c,T]^T U[S^c,T] of the part of y_T outside S.
     """
     s_idx = np.asarray(sorted(set(s)), dtype=int) - 1
     t_idx = np.asarray(sorted(set(t)), dtype=int) - 1
@@ -182,18 +187,20 @@ def u_tilde_mc(
         # Literal cancellation: every pair mean is exactly zero.
         return MomentEstimate(value=0.0, stderr=0.0, samples=2 * pairs, exact=False)
     rng = derive_rng(seed, "u-tilde", u.n, tuple(s_idx.tolist()), tuple(t_idx.tolist()))
-    cols = u.entries[:, t_idx]
+    outside = np.ones(u.n, dtype=bool)
+    outside[s_idx] = False
+    cross = u.entries[np.ix_(s_idx, t_idx)]
+    r = np.linalg.qr(u.entries[np.ix_(outside, t_idx)], mode="r")
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < pairs:
         m = min(MC_CHUNK, pairs - done)
-        x = rng.standard_normal((m, u.n))
-        prod = np.ones(m)
-        if s_idx.size:
-            prod *= np.prod(x[:, s_idx], axis=1)
+        w = rng.standard_normal((m, s_idx.size + r.shape[0]))
+        x_s, g = w[:, : s_idx.size], w[:, s_idx.size :]
+        prod = np.prod(x_s, axis=1)
         if t_idx.size:
-            prod *= np.prod(x @ cols, axis=1)
+            prod *= np.prod(x_s @ cross + g @ r, axis=1)
         signs = _sign(prod).astype(float)
         # Even parity: the antithetic partner contributes the same sign,
         # so the pair mean equals the sign itself.
@@ -348,6 +355,8 @@ def moment_bound_audit(
     matrices that are not good (the identity's diagonal chains reach
     |D_hat| = 1).
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if max_size < k:
         raise ValueError("max_size must be at least k")
     rng = derive_rng(seed, "moment-audit", u.n, k, trials, max_size)

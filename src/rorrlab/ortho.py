@@ -202,10 +202,6 @@ class _GoodnessAccumulator:
         self.violations: list[dict] = []
         self.violation_count = 0
 
-    def record(self, rows, cols, norm: float, bound: float) -> None:
-        over = [(rows, cols, norm, bound)] if norm > bound else []
-        self.record_bulk(1, norm / bound, (tuple(rows), tuple(cols)), over)
-
     def record_bulk(self, count: int, max_ratio: float, max_pair, over: list) -> None:
         """Vectorized passes report only their max ratio and violations."""
         self.checked += count
@@ -308,6 +304,42 @@ def _check_small_blocks(u: OrthogonalMatrix, acc: _GoodnessAccumulator) -> None:
         acc.record_bulk(norms.size, float(norms[r, p]) / bound_22, (rows, cols), over)
 
 
+# Byte budget for the stacked blocks of one pass over sampled pairs.
+GOODNESS_STACK_BYTES = 1 << 22
+
+
+def _record_sampled(u: OrthogonalMatrix, draws: list, acc: _GoodnessAccumulator) -> None:
+    """Record sampled (rows, cols) pairs (sorted 0-based index arrays) in
+    draw order. Blocks of one shape share one stacked SVD, whose norms
+    are bit for bit those of per-block SVDs."""
+    if not draws:
+        return
+    norms = np.empty(len(draws))
+    bounds = np.empty(len(draws))
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, (rows, cols) in enumerate(draws):
+        shapes.setdefault((rows.size, cols.size), []).append(i)
+    for (s_size, t_size), idx in shapes.items():
+        rows = np.array([draws[i][0] for i in idx])
+        cols = np.array([draws[i][1] for i in idx])
+        stack = u.entries[rows[:, :, None], cols[:, None, :]]
+        if max(s_size, t_size) <= SVD_SIZE_LIMIT:
+            norms[idx] = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        else:
+            norms[idx] = [power_iteration_norm(block) for block in stack]
+        bounds[idx] = goodness_bound(s_size, t_size, u.n)
+    ratios = norms / bounds
+
+    def pair(i):
+        rows, cols = draws[i]
+        return tuple(int(r) + 1 for r in rows), tuple(int(c) + 1 for c in cols)
+
+    over = [(*pair(i), float(norms[i]), float(bounds[i]))
+            for i in np.flatnonzero(norms > bounds)]
+    best = int(np.argmax(ratios))
+    acc.record_bulk(len(draws), float(ratios[best]), pair(best), over)
+
+
 def check_goodness(
     u: OrthogonalMatrix,
     sampled_pairs: int = 10_000,
@@ -322,21 +354,29 @@ def check_goodness(
     """
     if u.n < 2:
         raise ValueError("goodness needs n >= 2")
+    if sampled_pairs < 0:
+        raise ValueError(f"sampled_pairs must be non-negative, got {sampled_pairs}")
+    if max_block < 1:
+        raise ValueError(f"max_block must be at least 1, got {max_block}")
     acc = _GoodnessAccumulator(u.n)
     _check_singletons(u, acc)
     if u.n <= 64:
         _check_small_blocks(u, acc)
     rng = derive_rng(seed, "goodness", u.n, sampled_pairs, max_block)
     cap = min(max_block, u.n)
+    draws = []
+    stacked_bytes = 0
     for _ in range(sampled_pairs):
         s_size = int(rng.integers(1, cap + 1))
         t_size = int(rng.integers(1, cap + 1))
-        rows = np.sort(rng.choice(u.n, size=s_size, replace=False)) + 1
-        cols = np.sort(rng.choice(u.n, size=t_size, replace=False)) + 1
-        block = u.entries[np.ix_(rows - 1, cols - 1)]
-        norm = spectral_norm(block)
-        acc.record(tuple(int(r) for r in rows), tuple(int(c) for c in cols),
-                   norm, goodness_bound(s_size, t_size, u.n))
+        rows = np.sort(rng.choice(u.n, size=s_size, replace=False))
+        cols = np.sort(rng.choice(u.n, size=t_size, replace=False))
+        draws.append((rows, cols))
+        stacked_bytes += 8 * s_size * t_size
+        if stacked_bytes >= GOODNESS_STACK_BYTES:
+            _record_sampled(u, draws, acc)
+            draws, stacked_bytes = [], 0
+    _record_sampled(u, draws, acc)
     return acc.report()
 
 

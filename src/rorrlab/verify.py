@@ -172,15 +172,36 @@ def check_sign_correlation(cfg: VerifyConfig) -> CheckResult:
 # 3. Expected Rorrelation under the chain distribution
 # ---------------------------------------------------------------------------
 
-def check_expected_phi(cfg: VerifyConfig) -> CheckResult:
+_EPHI_GRID = tuple(itertools.product((64, 128), (2, 3, 4)))
+
+
+def _ephi_exact(cfg: VerifyConfig, shared: dict | None) -> dict:
+    """(exact E[phi], exact uniform variance) of every `ephi` matrix, keyed
+    by (n, k, s). Each matrix is built once and dropped after both values
+    are read; `shared` keeps the values (never the matrices) for the other
+    check of the same run."""
+    shared = {} if shared is None else shared
+    key = ("ephi", cfg.seed, cfg.expected_phi_seeds)
+    if key not in shared:
+        values = {}
+        for n, k in _EPHI_GRID:
+            for s in range(cfg.expected_phi_seeds):
+                u = ortho.sample_haar(n, sub_seed(cfg.seed, "ephi", n, k, s))
+                values[n, k, s] = (rorrelation.exact_expected_phi(u, k),
+                                   rorrelation.exact_uniform_variance(u, k))
+        shared[key] = values
+    return shared[key]
+
+
+def check_expected_phi(cfg: VerifyConfig, shared: dict | None = None) -> CheckResult:
     started = time.perf_counter()
+    table = _ephi_exact(cfg, shared)
     floor_ok = True
     worst_gap = float("inf")
-    for n, k in itertools.product((64, 128), (2, 3, 4)):
+    for n, k in _EPHI_GRID:
         floor = (2.0 / math.pi) ** (k - 1)
         for s in range(cfg.expected_phi_seeds):
-            u = ortho.sample_haar(n, sub_seed(cfg.seed, "ephi", n, k, s))
-            value = rorrelation.exact_expected_phi(u, k)
+            value = table[n, k, s][0]
             worst_gap = min(worst_gap, value - floor)
             if value < floor:
                 floor_ok = False
@@ -206,14 +227,14 @@ def check_expected_phi(cfg: VerifyConfig) -> CheckResult:
 # 4. Uniform variance is exactly 1/N, and empirically so
 # ---------------------------------------------------------------------------
 
-def check_uniform_variance(cfg: VerifyConfig) -> CheckResult:
+def check_uniform_variance(cfg: VerifyConfig, shared: dict | None = None) -> CheckResult:
     started = time.perf_counter()
+    table = _ephi_exact(cfg, shared)
     exact_ok = True
     worst = 0.0
-    for n, k in itertools.product((64, 128), (2, 3, 4)):
+    for n, k in _EPHI_GRID:
         for s in range(cfg.expected_phi_seeds):
-            u = ortho.sample_haar(n, sub_seed(cfg.seed, "ephi", n, k, s))
-            err = abs(rorrelation.exact_uniform_variance(u, k) - 1.0 / n)
+            err = abs(table[n, k, s][1] - 1.0 / n)
             worst = max(worst, err)
             if err > 1e-9:
                 exact_ok = False
@@ -544,13 +565,21 @@ CHECK_NAMES = {
 }
 
 
-def run_check(name: str, cfg: VerifyConfig) -> CheckResult:
-    return CHECK_NAMES[name](cfg)
+# Checks that read the exact `ephi` values, computed once per run.
+_EPHI_CHECKS = {"expected_phi", "uniform_variance"}
+
+
+def run_check(name: str, cfg: VerifyConfig, shared: dict | None = None) -> CheckResult:
+    """Run one check; `shared` holds values that several checks of one
+    run read, so they are computed once per run."""
+    check = CHECK_NAMES[name]
+    return check(cfg, shared) if name in _EPHI_CHECKS else check(cfg)
 
 
 def run_all(cfg: VerifyConfig, names: list[str] | None = None) -> list[CheckResult]:
     selected = names or list(CHECK_NAMES)
-    return [run_check(name, cfg) for name in selected]
+    shared: dict = {}
+    return [run_check(name, cfg, shared) for name in selected]
 
 
 def build_manifest(cfg: VerifyConfig, results: list[CheckResult]) -> dict:

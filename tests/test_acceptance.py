@@ -5,9 +5,11 @@ pass/fail line; stated runtime caps are asserted where the criterion
 carries one.
 """
 import json
+from collections import Counter
 
 import pytest
 
+from rorrlab import ortho
 from rorrlab.verify import (
     CheckResult,
     VerifyConfig,
@@ -134,8 +136,8 @@ def test_criterion_12_determinism():
     # Two full manifest builds from one config are byte-identical once
     # timing is excluded.
     cfg = VerifyConfig.reduced()
-    names = ["quantum_identity", "sign_correlation", "moment_structure",
-             "distinguishing_sanity", "determinism"]
+    names = ["quantum_identity", "sign_correlation", "expected_phi", "uniform_variance",
+             "moment_structure", "goodness", "distinguishing_sanity", "determinism"]
     first = manifest_to_json(strip_timing(build_manifest(cfg, run_all(cfg, names))))
     second = manifest_to_json(strip_timing(build_manifest(cfg, run_all(cfg, names))))
     passed = first == second
@@ -144,3 +146,23 @@ def test_criterion_12_determinism():
     in_process = run_check("determinism", cfg)
     report(12, in_process)
     assert in_process.passed
+
+
+def test_ephi_matrices_built_once_per_run(monkeypatch):
+    # expected_phi and uniform_variance read the same (n, k, s) matrices;
+    # one run builds each of them once.
+    cfg = VerifyConfig.reduced()
+    builds = Counter()
+    sample_haar = ortho.sample_haar
+    monkeypatch.setattr(ortho, "sample_haar",
+                        lambda n, seed: builds.update([(n, seed)]) or sample_haar(n, seed))
+    results = run_all(cfg, ["expected_phi", "uniform_variance"])
+    assert all(r.passed for r in results)
+    # 6 (n, k) cells of cfg.expected_phi_seeds matrices, plus the three
+    # Monte-Carlo matrices (ephi-mc for k = 2, 3 and uvar-mc).
+    assert len(builds) == 6 * cfg.expected_phi_seeds + 3
+    assert set(builds.values()) == {1}
+    # A second run in the same process computes afresh.
+    builds.clear()
+    run_all(cfg, ["uniform_variance"])
+    assert len(builds) == 6 * cfg.expected_phi_seeds + 1

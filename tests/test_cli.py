@@ -48,6 +48,21 @@ def test_check_good_cli(tmp_path, capsys):
     assert doc["good_so_far"] is True
 
 
+@pytest.mark.parametrize("flag, value, name", [
+    ("--pairs", "-5", "sampled_pairs"),
+    ("--max-block", "0", "max_block"),
+])
+def test_check_good_refuses_bad_counts(flag, value, name, tmp_path, capsys):
+    out = tmp_path / "u.mat"
+    ortho.save_matrix(out, ortho.sample_haar(16, seed=1))
+    report_path = tmp_path / "good.json"
+    code, stdout, err = run(["check-good", "--matrix", str(out), flag, value,
+                             "--out", str(report_path)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and name in err
+    assert not report_path.exists()
+
+
 def test_sample_classify_qsim_flow(tmp_path, capsys):
     matrix = tmp_path / "u.mat"
     run(["sample-matrix", "--n", "16", "--seed", "3", "--out", str(matrix)], capsys)
@@ -118,6 +133,16 @@ def test_moments_cli(tmp_path, capsys):
     assert code == 0
     doc = json.loads(stdout)
     assert len(doc["rows"]) == 10 and not doc["violations"]
+
+
+def test_moments_audit_refuses_nonpositive_trials(tmp_path, capsys):
+    matrix = tmp_path / "u.mat"
+    ortho.save_matrix(matrix, ortho.sample_haar(16, seed=9))
+    for trials in ("-3", "0"):
+        code, stdout, err = run(["moments", "--matrix", str(matrix), "--k", "2",
+                                 "--audit", "--trials", trials], capsys)
+        assert code == 2 and stdout == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "trials" in err
 
 
 def test_fourier_cli_table_and_tree(tmp_path, capsys):
@@ -197,6 +222,22 @@ def test_verify_paper_reduced_and_determinism(tmp_path, capsys):
     doc1.pop("timing")
     doc2.pop("timing")
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
+
+
+def test_verify_paper_ephi_checks_alone_match_the_pair(tmp_path, capsys):
+    # The exact ephi values are shared within one run; a run of one check
+    # must compute the same details on its own.
+    details = {}
+    for checks in ("expected_phi,uniform_variance", "uniform_variance", "expected_phi"):
+        out = tmp_path / f"{checks}.json"
+        code, _, _ = run(["verify-paper", "--reduced", "--checks", checks,
+                          "--out", str(out)], capsys)
+        assert code == 0
+        for check in json.loads(out.read_text())["checks"]:
+            details.setdefault(check["name"], []).append(check["details"])
+    for name in ("expected_phi", "uniform_variance"):
+        first, second = details[name]
+        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
 def test_verify_paper_config_file(tmp_path, capsys):

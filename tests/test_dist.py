@@ -26,6 +26,7 @@ from rorrlab.dist import (
     u_tilde_mc,
 )
 from rorrlab.rorrelation import sign_correlation
+from rorrlab.util import derive_rng
 
 
 def test_gk_construction_invariants():
@@ -145,6 +146,73 @@ def test_u_tilde_mc_sample_guard():
         u_tilde_mc(u, [1], [2], 1, seed=0)
 
 
+def _full_width_u_tilde(u, s, t, samples, rng):
+    """Reference estimator: draws the whole Gaussian N-vector X per pair
+    and reads x_S and (U^T X)_T from it (even |S| + |T| only)."""
+    s_idx = np.asarray(sorted(set(s)), dtype=int) - 1
+    t_idx = np.asarray(sorted(set(t)), dtype=int) - 1
+    pairs = samples // 2
+    x = rng.standard_normal((pairs, u.n))
+    prod = np.ones(pairs)
+    if s_idx.size:
+        prod *= np.prod(x[:, s_idx], axis=1)
+    if t_idx.size:
+        prod *= np.prod(x @ u.entries[:, t_idx], axis=1)
+    signs = np.where(prod >= 0, 1.0, -1.0)
+    mean = signs.sum() / pairs
+    var = max((signs**2).sum() / pairs - mean**2, 0.0) * pairs / max(pairs - 1, 1)
+    return mean, math.sqrt(var / pairs)
+
+
+def _near_identity(n, seed):
+    """Q factor of I + 0.1 G: far from Haar, so sign moments of x_S and
+    (U^T X)_T with S and T overlapping stay large."""
+    q, r = np.linalg.qr(np.eye(n) + 0.1 * np.random.default_rng(seed).standard_normal((n, n)))
+    return ortho.OrthogonalMatrix(n=n, entries=q * np.sign(np.diag(r)), seed=None)
+
+
+@pytest.mark.parametrize("n, s, t, near", [
+    (8, [1], [1], False),
+    (8, [2, 5], [1, 3], False),
+    (12, [1, 2, 3], [4], False),
+    (16, [], [3, 9], False),
+    (16, [4, 7, 11, 13], [4, 7], False),
+    (8, [1, 2, 3, 4, 5, 6], [2, 3, 7, 8], False),  # N - |S| = 2 < |T| = 4
+    (10, list(range(1, 10)), [1, 4, 9], False),  # N - |S| = 1 < |T| = 3
+    (8, [1, 3], [1, 3], True),
+    (8, [1, 2, 3, 4, 5], [1, 2, 3, 4, 5], True),  # N - |S| = 3 < |T| = 5
+    (10, [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6], True),  # N - |S| = 4 < |T| = 6
+])
+def test_u_tilde_mc_marginal_law_matches_full_width(n, s, t, near):
+    # Two-sample check of the marginal draw against the full-width
+    # reference on an independent stream.
+    u = _near_identity(n, seed=n) if near else ortho.sample_haar(n, seed=n + len(s))
+    est = u_tilde_mc(u, s, t, 400_000, seed=7)
+    ref, ref_stderr = _full_width_u_tilde(u, s, t, 400_000, np.random.default_rng([n, 7]))
+    assert abs(est.value - ref) <= 4.0 * math.sqrt(est.stderr**2 + ref_stderr**2)
+
+
+def test_u_tilde_mc_all_of_s_is_the_full_width_stream():
+    # S = [N] leaves S^c empty, so R has no rows and the draw is exactly
+    # the full-width X on the same stream.
+    n, s, t = 12, list(range(1, 13)), [2, 5, 6, 11]
+    u = ortho.sample_haar(n, seed=4)
+    est = u_tilde_mc(u, s, t, 5000, seed=9)
+    rng = derive_rng(9, "u-tilde", n, tuple(range(n)), (1, 4, 5, 10))
+    assert (est.value, est.stderr) == _full_width_u_tilde(u, s, t, 5000, rng)
+
+
+def test_u_tilde_mc_rank_deficient_cross_term():
+    # I_8 with |S| = 6 and T inside S: U[S^c, T] = 0, so R is a 2 x 6 zero
+    # factor and y_T = x_T, making the product a square.
+    eye = ortho.OrthogonalMatrix(n=8, entries=np.eye(8), seed=None)
+    est = u_tilde_mc(eye, [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6], 2000, seed=2)
+    assert est.value == 1.0 and est.stderr == 0.0
+    # T reaching into S^c: y_7 = x_7 is independent of everything else.
+    est = u_tilde_mc(eye, [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 7], 20_000, seed=2)
+    assert abs(est.value) <= 4.0 * est.stderr
+
+
 def test_split_global_set():
     parts = split_global_set([1, 5, 6, 12], k=3, n=4)
     assert parts == [(1,), (1, 2), (4,)]
@@ -239,6 +307,9 @@ def test_audit_max_size_guard():
     u = ortho.sample_haar(16, seed=0)
     with pytest.raises(ValueError):
         moment_bound_audit(u, 3, trials=5, max_size=2, seed=0)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            moment_bound_audit(u, 2, trials=trials, max_size=2, seed=0)
 
 
 @settings(max_examples=200, deadline=None)

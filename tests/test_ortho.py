@@ -137,6 +137,88 @@ def test_goodness_requires_n_at_least_two():
         ortho.check_goodness(u, sampled_pairs=1, max_block=1, seed=0)
 
 
+def _per_block_goodness(u, sampled_pairs, max_block, seed):
+    """Reference for check_goodness: its exhaustive passes, then the same
+    sampled draws with one SVD per block, recorded one pair at a time."""
+    report = ortho.check_goodness(u, sampled_pairs=0, max_block=max_block, seed=seed)
+    rng = derive_rng(seed, "goodness", u.n, sampled_pairs, max_block)
+    cap = min(max_block, u.n)
+    for _ in range(sampled_pairs):
+        s_size = int(rng.integers(1, cap + 1))
+        t_size = int(rng.integers(1, cap + 1))
+        rows = tuple(int(r) + 1 for r in np.sort(rng.choice(u.n, size=s_size, replace=False)))
+        cols = tuple(int(c) + 1 for c in np.sort(rng.choice(u.n, size=t_size, replace=False)))
+        block = u.entries[np.ix_(np.array(rows) - 1, np.array(cols) - 1)]
+        norm = float(np.linalg.svd(block, compute_uv=False)[0])
+        bound = ortho.goodness_bound(s_size, t_size, u.n)
+        report.checked_pairs += 1
+        if norm / bound > report.worst_ratio:
+            report.worst_ratio, report.worst_pair = norm / bound, (rows, cols)
+        if norm > bound:
+            report.violation_count += 1
+            if len(report.violations) < ortho.MAX_STORED_VIOLATIONS:
+                report.violations.append(
+                    {"S": list(rows), "T": list(cols), "norm": norm, "bound": bound})
+    return report
+
+
+@pytest.mark.parametrize("n, pairs, max_block", [
+    (16, 2000, 8),
+    (16, 1000, 20),  # max_block > n: sizes capped at n
+    (64, 3000, 8),
+    (256, 3000, 8),
+])
+def test_stacked_goodness_equals_per_block_svds(n, pairs, max_block):
+    u = ortho.sample_haar(n, seed=n + 1)
+    assert ortho.check_goodness(u, pairs, max_block, seed=3) == _per_block_goodness(
+        u, pairs, max_block, seed=3)
+
+
+def test_stacked_goodness_keeps_the_first_of_tied_maxima():
+    # Blocks of the Sylvester-Hadamard matrix take few distinct norms, so
+    # sampled ratios tie, and rank-one blocks beat every singleton.
+    h = np.array([[1.0]])
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    u = ortho.OrthogonalMatrix(n=16, entries=h / 4.0, seed=None)
+    report = ortho.check_goodness(u, 2000, 8, seed=5)
+    assert report == _per_block_goodness(u, 2000, 8, seed=5)
+    assert len(report.worst_pair[0]) > 1
+
+
+def test_stacked_goodness_across_chunk_boundaries(monkeypatch):
+    u = ortho.sample_haar(64, seed=8)
+    expected = _per_block_goodness(u, 2000, 8, seed=4)
+    flushes = []
+    record = ortho._record_sampled
+    monkeypatch.setattr(ortho, "GOODNESS_STACK_BYTES", 4096)
+    monkeypatch.setattr(ortho, "_record_sampled",
+                        lambda u, draws, acc: flushes.append(len(draws)) or record(u, draws, acc))
+    assert ortho.check_goodness(u, 2000, 8, seed=4) == expected
+    assert len(flushes) > 10 and sum(flushes) == 2000
+
+
+def test_stacked_goodness_identity_past_the_stored_violations():
+    # 2,048 diagonal singletons violate before any sampled pair; the
+    # sampled ones still count and ties keep the first maximum.
+    identity = ortho.OrthogonalMatrix(n=2048, entries=np.eye(2048), seed=None)
+    report = ortho.check_goodness(identity, 300, 4, seed=6)
+    assert report.violation_count > ortho.MAX_STORED_VIOLATIONS
+    assert len(report.violations) == ortho.MAX_STORED_VIOLATIONS
+    assert report == _per_block_goodness(identity, 300, 4, seed=6)
+
+
+@pytest.mark.parametrize("pairs, max_block, name", [
+    (-1, 8, "sampled_pairs"),
+    (10, 0, "max_block"),
+    (10, -2, "max_block"),
+])
+def test_goodness_refuses_bad_counts(pairs, max_block, name):
+    u = ortho.sample_haar(8, seed=0)
+    with pytest.raises(ValueError, match=name):
+        ortho.check_goodness(u, sampled_pairs=pairs, max_block=max_block, seed=0)
+
+
 def test_hadamard_counterexample_values():
     norm, bound = ortho.hadamard_counterexample(26)
     assert norm == 1.0
