@@ -5,19 +5,24 @@ encodes the point with x_i = -1 when bit i-1 of b is set, x_i = +1
 otherwise, so position 0 is the all-ones point) or by a sparse spectrum
 mapping variable subsets to real coefficients.
 
-Variable indices are 1-based throughout the API; serialized files use
-0-based indices.
+A spectrum stores each subset as an int bitmask (bit i-1 for x_i), the
+same encoding as truth-table positions. Variable indices are 1-based
+throughout the API; serialized files use 0-based indices. Sorted tuples
+and file indices are made only at that edge.
 """
 from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import json
 import math
+import operator
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from .util import json_int
 __all__ = [
     "DROP_THRESHOLD",
     "MAX_TRANSFORM_VARS",
+    "MAX_FILE_VARS",
     "OutputConvention",
     "FourierSpectrum",
     "validate_bit_vector",
@@ -50,6 +56,10 @@ DROP_THRESHOLD = 1e-12
 
 # Memory guard: a dense transform needs 2^n doubles.
 MAX_TRANSFORM_VARS = 24
+
+# Highest variable count a spectrum file may address: a subset of
+# variable i is a bitmask of i bits, built before it is stored.
+MAX_FILE_VARS = 1 << 16
 
 
 class OutputConvention(enum.Enum):
@@ -78,27 +88,86 @@ def validate_bit_vector(x: Sequence[float] | np.ndarray) -> np.ndarray:
 class FourierSpectrum:
     """Sparse multilinear expansion: subset of [n] -> real coefficient.
 
-    Absent keys mean coefficient zero. Keys are sorted tuples of 1-based
-    variable indices; the empty tuple keys the constant term.
+    `masks` maps each subset, as an int with bit i-1 set for x_i, to its
+    coefficient; absent keys mean zero and 0 keys the constant term.
+    `coeffs` and `coefficient` speak in sorted 1-based tuples.
     """
 
     n: int
-    coeffs: Mapping[tuple[int, ...], float] = field(default_factory=dict)
+    masks: Mapping[int, float] = field(default_factory=dict)
+    # Bit length of the widest mask, so lookups never build a wider one.
+    _width: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("variable count must be nonnegative")
-        for subset in self.coeffs:
-            if any(not (1 <= i <= self.n) for i in subset):
-                raise ValueError(f"subset {subset} out of range for n={self.n}")
-            if list(subset) != sorted(set(subset)):
-                raise ValueError(f"subset {subset} must be strictly increasing")
+        if not self.masks:
+            return
+        if set(map(type, self.masks)) != {int}:
+            raise ValueError("subset masks must be integers")
+        if min(self.masks) < 0:
+            raise ValueError("subset masks must be nonnegative")
+        # bit_length, not a comparison with 1 << n: n may be astronomically large.
+        width = max(self.masks).bit_length()
+        if width > self.n:
+            raise ValueError(f"subset with variable {width} out of range for n={self.n}")
+        object.__setattr__(self, "_width", width)
+
+    @property
+    def coeffs(self) -> Mapping[tuple[int, ...], float]:
+        """Read-only view keyed by sorted tuples of 1-based variables."""
+        return _SubsetView(self)
 
     def coefficient(self, subset: Iterable[int]) -> float:
-        return self.coeffs.get(tuple(sorted(subset)), 0.0)
+        """Coefficient of a set of 1-based variables, in any order; a
+        repeated variable or one outside [1, n] raises ValueError."""
+        variables = [operator.index(i) for i in subset]
+        if len(set(variables)) < len(variables):
+            raise ValueError(f"subset {variables} repeats a variable")
+        for i in variables:
+            if not 1 <= i <= self.n:
+                raise ValueError(f"variable {i} outside [1, {self.n}]")
+        if variables and max(variables) > self._width:
+            return 0.0  # beyond every key; its mask may be huge
+        return self.masks.get(sum(1 << (i - 1) for i in variables), 0.0)
 
     def squared_mass(self) -> float:
-        return float(sum(c * c for c in self.coeffs.values()))
+        return float(sum(c * c for c in self.masks.values()))
+
+
+class _SubsetView(Mapping):
+    """A spectrum's coefficients under sorted 1-based tuple keys."""
+
+    def __init__(self, spec: FourierSpectrum):
+        self._spec = spec
+
+    def __getitem__(self, subset: tuple[int, ...]) -> float:
+        # Only keys iteration can yield; anything else is absent, not an error.
+        width = self._spec._width
+        if (type(subset) is not tuple
+                or not all(type(i) is int and 1 <= i <= width for i in subset)
+                or not all(a < b for a, b in zip(subset, subset[1:]))):
+            raise KeyError(subset)
+        try:
+            return self._spec.masks[sum(1 << (i - 1) for i in subset)]
+        except KeyError:
+            raise KeyError(subset) from None
+
+    def __iter__(self):
+        return map(_mask_subset, self._spec.masks)
+
+    def __len__(self) -> int:
+        return len(self._spec.masks)
+
+
+def _mask_subset(mask: int) -> tuple[int, ...]:
+    """The 1-based variables whose bits are set in mask, increasing."""
+    subset = []
+    while mask:
+        low = mask & -mask
+        subset.append(low.bit_length())
+        mask ^= low
+    return tuple(subset)
 
 
 def truth_table_index(x: np.ndarray) -> int:
@@ -146,18 +215,16 @@ def fourier_from_truth_table(values: Sequence[float], n: int) -> FourierSpectrum
         raise ValueError(f"truth table has {table.size} entries, expected 2^{n}")
     walsh_hadamard_inplace(table)
     table /= table.size
-    coeffs: dict[tuple[int, ...], float] = {}
-    for mask in np.nonzero(np.abs(table) > DROP_THRESHOLD)[0]:
-        subset = tuple(i + 1 for i in range(n) if (int(mask) >> i) & 1)
-        coeffs[subset] = float(table[mask])
-    return FourierSpectrum(n=n, coeffs=coeffs)
+    # Table positions are the subset masks.
+    nonzero = np.flatnonzero(np.abs(table) > DROP_THRESHOLD)
+    return FourierSpectrum(n=n, masks=dict(zip(nonzero.tolist(), table[nonzero].tolist())))
 
 
 def l1_level(spec: FourierSpectrum, ell: int) -> float:
     """Sum of |coefficient| over subsets of size exactly ell."""
     if not (0 <= ell <= spec.n):
         raise ValueError(f"level {ell} out of range for n={spec.n}")
-    return float(sum(abs(c) for s, c in spec.coeffs.items() if len(s) == ell))
+    return float(sum(abs(c) for mask, c in spec.masks.items() if mask.bit_count() == ell))
 
 
 def evaluate_multilinear(spec: FourierSpectrum, x: Sequence[float]) -> float:
@@ -165,12 +232,11 @@ def evaluate_multilinear(spec: FourierSpectrum, x: Sequence[float]) -> float:
     point = validate_bit_vector(x)
     if point.size != spec.n:
         raise ValueError(f"point has {point.size} entries, expected {spec.n}")
+    # A monomial is -1 exactly when it holds an odd number of the -1 variables.
+    minus = truth_table_index(point)
     total = 0.0
-    for subset, coeff in spec.coeffs.items():
-        prod = 1
-        for i in subset:
-            prod *= int(point[i - 1])
-        total += coeff * prod
+    for mask, coeff in spec.masks.items():
+        total += -coeff if (mask & minus).bit_count() & 1 else coeff
     return total
 
 
@@ -182,17 +248,16 @@ def convert_convention(
     """Re-express a spectrum in the other output convention (v = 2b - 1)."""
     if source == target:
         return spec
-    coeffs = dict(spec.coeffs)
     if source == OutputConvention.ZERO_ONE:
         # v = 2b - 1: double everything, shift the constant by -1.
-        out = {s: 2.0 * c for s, c in coeffs.items()}
-        out[()] = out.get((), 0.0) - 1.0
+        out = {mask: 2.0 * c for mask, c in spec.masks.items()}
+        out[0] = out.get(0, 0.0) - 1.0
     else:
         # b = (v + 1) / 2: halve everything, shift the constant by +1/2.
-        out = {s: 0.5 * c for s, c in coeffs.items()}
-        out[()] = out.get((), 0.0) + 0.5
-    out = {s: c for s, c in out.items() if abs(c) > DROP_THRESHOLD}
-    return FourierSpectrum(n=spec.n, coeffs=out)
+        out = {mask: 0.5 * c for mask, c in spec.masks.items()}
+        out[0] = out.get(0, 0.0) + 0.5
+    out = {mask: c for mask, c in out.items() if abs(c) > DROP_THRESHOLD}
+    return FourierSpectrum(n=spec.n, masks=out)
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +265,25 @@ def convert_convention(
 # ---------------------------------------------------------------------------
 
 def spectrum_to_json(spec: FourierSpectrum) -> str:
-    entries = [
-        {"S": [i - 1 for i in subset], "coeff": coeff}
-        for subset, coeff in sorted(spec.coeffs.items())
-    ]
-    return json.dumps({"n": spec.n, "coefficients": entries}, sort_keys=True)
+    """The text json.dumps(..., sort_keys=True) gives for {"n": n,
+    "coefficients": [{"S": [0-based...], "coeff": c}, ...]}, entries in
+    the order of their sorted 1-based tuples."""
+    subsets = list(map(_mask_subset, spec.masks))
+    numbers = json.dumps(list(spec.masks.values()))[1:-1].split(", ")
+    names = {i: str(i - 1) for i in set(itertools.chain.from_iterable(subsets))}
+    entries = ", ".join([
+        f'{{"S": [{", ".join(map(names.__getitem__, subsets[j]))}], "coeff": {numbers[j]}}}'
+        for j in sorted(range(len(subsets)), key=subsets.__getitem__)])
+    return f'{{"coefficients": [{entries}], "n": {json.dumps(spec.n)}}}'
 
 
 def spectrum_from_json(text: str) -> FourierSpectrum:
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("coefficients"), list):
         raise ValueError('spectrum JSON must be an object with a "coefficients" list')
-    coeffs = {}
+    n = json_int(doc.get("n"), "n")
+    limit = min(n, MAX_FILE_VARS)
+    masks = {}
     for idx, entry in enumerate(doc["coefficients"]):
         if not isinstance(entry, dict) or not isinstance(entry.get("S"), list):
             raise ValueError(f'coefficient {idx} must be an object with an "S" list')
@@ -219,12 +291,18 @@ def spectrum_from_json(text: str) -> FourierSpectrum:
         # A number a double holds: no booleans, NaN, infinities or huge integers.
         if type(coeff) not in (int, float) or not abs(coeff) <= sys.float_info.max:
             raise ValueError(f"coefficient {idx} must be a finite number")
-        subset = tuple(sorted(json_int(i, f"coefficient {idx} variable") + 1
-                              for i in entry["S"]))
-        if subset in coeffs:
+        mask = 0
+        for i in entry["S"]:
+            i = json_int(i, f"coefficient {idx} variable")
+            if not 0 <= i < limit:
+                raise ValueError(f"coefficient {idx} variable {i} outside [0, {limit})")
+            if mask >> i & 1:
+                raise ValueError(f"coefficient {idx} repeats variable {i}")
+            mask |= 1 << i
+        if mask in masks:
             raise ValueError(f"coefficient {idx} repeats the subset {entry['S']}")
-        coeffs[subset] = float(coeff)
-    return FourierSpectrum(n=json_int(doc.get("n"), "n"), coeffs=coeffs)
+        masks[mask] = float(coeff)
+    return FourierSpectrum(n=n, masks=masks)
 
 
 def write_truth_table_bytes(path: str | Path, values: Sequence[int]) -> None:

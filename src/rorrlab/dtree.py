@@ -129,27 +129,22 @@ class DecisionTree:
                 if child is not None and not 0 <= child < size:
                     raise ValueError(f"node {idx} has child {child} outside the arena "
                                      f"of {size} nodes")
-        seen_vars: list[int] = []
-
-        def walk(idx: int, depth: int) -> None:
-            node = self.nodes[idx]
+        on_path: set[int] = set()
+        for idx, node, _, leaving in _walk(self):
             if node.is_leaf:
                 if node.output not in (0, 1):
                     raise ValueError(f"leaf {idx} output must be a bit")
-                return
-            var = node.query_var
-            if not (1 <= var <= self.n):
-                raise ValueError(f"node {idx} queries variable {var} outside [1,{self.n}]")
-            if var in seen_vars:
-                raise ValueError(f"variable {var} repeats along a path")
-            if node.child_minus is None or node.child_plus is None:
-                raise ValueError(f"internal node {idx} missing a child")
-            seen_vars.append(var)
-            walk(node.child_minus, depth + 1)
-            walk(node.child_plus, depth + 1)
-            seen_vars.pop()
-
-        walk(self.root, 0)
+            elif leaving:
+                on_path.remove(node.query_var)
+            else:
+                var = node.query_var
+                if not (1 <= var <= self.n):
+                    raise ValueError(f"node {idx} queries variable {var} outside [1,{self.n}]")
+                if var in on_path:
+                    raise ValueError(f"variable {var} repeats along a path")
+                if node.child_minus is None or node.child_plus is None:
+                    raise ValueError(f"internal node {idx} missing a child")
+                on_path.add(var)
 
     @property
     def depth(self) -> int:
@@ -179,43 +174,65 @@ class DecisionTree:
         if self._stats is None:
             accept = _subtree_acceptance(self)
             rows: list[NodeStats] = []
-
-            def walk(idx: int, depth: int, path: tuple[tuple[int, int], ...]) -> None:
-                node = self.nodes[idx]
-                if node.is_leaf:
-                    return
-                a_hat = 0.5 * (accept[node.child_plus] - accept[node.child_minus])
+            for idx, node, path, leaving in _walk(self):
+                if node.is_leaf or leaving:
+                    continue
                 rows.append(
                     NodeStats(
                         node_id=idx,
-                        depth=depth,
+                        depth=len(path),
                         next_var=node.query_var,
-                        path=path,
-                        reach_probability=0.5**depth,
-                        a_hat_next=a_hat,
+                        path=tuple(path),
+                        reach_probability=0.5 ** len(path),
+                        a_hat_next=0.5 * (accept[node.child_plus] - accept[node.child_minus]),
                     )
                 )
-                walk(node.child_minus, depth + 1, path + ((node.query_var, -1),))
-                walk(node.child_plus, depth + 1, path + ((node.query_var, 1),))
-
-            walk(self.root, 0, ())
             self._stats = tuple(rows)
         return self._stats
+
+
+def _walk(tree: DecisionTree):
+    """Depth-first walk from the root on an explicit stack, minus child
+    first, so no depth exhausts the interpreter's recursion limit.
+
+    Yields (idx, node, path, leaving): every reachable node once on the
+    way down (leaving False), and each internal node again on the way up
+    once both subtrees are done (leaving True). path lists the (variable,
+    sign) pairs above the node; it is one list, updated in place. A
+    node's children are read only after its way-down item is consumed,
+    so a consumer may refuse a malformed node there.
+    """
+    nodes = tree.nodes
+    path: list[tuple[int, int]] = []
+    stack = [(tree.root, 0)]  # (node, children done so far)
+    pop, push = stack.pop, stack.append
+    while stack:
+        idx, done = pop()
+        node = nodes[idx]
+        if not done:
+            yield idx, node, path, False
+            if node.query_var is None:  # a leaf
+                continue
+            path.append((node.query_var, -1))
+            push((idx, 1))
+            push((node.child_minus, 0))
+        elif done == 1:
+            path[-1] = (node.query_var, 1)
+            push((idx, 2))
+            push((node.child_plus, 0))
+        else:
+            path.pop()
+            yield idx, node, path, True
 
 
 def _subtree_acceptance(tree: DecisionTree) -> dict[int, float]:
     """Uniform acceptance probability of the subtree below each node."""
     accept: dict[int, float] = {}
-
-    def walk(idx: int) -> float:
-        node = tree.nodes[idx]
+    for idx, node, _, leaving in _walk(tree):
         if node.is_leaf:
             accept[idx] = float(node.output)
-        else:
-            accept[idx] = 0.5 * (walk(node.child_minus) + walk(node.child_plus))
-        return accept[idx]
-
-    walk(tree.root)
+        elif leaving:
+            accept[idx] = 0.5 * (accept[node.child_minus] + accept[node.child_plus])
     return accept
 
 
@@ -252,27 +269,13 @@ def acceptance_probability(tree: DecisionTree) -> float:
 def leaf_signatures(tree: DecisionTree) -> tuple[LeafSignature, ...]:
     if tree._leaf_cache is None:
         leaves: list[LeafSignature] = []
-
-        def walk(idx: int, fixed: list[tuple[int, int]]) -> None:
+        for _, node, path, _ in _walk(tree):
+            if not node.is_leaf:
+                continue
             if len(leaves) > MAX_LEAVES:
                 raise ValueError("tree too large to enumerate leaves")
-            node = tree.nodes[idx]
-            if node.is_leaf:
-                leaves.append(
-                    LeafSignature(
-                        fixed=tuple(sorted(fixed)),
-                        depth=len(fixed),
-                        output=node.output,
-                    )
-                )
-                return
-            fixed.append((node.query_var, -1))
-            walk(node.child_minus, fixed)
-            fixed[-1] = (node.query_var, 1)
-            walk(node.child_plus, fixed)
-            fixed.pop()
-
-        walk(tree.root, [])
+            leaves.append(LeafSignature(fixed=tuple(sorted(path)), depth=len(path),
+                                        output=node.output))
         tree._leaf_cache = tuple(leaves)
     return tree._leaf_cache
 
@@ -291,36 +294,29 @@ def sparse_fourier(
     if sum(1 << leaf.depth for leaf in leaf_signatures(tree)) > MAX_FOURIER_WORK:
         raise ValueError("tree too deep for exact sparse Fourier budget")
     leaf_value = (0.0 if convention == OutputConvention.ZERO_ONE else -1.0, 1.0)
-
-    def walk(idx: int) -> dict[int, float]:
-        node = tree.nodes[idx]
+    spectra: list[dict[int, float]] = []  # one per subtree whose parent is still open
+    for _, node, _, leaving in _walk(tree):
         if node.is_leaf:
             value = leaf_value[node.output]
-            return {0: value} if value else {}
-        minus, plus = walk(node.child_minus), walk(node.child_plus)
-        bit = 1 << (node.query_var - 1)
-        merged: dict[int, float] = {}
-        for mask in minus.keys() | plus.keys():
-            a, b = minus.get(mask, 0.0), plus.get(mask, 0.0)
-            if a + b:
-                merged[mask] = 0.5 * (a + b)
-            if b - a:
-                merged[mask | bit] = 0.5 * (b - a)
-        return merged
-
-    coeffs = sorted((_mask_subset(mask), c) for mask, c in walk(tree.root).items())
-    spec = FourierSpectrum(n=tree.n, coeffs=dict(coeffs))
+            spectra.append({0: value} if value else {})
+        elif leaving:
+            plus, minus = spectra.pop(), spectra.pop()
+            bit = 1 << (node.query_var - 1)
+            merged: dict[int, float] = {}
+            for mask, b in plus.items():
+                a = minus.pop(mask, 0.0)
+                if a + b:
+                    merged[mask] = 0.5 * (a + b)
+                if b - a:
+                    merged[mask | bit] = 0.5 * (b - a)
+            # What is left of minus has b = 0; spectra hold no zeros.
+            for mask, a in minus.items():
+                merged[mask] = 0.5 * a
+                merged[mask | bit] = -0.5 * a
+            spectra.append(merged)
+    spec = FourierSpectrum(n=tree.n, masks=spectra.pop())
     tree._spectra[convention] = spec
     return spec
-
-
-def _mask_subset(mask: int) -> tuple[int, ...]:
-    """The 1-based variables whose bits are set in mask, increasing."""
-    subset = []
-    while mask:
-        subset.append((mask & -mask).bit_length())
-        mask &= mask - 1
-    return tuple(subset)
 
 
 def decomposition_sides(
@@ -632,12 +628,12 @@ def mixture_spectrum(
     convention: OutputConvention = OutputConvention.ZERO_ONE,
 ) -> FourierSpectrum:
     """Convex combination of the component spectra."""
-    coeffs: dict[tuple[int, ...], float] = {}
+    coeffs: dict[int, float] = {}
     for weight, tree in mixture.components:
-        for s, c in sparse_fourier(tree, convention).coeffs.items():
-            coeffs[s] = coeffs.get(s, 0.0) + weight * c
-    coeffs = {s: c for s, c in coeffs.items() if c != 0.0}
-    return FourierSpectrum(n=mixture.n, coeffs=coeffs)
+        for mask, c in sparse_fourier(tree, convention).masks.items():
+            coeffs[mask] = coeffs.get(mask, 0.0) + weight * c
+    coeffs = {mask: c for mask, c in coeffs.items() if c != 0.0}
+    return FourierSpectrum(n=mixture.n, masks=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +726,8 @@ def cross_check_spectrum(tree: DecisionTree, convention: OutputConvention) -> fl
         table = 2.0 * table - 1.0
     dense = fourier_from_truth_table(table, tree.n)
     sparse = sparse_fourier(tree, convention)
-    keys = set(dense.coeffs) | set(sparse.coeffs)
+    keys = dense.masks.keys() | sparse.masks.keys()
     return max(
-        (abs(dense.coefficient(k) - sparse.coefficient(k)) for k in keys),
+        (abs(dense.masks.get(k, 0.0) - sparse.masks.get(k, 0.0)) for k in keys),
         default=0.0,
     )

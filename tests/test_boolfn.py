@@ -1,4 +1,5 @@
 """Fourier arithmetic over the +-1 cube."""
+import json
 import math
 
 import numpy as np
@@ -111,8 +112,8 @@ def test_l1_level_range_check():
 
 
 def test_evaluate_constant_and_dictator():
-    assert evaluate_multilinear(boolfn.FourierSpectrum(2, {(): 1.0}), [1, -1]) == 1.0
-    assert evaluate_multilinear(boolfn.FourierSpectrum(1, {(1,): 1.0}), [-1]) == -1.0
+    assert evaluate_multilinear(boolfn.FourierSpectrum(2, {0: 1.0}), [1, -1]) == 1.0
+    assert evaluate_multilinear(boolfn.FourierSpectrum(1, {0b1: 1.0}), [-1]) == -1.0
 
 
 def test_evaluate_majority3():
@@ -192,10 +193,52 @@ def test_truth_table_index_round_trip():
 
 
 def test_spectrum_json_round_trip():
-    spec = boolfn.FourierSpectrum(3, {(): 0.25, (1, 3): -0.5})
+    spec = boolfn.FourierSpectrum(3, {0: 0.25, 0b101: -0.5})
     again = spectrum_from_json(spectrum_to_json(spec))
     assert again.n == 3
     assert again.coeffs == spec.coeffs
+
+
+@pytest.mark.parametrize("subset, message", [
+    ([1, 1], "repeats"), ([0], "outside"), ([9], "outside"), ([2, 3, 2], "repeats")])
+def test_coefficient_refuses_nonsense_subsets(subset, message):
+    spec = boolfn.FourierSpectrum(3, {0: 0.25, 0b101: -0.5})
+    with pytest.raises(ValueError, match=message):
+        spec.coefficient(subset)
+    assert spec.coefficient([3, 1]) == -0.5
+    assert spec.coefficient([2]) == 0.0
+
+
+def test_spectrum_masks_are_validated():
+    for n, masks in ((2, {4: 1.0}), (3, {-1: 1.0}), (3, {(1,): 1.0}), (3, {True: 1.0})):
+        with pytest.raises(ValueError, match="subset"):
+            boolfn.FourierSpectrum(n, masks)
+    # A huge n is compared by bit length, never by building 1 << n.
+    spec = boolfn.FourierSpectrum(10**30, {1 << 100: 1.0})
+    assert spec.coefficient([101]) == 1.0
+    assert spec.coefficient([10**29]) == 0.0
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 3, "coefficients": [{"S": [0, 0], "coeff": 1.0}]}, "repeats variable 0"),
+    ({"n": 3, "coefficients": [{"S": [-1], "coeff": 1.0}]}, "variable -1 outside"),
+    ({"n": 3, "coefficients": [{"S": [3], "coeff": 1.0}]}, "variable 3 outside"),
+    ({"n": 3, "coefficients": [{"S": [0, 2], "coeff": 1.0}, {"S": [2, 0], "coeff": 1.0}]},
+     "repeats the subset"),
+    ({"n": 10**30, "coefficients": [{"S": [10**29], "coeff": 1.0}]}, "outside"),
+    ({"n": -1, "coefficients": []}, "nonnegative"),
+])
+def test_spectrum_from_json_refusals(doc, message):
+    with pytest.raises(ValueError, match=message):
+        spectrum_from_json(json.dumps(doc))
+
+
+def test_spectrum_from_json_accepts_a_huge_variable_count():
+    doc = {"n": 10**30, "coefficients": [{"S": [boolfn.MAX_FILE_VARS - 1, 0], "coeff": 0.5}]}
+    spec = spectrum_from_json(json.dumps(doc))
+    assert spec.masks == {1 << (boolfn.MAX_FILE_VARS - 1) | 1: 0.5}
+    assert json.loads(spectrum_to_json(spec)) == {
+        "n": 10**30, "coefficients": [{"S": [0, boolfn.MAX_FILE_VARS - 1], "coeff": 0.5}]}
 
 
 def test_truth_table_files(tmp_path):

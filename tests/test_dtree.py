@@ -8,12 +8,14 @@ import pytest
 
 from rorrlab import boolfn, dtree
 from rorrlab.boolfn import OutputConvention, binomial, l1_level, point_from_index
+from rorrlab.cli import main
 from rorrlab.dtree import (
     DecisionTree,
     Node,
     TreeMixture,
     acceptance_probability,
     decomposition_sides,
+    evaluate_rows,
     leaf_signatures,
     make_address,
     make_address_of_majority,
@@ -442,3 +444,50 @@ def test_tree_json_round_trip():
     # External format is 0-based.
     queried = {row["q"] for row in parsed["nodes"] if row["q"] is not None}
     assert all(0 <= q < 6 for q in queried)
+
+
+def _decision_list(depth):
+    """JSON arena of a decision list: node 2i queries x_{i+1}, its minus
+    child is a leaf with bit i % 2, its plus child the next query."""
+    nodes = []
+    for i in range(depth):
+        nodes.append({"q": i, "lo": 2 * i + 1, "hi": 2 * i + 2, "out": None})
+        nodes.append({"q": None, "lo": None, "hi": None, "out": i % 2})
+    nodes.append({"q": None, "lo": None, "hi": None, "out": 1})
+    return json.dumps({"n": depth, "root": 0, "nodes": nodes})
+
+
+def test_deep_decision_list_needs_no_recursion():
+    depth = 3000
+    tree = tree_from_json(_decision_list(depth))
+    assert tree.depth == depth
+    rows = np.ones((3, depth), dtype=np.int8)
+    rows[1, 0] = -1
+    rows[2, 1] = -1
+    assert evaluate_rows(tree, rows).tolist() == [1, 0, 1]
+    # Leaves with bit 1 sit at depths 2, 4, ...: 1/4 + 1/16 + ... = 1/3.
+    assert acceptance_probability(tree) == pytest.approx(1 / 3, abs=1e-15)
+    stats = tree.node_stats()
+    assert [s.depth for s in stats] == list(range(depth))
+    assert stats[-1].path == tuple((i, 1) for i in range(1, depth))
+    leaves = leaf_signatures(tree)
+    assert len(leaves) == depth + 1
+    assert leaves[0].fixed == ((1, -1),) and leaves[-1].depth == depth
+    with pytest.raises(ValueError, match="too deep"):
+        sparse_fourier(tree)
+
+
+def test_deep_decision_list_fourier_cli_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(_decision_list(3000))
+    assert main(["fourier", "--tree", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tree too deep for exact sparse Fourier budget\n"
+
+
+def test_deep_cycle_is_refused_not_walked_forever():
+    doc = json.loads(_decision_list(500))
+    doc["nodes"][-3]["hi"] = 0  # the last query loops back to the root
+    with pytest.raises(ValueError, match="repeats along a path"):
+        tree_from_json(json.dumps(doc))

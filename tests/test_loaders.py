@@ -85,18 +85,60 @@ _json_values = st.recursive(
                             st.dictionaries(st.text(max_size=4), inner, max_size=4)),
     max_leaves=12,
 )
-_tree_docs = st.fixed_dictionaries({}, optional={
+_shallow_tree_docs = st.fixed_dictionaries({}, optional={
     "n": _scalars,
     "root": _scalars,
     "nodes": st.one_of(_scalars, st.lists(st.one_of(_scalars, st.fixed_dictionaries(
         {}, optional={key: _scalars for key in ("q", "lo", "hi", "out")})), max_size=8)),
 })
-_spectrum_docs = st.fixed_dictionaries({}, optional={
-    "n": _scalars,
-    "coefficients": st.one_of(_scalars, st.lists(st.one_of(_scalars, st.fixed_dictionaries(
-        {}, optional={"S": st.one_of(_scalars, st.lists(_scalars, max_size=3)),
-                      "coeff": _scalars})), max_size=6)),
-})
+
+
+@st.composite
+def _caterpillars(draw):
+    """A path of hundreds of queries, each with a leaf on a drawn side (a
+    decision list when the leaf is always the minus child), then maybe
+    one defect: a repeated variable, a loop back up, a short n, a bad bit."""
+    depth = draw(st.integers(100, 600))
+    order = draw(st.permutations(range(depth)))
+    leaf_side = draw(st.sampled_from(["lo", "hi", "mixed"]))
+    nodes = []
+    for i, var in enumerate(order):
+        side = leaf_side if leaf_side != "mixed" else draw(st.sampled_from(["lo", "hi"]))
+        other = "hi" if side == "lo" else "lo"
+        nodes.append({"q": var, side: 2 * i + 1, other: 2 * i + 2, "out": None})
+        nodes.append({"q": None, "lo": None, "hi": None, "out": i % 2})
+    nodes.append({"q": None, "lo": None, "hi": None, "out": 1})
+    doc = {"n": depth, "root": 0, "nodes": nodes}
+    at = 2 * draw(st.integers(1, depth - 1))
+    defect = draw(st.sampled_from(["none", "repeat", "loop", "short", "bit"]))
+    if defect == "repeat":
+        nodes[at]["q"] = nodes[0]["q"]
+    elif defect == "loop":
+        nodes[at]["lo"] = nodes[at]["hi"] = draw(st.integers(0, at // 2)) * 2
+    elif defect == "short":
+        doc["n"] = depth - 1
+    elif defect == "bit":
+        nodes[at + 1]["out"] = 2
+    return doc
+
+
+_tree_docs = st.one_of(_shallow_tree_docs, _caterpillars())
+_variables = st.one_of(_scalars, st.integers(-(2**70), 2**70), st.sampled_from(
+    [-1, boolfn.MAX_FILE_VARS - 1, boolfn.MAX_FILE_VARS, 2**63, 10**30 - 1, 10**30]))
+_subsets = st.one_of(st.lists(_variables, max_size=3),
+                     st.lists(_variables, min_size=1, max_size=3).map(lambda s: s + s[:1]))
+_counts = st.one_of(st.integers(0, 70), st.integers(0, 10**30), st.sampled_from([10**30, 2**64]))
+_spectrum_docs = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "n": st.one_of(_scalars, _counts),
+        "coefficients": st.one_of(_scalars, st.lists(st.one_of(_scalars, st.fixed_dictionaries(
+            {}, optional={"S": st.one_of(_scalars, _subsets), "coeff": _scalars})), max_size=6)),
+    }),
+    # Well-formed apart from the variables, so that most get to the mask checks.
+    st.fixed_dictionaries({"n": _counts, "coefficients": st.lists(st.fixed_dictionaries(
+        {"S": _subsets, "coeff": st.one_of(st.integers(-9, 9), st.floats(-4, 4))}),
+        max_size=6)}),
+)
 
 
 @FUZZ
@@ -106,6 +148,11 @@ def test_tree_from_json_refuses_only_with_value_error(doc):
     if tree is not None and 1 <= tree.n <= 8:
         assert set(np.unique(tree.truth_table())) <= {0, 1}
         dtree.sparse_fourier(tree)
+    elif tree is not None and tree.depth >= 100:
+        assert 0.0 <= dtree.acceptance_probability(tree) <= 1.0
+        assert len(tree.node_stats()) == tree.depth
+        with pytest.raises(ValueError, match="too deep"):
+            dtree.sparse_fourier(tree)
 
 
 @FUZZ
@@ -114,6 +161,7 @@ def test_spectrum_from_json_refuses_only_with_value_error(doc):
     spec = _load_or_none(boolfn.spectrum_from_json, json.dumps(doc))
     if spec is not None:
         assert all(np.isfinite(c) for c in spec.coeffs.values())
+        assert boolfn.spectrum_from_json(boolfn.spectrum_to_json(spec)) == spec
 
 
 _report_row_docs = st.fixed_dictionaries({}, optional={key: _scalars for key in (

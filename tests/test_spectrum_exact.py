@@ -1,0 +1,145 @@
+"""The mask-keyed spectrum against the tuple-keyed one it replaced.
+
+The reference encoder below is the former spectrum_to_json: json.dumps of
+the coefficients sorted by their 1-based tuples. Subset tuples come from
+a scan of every bit position, independent of the library's conversion.
+"""
+import json
+import math
+
+import numpy as np
+import pytest
+
+from rorrlab import boolfn, dtree
+from rorrlab.boolfn import FourierSpectrum, OutputConvention
+from rorrlab.cli import main
+
+
+def subset_of(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def reference_json(spec):
+    coeffs = {subset_of(mask): c for mask, c in spec.masks.items()}
+    entries = [{"S": [i - 1 for i in subset], "coeff": coeff}
+               for subset, coeff in sorted(coeffs.items())]
+    return json.dumps({"n": spec.n, "coefficients": entries}, sort_keys=True)
+
+
+TREES = {
+    "random-12-6": dtree.random_tree(12, 6, 0),
+    "random-16-9": dtree.random_tree(16, 9, 1),
+    "random-40-7": dtree.random_tree(40, 7, 2),
+    "random-100-8": dtree.random_tree(100, 8, 3),
+    "random-200-7": dtree.random_tree(200, 7, 4),
+    "random-70-0": dtree.random_tree(70, 0, 5),
+    **{f"address-{d}": dtree.make_address(d) for d in range(1, 5)},
+    "address-of-majority-1": dtree.make_address_of_majority(1),
+    "address-of-majority-3": dtree.make_address_of_majority(3),
+    "majority-9": dtree.make_majority(9),
+    "parity-wide": dtree.make_parity(130, [1, 64, 65, 129, 130]),
+}
+
+
+def _spectra():
+    for name, tree in TREES.items():
+        for convention in OutputConvention:
+            yield f"{name}-{convention.value}", dtree.sparse_fourier(tree, convention)
+
+
+SPECTRA = dict(_spectra())
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_spectrum_json_matches_the_tuple_encoder(name):
+    spec = SPECTRA[name]
+    assert boolfn.spectrum_to_json(spec) == reference_json(spec)
+
+
+def test_wide_masks_reach_past_a_machine_word():
+    assert max(SPECTRA["random-200-7-pm1"].masks).bit_length() > 64
+    assert max(SPECTRA["parity-wide-01"].masks) == (1 | 1 << 63 | 1 << 64 | 1 << 128 | 1 << 129)
+
+
+@pytest.mark.parametrize("values", [
+    [1, 2.0, -3],                                    # integers beside floats
+    [0.0, -0.0, 0.5],                                # signed zeros
+    [math.nan, math.inf, -math.inf, 1e-300, 1e300],  # non-finite and extreme
+    [np.float64(0.25), np.float64(-0.125)],          # float subclasses
+    [True, 0.5],                                     # a boolean
+])
+def test_hand_made_values_encode_as_json_dumps_does(values):
+    spec = FourierSpectrum(12, {mask: v for mask, v in zip((0, 5, 2048, 3, 7), values)})
+    assert boolfn.spectrum_to_json(spec) == reference_json(spec)
+
+
+def test_every_subset_order_of_small_universes():
+    for n in range(7):
+        masks = list(range(1 << n))[::-1]
+        spec = FourierSpectrum(n, {mask: float(mask) for mask in masks})
+        assert boolfn.spectrum_to_json(spec) == reference_json(spec)
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_l1_level_popcount_matches_tuple_length(name):
+    spec = SPECTRA[name]
+    by_subset = {subset_of(mask): c for mask, c in spec.masks.items()}
+    for ell in range(min(spec.n, 12) + 1):
+        expected = float(sum(abs(c) for s, c in by_subset.items() if len(s) == ell))
+        assert boolfn.l1_level(spec, ell) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_json_round_trip_is_exact(name):
+    spec = SPECTRA[name]
+    text = boolfn.spectrum_to_json(spec)
+    again = boolfn.spectrum_from_json(text)
+    assert again == spec
+    assert boolfn.spectrum_to_json(again) == text
+
+
+def test_tuple_view_matches_the_masks():
+    spec = SPECTRA["address-3-pm1"]
+    view = spec.coeffs
+    assert len(view) == len(spec.masks)
+    assert dict(view.items()) == {subset_of(mask): c for mask, c in spec.masks.items()}
+    for subset, coeff in view.items():
+        assert view[subset] == spec.coefficient(subset) == coeff
+
+
+def test_tuple_view_lookups_behave_as_a_dict_did():
+    view = FourierSpectrum(3, {0: 0.25, 0b101: -0.5}).coeffs
+    assert (1, 3) in view and () in view
+    for absent in [(3, 1), (1, 1), (0,), (9,), (2,), (1.0, 3), 5, "ab"]:
+        assert absent not in view
+        assert view.get(absent) is None
+        with pytest.raises(KeyError):
+            view[absent]
+
+
+def test_files_hold_variables_below_the_file_limit_only():
+    # A tree may query any variable; a spectrum file read back may not name
+    # one at or above MAX_FILE_VARS, so such output is written but not loaded.
+    var = boolfn.MAX_FILE_VARS + 1
+    spec = dtree.sparse_fourier(dtree.make_dictator(var, var), OutputConvention.PLUS_MINUS_ONE)
+    text = boolfn.spectrum_to_json(spec)
+    assert text == reference_json(spec)
+    with pytest.raises(ValueError, match=f"variable {var - 1} outside"):
+        boolfn.spectrum_from_json(text)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+@pytest.mark.parametrize("form", ["csv", "bytes"])
+def test_fourier_table_output_matches_the_tuple_encoder(n, form, tmp_path, capsys):
+    bits = np.random.default_rng(n).integers(0, 2, 1 << n)
+    if form == "csv":
+        path = tmp_path / "f.csv"
+        boolfn.write_truth_table_csv(path, 2 * bits - 1)
+        values = 2.0 * bits - 1.0
+    else:
+        path = tmp_path / "f.bin"
+        boolfn.write_truth_table_bytes(path, bits)
+        values = bits.astype(float)
+    assert main(["fourier", "--table", str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.rstrip("\n") == reference_json(boolfn.fourier_from_truth_table(values, n))
