@@ -57,7 +57,7 @@ DROP_THRESHOLD = 1e-12
 # Memory guard: a dense transform needs 2^n doubles.
 MAX_TRANSFORM_VARS = 24
 
-# Highest variable count a spectrum file may address: a subset of
+# Highest variable count a spectrum or tree file may address: a subset of
 # variable i is a bitmask of i bits, built before it is stored.
 MAX_FILE_VARS = 1 << 16
 

@@ -1,5 +1,5 @@
-"""Samplers for the Gaussian chain G_k, its sign discretization D_{U,k},
-and the uniform distribution, plus moment estimation.
+"""Samplers for D_{U,k}, the sign discretization of the Gaussian chain
+G_k, and for the uniform distribution, plus moment estimation.
 
 The chain: X^(1)..X^(k-1) are iid standard Gaussian N-vectors,
 Y^(i) = U^T X^(i), and Z interleaves them as Z^(1) = X^(1),
@@ -21,22 +21,17 @@ from typing import Sequence
 import numpy as np
 
 from .ortho import OrthogonalMatrix
-from .rorrelation import RorrelationInstance, sign_correlation
+from .rorrelation import sign_correlation
 from .util import derive_rng, sub_seed
 
 __all__ = [
-    "GkSample",
     "MomentEstimate",
     "MomentAuditReport",
-    "sample_gk",
-    "sample_duk",
     "sample_duk_batch",
-    "sample_uniform",
     "sample_uniform_batch",
     "u_tilde_exact_1x1",
     "u_tilde_mc",
     "d_hat_product",
-    "duk_empirical_moment",
     "split_global_set",
     "duk_moment_bound",
     "moment_bound_audit",
@@ -50,48 +45,6 @@ MC_CHUNK = 8192
 def _sign(values: np.ndarray) -> np.ndarray:
     """Sign with sgn(0) := +1, as int8."""
     return np.where(values >= 0, np.int8(1), np.int8(-1))
-
-
-@dataclass(frozen=True)
-class GkSample:
-    """One draw of the Gaussian chain: X, Y = U^T X, and the Z interleaving."""
-
-    x: np.ndarray  # (k-1, N)
-    y: np.ndarray  # (k-1, N)
-    z: np.ndarray  # (k, N)
-
-    @property
-    def k(self) -> int:
-        return self.z.shape[0]
-
-    def max_construction_error(self, u: OrthogonalMatrix) -> float:
-        """Recompute every defining identity; largest absolute deviation."""
-        k = self.k
-        errs = [np.max(np.abs(self.y - self.x @ u.entries))]
-        errs.append(np.max(np.abs(self.z[0] - self.x[0])))
-        for i in range(1, k - 1):
-            errs.append(np.max(np.abs(self.z[i] - self.y[i - 1] * self.x[i])))
-        errs.append(np.max(np.abs(self.z[k - 1] - self.y[k - 2])))
-        return float(max(errs))
-
-
-def sample_gk(u: OrthogonalMatrix, k: int, seed: int) -> GkSample:
-    if k < 2:
-        raise ValueError("fold count k must be at least 2")
-    rng = derive_rng(seed, "gk", u.n, k)
-    x = rng.standard_normal((k - 1, u.n))
-    y = x @ u.entries  # row i is U^T x_i
-    z = np.empty((k, u.n))
-    z[0] = x[0]
-    for i in range(1, k - 1):
-        z[i] = y[i - 1] * x[i]
-    z[k - 1] = y[k - 2]
-    return GkSample(x=x, y=y, z=z)
-
-
-def sample_duk(u: OrthogonalMatrix, k: int, seed: int) -> RorrelationInstance:
-    gk = sample_gk(u, k, seed)
-    return RorrelationInstance(k=k, vectors=_sign(gk.z))
 
 
 def sample_duk_batch(u: OrthogonalMatrix, k: int, count: int, seed: int) -> np.ndarray:
@@ -113,10 +66,6 @@ def sample_duk_batch(u: OrthogonalMatrix, k: int, count: int, seed: int) -> np.n
         z[:, k - 1] = _sign(y[:, k - 2])
         done += m
     return out
-
-
-def sample_uniform(k: int, n: int, seed: int) -> RorrelationInstance:
-    return RorrelationInstance(k=k, vectors=sample_uniform_batch(k, n, 1, seed)[0])
 
 
 def sample_uniform_batch(k: int, n: int, count: int, seed: int) -> np.ndarray:
@@ -237,14 +186,17 @@ def d_hat_product(
     A link vanishes identically when its size-sum is odd, and also when
     exactly one side is empty (signs of disjoint independent Gaussians
     are unbiased coins). Singleton-singleton links use the arcsine
-    closed form unless method="mc" forces Monte Carlo.
+    closed form unless method="mc" forces Monte Carlo. Each part is a set
+    of 1-based indices; a repeated index is refused.
     """
     if method not in ("exact-when-1x1", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    parts = [tuple(sorted(set(p))) for p in parts]
+    parts = [tuple(sorted(p)) for p in parts]
     if len(parts) < 2:
         raise ValueError("need at least two blocks")
     for part in parts:
+        if any(a == b for a, b in zip(part, part[1:])):
+            raise ValueError(f"block part {list(part)} repeats an index")
         if part and not (1 <= part[0] and part[-1] <= u.n):
             raise ValueError("block-local index out of range")
     factors: list[MomentEstimate] = []
@@ -278,29 +230,6 @@ def d_hat_product(
         samples=sum(f.samples for f in factors),
         exact=all(f.exact for f in factors),
     )
-
-
-def duk_empirical_moment(
-    u: OrthogonalMatrix,
-    k: int,
-    parts: Sequence[Sequence[int]],
-    samples: int,
-    seed: int,
-) -> MomentEstimate:
-    """Direct empirical moment of D_{U,k}: mean of the coordinate product
-    over fresh chain samples. Oracle for d_hat_product."""
-    if len(parts) != k:
-        raise ValueError("need exactly k block parts")
-    batch = sample_duk_batch(u, k, samples, seed)
-    prod = np.ones(samples)
-    for block, part in enumerate(parts):
-        for idx in part:
-            if not (1 <= idx <= u.n):
-                raise ValueError(f"block-local index {idx} outside [1, {u.n}]")
-            prod *= batch[:, block, idx - 1]
-    mean = float(prod.mean())
-    stderr = float(prod.std(ddof=1) / math.sqrt(samples))
-    return MomentEstimate(value=mean, stderr=stderr, samples=samples, exact=False)
 
 
 def duk_moment_bound(ell: int, n: int, k: int, c: float = 100.0) -> float:

@@ -317,6 +317,8 @@ def greedy_pair_tree(u: OrthogonalMatrix, k: int, pairs: int) -> DecisionTree:
 def standard_corpus(u: OrthogonalMatrix, k: int, seed: int) -> list[tuple[str, DecisionTree]]:
     """Fixed illustrative families: constants, dictators, parities within
     and across blocks, greedy top-|U| pair trees, and random trees."""
+    if k < 2:
+        raise ValueError("fold count k must be at least 2")
     n = u.n
     total = k * n
     corpus: list[tuple[str, DecisionTree]] = [

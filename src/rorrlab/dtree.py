@@ -23,8 +23,8 @@ import numpy as np
 from .boolfn import (
     FourierSpectrum,
     OutputConvention,
+    MAX_FILE_VARS,
     binomial,
-    fourier_from_truth_table,
     validate_bit_vector,
 )
 from .util import derive_rng, json_int
@@ -701,6 +701,9 @@ def tree_from_json(text: str) -> DecisionTree:
     doc = json.loads(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise ValueError('tree JSON must be an object with a "nodes" list')
+    n = json_int(doc.get("n"), "n")
+    if n > MAX_FILE_VARS:
+        raise ValueError(f"tree has n = {n} variables, above the file limit {MAX_FILE_VARS}")
     nodes = []
     for idx, row in enumerate(doc["nodes"]):
         if not isinstance(row, dict):
@@ -715,19 +718,4 @@ def tree_from_json(text: str) -> DecisionTree:
                     child_plus=json_int(row.get("hi"), f"node {idx} hi"),
                 )
             )
-    return DecisionTree(json_int(doc.get("n"), "n"), nodes,
-                        json_int(doc.get("root", 0), "root"))
-
-
-def cross_check_spectrum(tree: DecisionTree, convention: OutputConvention) -> float:
-    """Max |sparse - dense| coefficient difference (n <= 20 only)."""
-    table = tree.truth_table().astype(float)
-    if convention == OutputConvention.PLUS_MINUS_ONE:
-        table = 2.0 * table - 1.0
-    dense = fourier_from_truth_table(table, tree.n)
-    sparse = sparse_fourier(tree, convention)
-    keys = dense.masks.keys() | sparse.masks.keys()
-    return max(
-        (abs(dense.masks.get(k, 0.0) - sparse.masks.get(k, 0.0)) for k in keys),
-        default=0.0,
-    )
+    return DecisionTree(n, nodes, json_int(doc.get("root", 0), "root"))

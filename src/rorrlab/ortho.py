@@ -27,13 +27,9 @@ __all__ = [
     "sample_haar",
     "haar_corner_samples",
     "submatrix",
-    "submatrix_norm",
     "spectral_norm",
-    "power_iteration_norm",
     "goodness_bound",
     "check_goodness",
-    "hadamard_entry",
-    "hadamard_implicit_block",
     "hadamard_counterexample",
     "bilinear_tail_check",
     "save_matrix",
@@ -43,9 +39,6 @@ __all__ = [
 ]
 
 ORTHOGONALITY_TOL = 1e-10
-
-# Dense SVD below this side length; certified power iteration above.
-SVD_SIZE_LIMIT = 512
 
 MATRIX_MAGIC = b"RORU"
 
@@ -120,41 +113,10 @@ def submatrix(u: OrthogonalMatrix, rows: Sequence[int], cols: Sequence[int]) -> 
     return u.entries[np.ix_(r, c)]
 
 
-def spectral_norm(block: np.ndarray) -> float:
-    """Largest singular value; dense SVD for small blocks, else certified
-    power iteration."""
-    if min(block.shape) == 0:
-        return 0.0
-    if max(block.shape) <= SVD_SIZE_LIMIT:
-        return float(np.linalg.svd(block, compute_uv=False)[0])
-    return power_iteration_norm(block)
-
-
-def power_iteration_norm(
-    block: np.ndarray, rel_tol: float = 1e-12, max_iter: int = 10_000
-) -> float:
-    """Power iteration on B^T B with a Rayleigh-quotient residual check."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(block.shape[1])
-    v /= np.linalg.norm(v)
-    sigma2 = 0.0
-    for _ in range(max_iter):
-        w = block.T @ (block @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v_next = w / norm_w
-        sigma2_next = float(v_next @ (block.T @ (block @ v_next)))
-        if abs(sigma2_next - sigma2) <= rel_tol * max(sigma2_next, 1e-300):
-            residual = np.linalg.norm(block.T @ (block @ v_next) - sigma2_next * v_next)
-            if residual <= 1e-9 * max(sigma2_next, 1e-300) + 1e-15:
-                return float(np.sqrt(sigma2_next))
-        v, sigma2 = v_next, sigma2_next
-    return float(np.sqrt(sigma2))
-
-
-def submatrix_norm(u: OrthogonalMatrix, rows: Sequence[int], cols: Sequence[int]) -> float:
-    return spectral_norm(submatrix(u, rows, cols))
+def spectral_norm(blocks: np.ndarray) -> np.ndarray | float:
+    """Largest singular value of a block, or of each block in a stacked
+    (..., s, t) array; one dense SVD call either way."""
+    return np.linalg.svd(blocks, compute_uv=False)[..., 0]
 
 
 def goodness_bound(s_size: int, t_size: int, n: int) -> float:
@@ -322,11 +284,7 @@ def _record_sampled(u: OrthogonalMatrix, draws: list, acc: _GoodnessAccumulator)
     for (s_size, t_size), idx in shapes.items():
         rows = np.array([draws[i][0] for i in idx])
         cols = np.array([draws[i][1] for i in idx])
-        stack = u.entries[rows[:, :, None], cols[:, None, :]]
-        if max(s_size, t_size) <= SVD_SIZE_LIMIT:
-            norms[idx] = np.linalg.svd(stack, compute_uv=False)[:, 0]
-        else:
-            norms[idx] = [power_iteration_norm(block) for block in stack]
+        norms[idx] = spectral_norm(u.entries[rows[:, :, None], cols[:, None, :]])
         bounds[idx] = goodness_bound(s_size, t_size, u.n)
     ratios = norms / bounds
 
@@ -383,25 +341,6 @@ def check_goodness(
 # ---------------------------------------------------------------------------
 # Hadamard counterexample (implicit; H is never materialized at scale)
 # ---------------------------------------------------------------------------
-
-def hadamard_entry(i: int, j: int, log2n: int) -> float:
-    """Entry (i, j) of the normalized N x N Hadamard matrix, N = 2^log2n."""
-    return ((-1) ** bin(i & j).count("1")) / float(np.sqrt(2.0**log2n))
-
-
-def hadamard_implicit_block(log2n: int) -> np.ndarray:
-    """The sqrt(N) x sqrt(N) all-equal block: rows with index bits in the
-    low half, columns with index bits in the high half (materialized,
-    so small log2n only)."""
-    if log2n % 2 != 0:
-        raise ValueError("log2n must be even")
-    if log2n > 20:
-        raise ValueError("block materialization limited to log2n <= 20")
-    half = 1 << (log2n // 2)
-    rows = np.arange(half)
-    cols = np.arange(half) * half
-    return np.array([[hadamard_entry(i, j, log2n) for j in cols] for i in rows])
-
 
 def hadamard_counterexample(log2n: int) -> tuple[float, float]:
     """(norm, bound) for the implicit all-ones block of the Hadamard matrix.

@@ -27,7 +27,6 @@ __all__ = [
     "RorrelationInstance",
     "phi",
     "phi_batch",
-    "phi_brute_force",
     "classify",
     "sign_correlation",
     "exact_expected_phi",
@@ -100,27 +99,6 @@ def phi_batch(u: OrthogonalMatrix, batch: np.ndarray) -> np.ndarray:
         w = batch[:, j, :] * (w @ u.entries.T)
     w = w @ u.entries.T
     return np.einsum("mi,mi->m", batch[:, 0, :].astype(float), w) / u.n
-
-
-def phi_brute_force(u: OrthogonalMatrix, vectors: np.ndarray) -> float:
-    """Direct k-fold index sum; O(N^k), oracle for tiny N only."""
-    vecs = _check_dimensions(u, np.asarray(vectors))
-    k, n = vecs.shape
-    if n**k > 5_000_000:
-        raise ValueError("brute force oracle limited to tiny N")
-    total = 0.0
-
-    def walk(pos: int, prev_index: int, acc: float) -> None:
-        nonlocal total
-        if pos == k:
-            total += acc
-            return
-        for i in range(n):
-            factor = vecs[pos][i] if pos == 0 else u.entries[prev_index, i] * vecs[pos][i]
-            walk(pos + 1, i, acc * factor)
-
-    walk(0, -1, 1.0)
-    return total / n
 
 
 def yes_threshold(k: int) -> float:

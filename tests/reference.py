@@ -1,0 +1,106 @@
+"""Reference implementations that the tests compare the library against.
+
+Each one computes a quantity straight from its definition, slowly or only
+for tiny sizes; none of them is part of rorrlab.
+"""
+import math
+
+import numpy as np
+
+from rorrlab import dist
+from rorrlab.boolfn import OutputConvention, fourier_from_truth_table
+from rorrlab.dist import MomentEstimate
+from rorrlab.dtree import DecisionTree, sparse_fourier
+from rorrlab.ortho import OrthogonalMatrix
+from rorrlab.util import derive_rng
+
+
+def gaussian_chain(u: OrthogonalMatrix, k: int, count: int, seed: int):
+    """The Gaussian chain G_k behind dist.sample_duk_batch(u, k, count, seed).
+
+    Reads X^(1)..X^(k-1) of every draw again from the `duk-batch` stream
+    (one chunk, so count <= MC_CHUNK), forms Y = U^T X with the same
+    batched product, and interleaves Z as the dist docstring defines it.
+    Returns x, y of shape (count, k-1, N) and z of shape (count, k, N).
+    """
+    if count > dist.MC_CHUNK:
+        raise ValueError("the chain oracle reads one chunk of the stream")
+    x = derive_rng(seed, "duk-batch", u.n, k, count).standard_normal((count, k - 1, u.n))
+    y = (x.reshape(-1, u.n) @ u.entries).reshape(x.shape)
+    z = np.empty((count, k, u.n))
+    z[:, 0] = x[:, 0]
+    for i in range(1, k - 1):
+        z[:, i] = y[:, i - 1] * x[:, i]
+    z[:, k - 1] = y[:, k - 2]
+    return x, y, z
+
+
+def phi_brute_force(u: OrthogonalMatrix, vectors: np.ndarray) -> float:
+    """Direct k-fold index sum; O(N^k), oracle for tiny N only."""
+    vecs = np.asarray(vectors, dtype=float)
+    k, n = vecs.shape
+    if n**k > 5_000_000:
+        raise ValueError("brute force oracle limited to tiny N")
+    total = 0.0
+
+    def walk(pos: int, prev_index: int, acc: float) -> None:
+        nonlocal total
+        if pos == k:
+            total += acc
+            return
+        for i in range(n):
+            factor = vecs[pos][i] if pos == 0 else u.entries[prev_index, i] * vecs[pos][i]
+            walk(pos + 1, i, acc * factor)
+
+    walk(0, -1, 1.0)
+    return total / n
+
+
+def cross_check_spectrum(tree: DecisionTree, convention: OutputConvention) -> float:
+    """Max |sparse - dense| coefficient difference (n <= 20 only)."""
+    table = tree.truth_table().astype(float)
+    if convention == OutputConvention.PLUS_MINUS_ONE:
+        table = 2.0 * table - 1.0
+    dense = fourier_from_truth_table(table, tree.n)
+    sparse = sparse_fourier(tree, convention)
+    keys = dense.masks.keys() | sparse.masks.keys()
+    return max(
+        (abs(dense.masks.get(k, 0.0) - sparse.masks.get(k, 0.0)) for k in keys),
+        default=0.0,
+    )
+
+
+def duk_empirical_moment(u, k, parts, samples: int, seed: int) -> MomentEstimate:
+    """Direct empirical moment of D_{U,k}: mean of the coordinate product
+    over fresh chain samples. Oracle for d_hat_product."""
+    if len(parts) != k:
+        raise ValueError("need exactly k block parts")
+    batch = dist.sample_duk_batch(u, k, samples, seed)
+    prod = np.ones(samples)
+    for block, part in enumerate(parts):
+        for idx in part:
+            if not (1 <= idx <= u.n):
+                raise ValueError(f"block-local index {idx} outside [1, {u.n}]")
+            prod *= batch[:, block, idx - 1]
+    mean = float(prod.mean())
+    stderr = float(prod.std(ddof=1) / math.sqrt(samples))
+    return MomentEstimate(value=mean, stderr=stderr, samples=samples, exact=False)
+
+
+def hadamard_entry(i: int, j: int, log2n: int) -> float:
+    """Entry (i, j) of the normalized N x N Hadamard matrix, N = 2^log2n."""
+    return ((-1) ** bin(i & j).count("1")) / float(np.sqrt(2.0**log2n))
+
+
+def hadamard_implicit_block(log2n: int) -> np.ndarray:
+    """The sqrt(N) x sqrt(N) all-equal block: rows with index bits in the
+    low half, columns with index bits in the high half (materialized,
+    so small log2n only)."""
+    if log2n % 2 != 0:
+        raise ValueError("log2n must be even")
+    if log2n > 20:
+        raise ValueError("block materialization limited to log2n <= 20")
+    half = 1 << (log2n // 2)
+    rows = np.arange(half)
+    cols = np.arange(half) * half
+    return np.array([[hadamard_entry(i, j, log2n) for j in cols] for i in rows])

@@ -354,14 +354,20 @@ def _child(lo, hi):
     _tree_file(_child(-1, 1)),
     _tree_file(_child(1, 7)),
     _tree_file([1, 2, 3]),
+    _tree_file({"n": 10**30, "nodes": [{"q": 10**29 - 1, "lo": 1, "hi": 2},
+                                       {"out": 0}, {"out": 1}]}),
     _empty_csv,
     lambda tmp_path: ["fourier"],
     _config_file({"quantum_triples": "5"}),
     _config_file({"advantage_samples": 1}),
     _config_file([1]),
+    lambda tmp_path: ["moments", "--matrix", _matrix_and_instances(tmp_path)[0], "--k", "2",
+                      "--set", "1,1;2,2", "--method", "mc"],
+    lambda tmp_path: ["advantage", "--matrix", _matrix_and_instances(tmp_path)[0], "--k", "1"],
 ], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "negative-child",
-        "child-out-of-range", "tree-is-a-list", "empty-csv", "fourier-without-input",
-        "config-count-is-text", "config-one-advantage-sample", "config-not-an-object"])
+        "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
+        "fourier-without-input", "config-count-is-text", "config-one-advantage-sample",
+        "config-not-an-object", "moments-repeated-index", "advantage-one-fold"])
 def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys):
     argv = build(tmp_path)
     with warnings.catch_warnings():

@@ -8,18 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from reference import duk_empirical_moment, gaussian_chain
 from rorrlab import dist, ortho
 from rorrlab.dist import (
     d_hat_product,
-    duk_empirical_moment,
     duk_moment_bound,
     max_chain_inequality,
     max_chain_sides,
     moment_bound_audit,
-    sample_duk,
     sample_duk_batch,
-    sample_gk,
-    sample_uniform,
     sample_uniform_batch,
     split_global_set,
     u_tilde_exact_1x1,
@@ -29,46 +26,62 @@ from rorrlab.rorrelation import sign_correlation
 from rorrlab.util import derive_rng
 
 
+def _signs(values):
+    return np.where(values >= 0, 1, -1)
+
+
 def test_gk_construction_invariants():
+    # The chain identities, with U^T x recomputed one vector at a time.
     u = ortho.sample_haar(32, seed=2)
     for k in (2, 3, 5):
-        gk = sample_gk(u, k, seed=k)
-        assert gk.z.shape == (k, 32)
-        assert gk.max_construction_error(u) <= 1e-9
+        x, y, z = gaussian_chain(u, k, 20, seed=k)
+        assert z.shape == (20, k, 32)
+        assert np.max(np.abs(y - np.einsum("ji,mrj->mri", u.entries, x))) <= 1e-9
+        assert np.array_equal(z[:, 0], x[:, 0])
+        for i in range(1, k - 1):
+            assert np.array_equal(z[:, i], y[:, i - 1] * x[:, i])
+        assert np.array_equal(z[:, k - 1], y[:, k - 2])
 
 
 def test_gk_k2_structure():
     u = ortho.sample_haar(16, seed=1)
-    gk = sample_gk(u, 2, seed=0)
-    assert np.allclose(gk.z[0], gk.x[0])
-    assert np.allclose(gk.z[1], u.entries.T @ gk.x[0])
+    x, _, z = gaussian_chain(u, 2, 10, seed=0)
+    assert np.allclose(z[:, 0], x[:, 0])
+    assert np.allclose(z[:, 1], x[:, 0] @ u.entries)
+    assert np.array_equal(sample_duk_batch(u, 2, 10, seed=0)[:, 0], _signs(x[:, 0]))
 
 
 def test_gk_identity_matrix_middle_product():
     eye = ortho.OrthogonalMatrix(n=8, entries=np.eye(8), seed=None)
-    gk = sample_gk(eye, 3, seed=4)
-    assert np.allclose(gk.z[1], gk.x[0] * gk.x[1])
+    x, _, z = gaussian_chain(eye, 3, 10, seed=4)
+    assert np.allclose(z[:, 1], x[:, 0] * x[:, 1])
+    assert np.array_equal(sample_duk_batch(eye, 3, 10, seed=4)[:, 1],
+                          _signs(x[:, 0] * x[:, 1]))
 
 
 def test_gk_marginal_gaussian():
+    # X^(1)_1 and (U^T X^(1))_1 over 2000 draws are each N(0,1).
     u = ortho.sample_haar(8, seed=5)
-    values = np.array([sample_gk(u, 2, seed=s).z[0][0] for s in range(2000)])
-    _, p = stats.kstest(values, "norm")
-    assert p > 0.01
+    _, _, z = gaussian_chain(u, 2, 2000, seed=0)
+    for values in (z[:, 0, 0], z[:, 1, 0]):
+        _, p = stats.kstest(values, "norm")
+        assert p > 0.01
 
 
 def test_gk_determinism():
     u = ortho.sample_haar(8, seed=5)
-    a = sample_gk(u, 3, seed=9)
-    b = sample_gk(u, 3, seed=9)
-    assert np.array_equal(a.z, b.z)
+    assert np.array_equal(gaussian_chain(u, 3, 10, seed=9)[2],
+                          gaussian_chain(u, 3, 10, seed=9)[2])
+    assert np.array_equal(sample_duk_batch(u, 3, 10, seed=9),
+                          sample_duk_batch(u, 3, 10, seed=9))
 
 
 def test_duk_is_sign_of_gk():
     u = ortho.sample_haar(16, seed=7)
-    gk = sample_gk(u, 3, seed=12)
-    inst = sample_duk(u, 3, seed=12)
-    assert np.array_equal(inst.vectors, np.where(gk.z >= 0, 1, -1))
+    eye = ortho.OrthogonalMatrix(n=8, entries=np.eye(8), seed=None)
+    for matrix, k in ((u, 2), (u, 3), (u, 5), (eye, 3)):
+        _, _, z = gaussian_chain(matrix, k, 64, seed=12)
+        assert np.array_equal(sample_duk_batch(matrix, k, 64, seed=12), _signs(z))
 
 
 def test_duk_single_coordinate_uniform():
@@ -101,8 +114,6 @@ def test_duk_batch_stream_is_pinned(n, k, count, seed, matrix_seed, digest):
 
 
 def test_uniform_sampler():
-    inst = sample_uniform(2, 32, seed=0)
-    assert inst.vectors.shape == (2, 32)
     batch = sample_uniform_batch(2, 16, 20_000, seed=1)
     freq = (batch[:, 0, 3] == 1).mean()
     assert abs(freq - 0.5) <= 4.0 * math.sqrt(0.25 / batch.shape[0])
@@ -267,6 +278,15 @@ def test_d_hat_mc_method_agrees():
     assert abs(mc.value - exact.value) <= 4.0 * mc.stderr
     with pytest.raises(ValueError):
         d_hat_product(u, parts, method="bogus")
+
+
+def test_d_hat_refuses_a_repeated_index_in_a_block():
+    # A block part is a set: {1, 1} must not be read as {1}.
+    u = ortho.sample_haar(8, seed=2)
+    for parts in ([(1, 1), (2, 2)], [(3,), (5, 2, 5)]):
+        for method in ("exact-when-1x1", "mc"):
+            with pytest.raises(ValueError, match="repeats an index"):
+                d_hat_product(u, parts, method=method)
 
 
 def test_d_hat_empty_xor_link_vanishes():

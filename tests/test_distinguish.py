@@ -145,6 +145,11 @@ def test_advantage_corpus_matches_per_tree_advantage():
                        for name, tree in corpus]
 
 
+def test_standard_corpus_needs_two_folds():
+    with pytest.raises(ValueError, match="fold count k must be at least 2"):
+        standard_corpus(ortho.sample_haar(8, seed=0), 1, seed=0)
+
+
 def test_advantage_needs_two_samples():
     u = ortho.sample_haar(16, seed=0)
     tree = dictator_tree(2, 16, 1, 1)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import cross_check_spectrum
 from rorrlab import boolfn, dtree
 from rorrlab.boolfn import OutputConvention, binomial, l1_level, point_from_index
 from rorrlab.cli import main
@@ -125,7 +126,7 @@ def test_sparse_matches_dense_random_trees():
     for seed in range(8):
         tree = random_tree(7, 5, seed)
         for conv in (ZO, PM):
-            assert dtree.cross_check_spectrum(tree, conv) <= 1e-9
+            assert cross_check_spectrum(tree, conv) <= 1e-9
 
 
 def test_sparse_equals_dense_exactly_with_shared_subtree():

@@ -122,7 +122,12 @@ def _caterpillars(draw):
     return doc
 
 
-_tree_docs = st.one_of(_shallow_tree_docs, _caterpillars())
+# One query and two leaves over a variable count at, near or far above MAX_FILE_VARS.
+_wide_trees = st.builds(
+    lambda n, q: {"n": n, "nodes": [{"q": q, "lo": 1, "hi": 2}, {"out": 0}, {"out": 1}]},
+    st.sampled_from([boolfn.MAX_FILE_VARS + d for d in (-1, 0, 1)] + [2**63, 10**30]),
+    st.sampled_from([0, boolfn.MAX_FILE_VARS - 1, boolfn.MAX_FILE_VARS, 10**29 - 1]))
+_tree_docs = st.one_of(_shallow_tree_docs, _caterpillars(), _wide_trees)
 _variables = st.one_of(_scalars, st.integers(-(2**70), 2**70), st.sampled_from(
     [-1, boolfn.MAX_FILE_VARS - 1, boolfn.MAX_FILE_VARS, 2**63, 10**30 - 1, 10**30]))
 _subsets = st.one_of(st.lists(_variables, max_size=3),
@@ -145,14 +150,21 @@ _spectrum_docs = st.one_of(
 @given(doc=st.one_of(_json_values, _tree_docs))
 def test_tree_from_json_refuses_only_with_value_error(doc):
     tree = _load_or_none(dtree.tree_from_json, json.dumps(doc))
-    if tree is not None and 1 <= tree.n <= 8:
+    if tree is None:
+        return
+    assert tree.n <= boolfn.MAX_FILE_VARS
+    if 1 <= tree.n <= 8:
         assert set(np.unique(tree.truth_table())) <= {0, 1}
         dtree.sparse_fourier(tree)
-    elif tree is not None and tree.depth >= 100:
+    elif tree.depth >= 100:
         assert 0.0 <= dtree.acceptance_probability(tree) <= 1.0
         assert len(tree.node_stats()) == tree.depth
         with pytest.raises(ValueError, match="too deep"):
             dtree.sparse_fourier(tree)
+    else:
+        # Every variable a tree file may query fits a spectrum file.
+        spec = dtree.sparse_fourier(tree)
+        assert boolfn.spectrum_from_json(boolfn.spectrum_to_json(spec)) == spec
 
 
 @FUZZ

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from reference import hadamard_implicit_block
 from rorrlab import ortho
 from rorrlab.util import derive_rng
 
@@ -41,11 +42,9 @@ def test_corner_identity_matches_full_sampler():
 
 
 def test_corner_distribution_standard_normal():
-    # sqrt(N) U_11 over 10^3 seeds is approximately N(0,1); seed-pinned.
+    # sqrt(N) U_11 over 10^3 Haar samples is approximately N(0,1); seed-pinned.
     n = 256
-    values = np.array([
-        ortho.sample_haar(n, seed=s).entries[0, 0] for s in range(1000)
-    ])
+    values = ortho.haar_corner_samples(n, 1000, seed=0)
     _, p = stats.kstest(np.sqrt(n) * values, "norm")
     assert p > 0.01
 
@@ -69,12 +68,13 @@ def test_haar_rotation_invariance_smoke():
 def test_submatrix_norm_full_matrix():
     u = ortho.sample_haar(32, seed=2)
     full = list(range(1, 33))
-    assert ortho.submatrix_norm(u, full, full) == pytest.approx(1.0, abs=1e-9)
+    assert ortho.spectral_norm(ortho.submatrix(u, full, full)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_submatrix_norm_singleton():
     u = ortho.sample_haar(16, seed=4)
-    assert ortho.submatrix_norm(u, [3], [5]) == pytest.approx(abs(u.entries[2, 4]))
+    assert ortho.spectral_norm(ortho.submatrix(u, [3], [5])) == pytest.approx(
+        abs(u.entries[2, 4]))
 
 
 def test_submatrix_norm_matches_svd_oracle():
@@ -84,14 +84,14 @@ def test_submatrix_norm_matches_svd_oracle():
     cols = sorted(int(v) + 1 for v in rng.choice(64, 5, replace=False))
     block = u.entries[np.ix_([r - 1 for r in rows], [c - 1 for c in cols])]
     oracle = float(np.linalg.svd(block, compute_uv=False)[0])
-    assert ortho.submatrix_norm(u, rows, cols) == pytest.approx(oracle, abs=1e-9)
-    assert ortho.power_iteration_norm(block) == pytest.approx(oracle, abs=1e-9)
+    assert ortho.spectral_norm(ortho.submatrix(u, rows, cols)) == pytest.approx(
+        oracle, abs=1e-9)
 
 
 def test_submatrix_empty_rejected():
     u = ortho.sample_haar(8, seed=0)
     with pytest.raises(ValueError):
-        ortho.submatrix_norm(u, [], [1])
+        ortho.submatrix(u, [], [1])
 
 
 def test_submatrix_norm_monotone_and_capped():
@@ -99,10 +99,20 @@ def test_submatrix_norm_monotone_and_capped():
     rng = np.random.default_rng(3)
     rows = sorted(int(v) + 1 for v in rng.choice(32, 4, replace=False))
     cols = sorted(int(v) + 1 for v in rng.choice(32, 4, replace=False))
-    small = ortho.submatrix_norm(u, rows[:2], cols)
-    big = ortho.submatrix_norm(u, rows, cols)
+    small = ortho.spectral_norm(ortho.submatrix(u, rows[:2], cols))
+    big = ortho.spectral_norm(ortho.submatrix(u, rows, cols))
     assert small <= big + 1e-12
     assert big <= 1.0 + 1e-12
+
+
+def test_spectral_norm_of_a_stack_wider_than_512_equals_per_block_svds():
+    u = ortho.sample_haar(640, seed=6)
+    rng = np.random.default_rng(2)
+    stack = np.array([u.entries[np.ix_(rng.choice(640, 520, replace=False),
+                                       rng.choice(640, 600, replace=False))] for _ in range(3)])
+    norms = ortho.spectral_norm(stack)
+    assert norms.shape == (3,) and np.all(norms <= 1.0 + 1e-12)
+    assert list(norms) == [np.linalg.svd(block, compute_uv=False)[0] for block in stack]
 
 
 def test_goodness_haar_sample():
@@ -235,7 +245,7 @@ def test_hadamard_counterexample_values():
 
 
 def test_hadamard_block_is_constant():
-    block = ortho.hadamard_implicit_block(4)
+    block = hadamard_implicit_block(4)
     assert block.shape == (4, 4)
     assert np.all(block == 0.25)
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import phi_brute_force
 from rorrlab import dist, ortho, rorrelation
 from rorrlab.rorrelation import (
     Label,
@@ -15,7 +16,6 @@ from rorrlab.rorrelation import (
     load_instances,
     phi,
     phi_batch,
-    phi_brute_force,
     save_instances,
     sign_correlation,
     uniform_no_probability_bound,
