@@ -130,8 +130,9 @@ def u_tilde_mc(
     if t_idx.size and (t_idx.min() < 0 or t_idx.max() >= u.n):
         raise ValueError("T index out of range")
     pairs = samples // 2
-    if pairs < 1:
-        raise ValueError("need at least two samples for an antithetic pair")
+    if pairs < 2:
+        # One pair gives an estimate of +-1 and no spread to estimate stderr.
+        raise ValueError(f"need at least four samples (two antithetic pairs), got {samples}")
     if (s_idx.size + t_idx.size) % 2 == 1:
         # Literal cancellation: every pair mean is exactly zero.
         return MomentEstimate(value=0.0, stderr=0.0, samples=2 * pairs, exact=False)

@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .dist import sample_duk_batch, sample_uniform_batch
-from .dtree import DecisionTree, Node, TreeMixture, evaluate_rows, random_tree
+from .dtree import (DecisionTree, Node, TreeMixture, evaluate_rows, grow, make_dictator,
+                    make_parity, random_tree)
 from .ortho import OrthogonalMatrix
 from .rorrelation import classify_value, phi_batch, Label
 from .util import derive_rng, sub_seed
@@ -232,43 +233,17 @@ def misclassification_rate(
 # ---------------------------------------------------------------------------
 
 def dictator_tree(k: int, n: int, block: int, coord: int) -> DecisionTree:
-    var = global_index(block, coord, n)
-    nodes = [Node(query_var=var, child_minus=1, child_plus=2), Node(output=0), Node(output=1)]
-    return DecisionTree(k * n, nodes)
-
-
-def _two_var_product_tree(total_vars: int, var_a: int, var_b: int, accept_sign: int) -> DecisionTree:
-    """Depth-2 tree on x_a * x_b: output 1 iff the product equals accept_sign."""
-    nodes: list[Node] = []
-
-    def leaf(bit: int) -> int:
-        nodes.append(Node(output=bit))
-        return len(nodes) - 1
-
-    def inner(var: int, lo: int, hi: int) -> int:
-        nodes.append(Node(query_var=var, child_minus=lo, child_plus=hi))
-        return len(nodes) - 1
-
-    sub_minus = inner(var_b, leaf(1 if -1 * -1 == accept_sign else 0),
-                      leaf(1 if -1 * 1 == accept_sign else 0))
-    sub_plus = inner(var_b, leaf(1 if 1 * -1 == accept_sign else 0),
-                     leaf(1 if 1 * 1 == accept_sign else 0))
-    root = inner(var_a, sub_minus, sub_plus)
-    return DecisionTree(total_vars, nodes, root)
+    return make_dictator(k * n, global_index(block, coord, n))
 
 
 def within_block_parity_tree(k: int, n: int, block: int, coord_a: int, coord_b: int) -> DecisionTree:
-    return _two_var_product_tree(
-        k * n, global_index(block, coord_a, n), global_index(block, coord_b, n), 1
-    )
+    return make_parity(k * n, [global_index(block, coord_a, n), global_index(block, coord_b, n)])
 
 
 def cross_block_parity_tree(k: int, n: int, coord_a: int, coord_b: int) -> DecisionTree:
     """Parity of z^(1)_a and z^(2)_b; its advantage has the arcsine closed
     form -(1/2) sign_correlation(U_ab)."""
-    return _two_var_product_tree(
-        k * n, global_index(1, coord_a, n), global_index(2, coord_b, n), 1
-    )
+    return make_parity(k * n, [global_index(1, coord_a, n), global_index(2, coord_b, n)])
 
 
 def greedy_pair_tree(u: OrthogonalMatrix, k: int, pairs: int) -> DecisionTree:
@@ -284,34 +259,18 @@ def greedy_pair_tree(u: OrthogonalMatrix, k: int, pairs: int) -> DecisionTree:
         chosen.append((int(a) + 1, int(b) + 1, sign))
         mags[a, :] = -1.0
         mags[:, b] = -1.0
-    total_vars = k * u.n
-    nodes: list[Node] = []
+    # Pair i queries z^(1)_a at depth 2i and z^(2)_b at depth 2i + 1.
+    queries = [global_index(block, coord, u.n)
+               for a, b, _ in chosen for block, coord in ((1, a), (2, b))]
 
-    def build(idx: int, matches: int) -> int:
-        if idx == len(chosen):
-            nodes.append(Node(output=1 if matches > len(chosen) / 2 else 0))
-            return len(nodes) - 1
-        a, b, sign = chosen[idx]
-        var_a = global_index(1, a, u.n)
-        var_b = global_index(2, b, u.n)
-        here = len(nodes)
-        nodes.append(Node())
+    def rule(path):
+        if len(path) < len(queries):
+            return Node(query_var=queries[len(path)])
+        matches = sum(path[2 * i][1] * path[2 * i + 1][1] == sign
+                      for i, (_, _, sign) in enumerate(chosen))
+        return Node(output=int(matches > pairs / 2))
 
-        def on_second(first_sign: int) -> int:
-            spot = len(nodes)
-            nodes.append(Node())
-            lo = build(idx + 1, matches + (first_sign * -1 == sign))
-            hi = build(idx + 1, matches + (first_sign * 1 == sign))
-            nodes[spot] = Node(query_var=var_b, child_minus=lo, child_plus=hi)
-            return spot
-
-        lo = on_second(-1)
-        hi = on_second(1)
-        nodes[here] = Node(query_var=var_a, child_minus=lo, child_plus=hi)
-        return here
-
-    root = build(0, 0)
-    return DecisionTree(total_vars, nodes, root)
+    return grow(k * u.n, rule)
 
 
 def standard_corpus(u: OrthogonalMatrix, k: int, seed: int) -> list[tuple[str, DecisionTree]]:

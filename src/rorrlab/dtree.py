@@ -7,6 +7,9 @@ coefficients and reach probabilities are dyadic rationals (sums of
 +-2^-depth), which double precision represents exactly for the depths
 handled here.
 
+Every family and random tree here is grown by `grow` from a rule that
+maps the path to a node onto that node's query or leaf bit.
+
 Coefficients and acceptance probabilities default to the {0,1} output
 convention (leaf value = leaf bit); the {-1,+1} convention maps a leaf
 bit b to 2b - 1.
@@ -16,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,6 +40,7 @@ __all__ = [
     "NodeStats",
     "TreeMixture",
     "evaluate_rows",
+    "grow",
     "sparse_fourier",
     "decomposition_sides",
     "relabel_nonnegative",
@@ -401,8 +406,35 @@ def refined_level1_sum(
 
 
 # ---------------------------------------------------------------------------
-# Standard families
+# The tree builder and the standard families
 # ---------------------------------------------------------------------------
+
+def grow(n: int, rule: Callable[[tuple[tuple[int, int], ...]], Node]) -> DecisionTree:
+    """Build a tree from a rule of the path.
+
+    rule(path) gets the (variable, sign) pairs from the root to a node
+    and returns it childless: Node(query_var=v) or Node(output=b). Nodes
+    are numbered, and rule is called, in pre-order with the minus child
+    first; an explicit stack stands in for recursion, so any depth works.
+    """
+    nodes: list[Node] = []
+    stack = [((), None)]  # (path to a node, the parent whose plus child it is)
+    while stack:
+        path, parent = stack.pop()
+        here = len(nodes)
+        if parent is not None:  # the parent's minus subtree, from parent + 1, is done
+            nodes[parent] = Node(query_var=nodes[parent].query_var,
+                                 child_minus=parent + 1, child_plus=here)
+        node = rule(path)
+        nodes.append(node)
+        var = node.query_var
+        if var is not None:
+            if len(path) >= n:
+                raise ValueError(f"rule queries more than {n} variables on one path")
+            stack.append((path + ((var, 1),), here))
+            stack.append((path + ((var, -1),), None))
+    return DecisionTree(n, nodes)
+
 
 def make_constant(n: int, bit: int) -> DecisionTree:
     if bit not in (0, 1):
@@ -412,8 +444,7 @@ def make_constant(n: int, bit: int) -> DecisionTree:
 
 def make_dictator(n: int, var: int) -> DecisionTree:
     """Outputs 1 exactly when x_var = +1."""
-    nodes = [Node(query_var=var, child_minus=1, child_plus=2), Node(output=0), Node(output=1)]
-    return DecisionTree(n, nodes)
+    return make_parity(n, [var])
 
 
 def make_parity(n: int, variables: Sequence[int]) -> DecisionTree:
@@ -421,21 +452,26 @@ def make_parity(n: int, variables: Sequence[int]) -> DecisionTree:
     variables = list(variables)
     if not variables:
         raise ValueError("parity needs at least one variable")
-    nodes: list[Node] = []
 
-    def build(idx: int, prod: int) -> int:
-        if idx == len(variables):
-            nodes.append(Node(output=1 if prod == 1 else 0))
-            return len(nodes) - 1
-        here = len(nodes)
-        nodes.append(Node())  # placeholder
-        minus = build(idx + 1, -prod)
-        plus = build(idx + 1, prod)
-        nodes[here] = Node(query_var=variables[idx], child_minus=minus, child_plus=plus)
-        return here
+    def rule(path):
+        if len(path) < len(variables):
+            return Node(query_var=variables[len(path)])
+        return Node(output=int(math.prod(sign for _, sign in path) == 1))
 
-    root = build(0, 1)
-    return DecisionTree(n, nodes, root)
+    return grow(n, rule)
+
+
+def _majority_step(votes: Sequence[tuple[int, int]], d: int, next_var: int) -> Node:
+    """Majority of d votes after the (variable, sign) pairs `votes`: the
+    winning bit once one side has (d + 1) / 2 votes, else a query of
+    next_var."""
+    win = (d + 1) // 2
+    plus = (len(votes) + sum(map(itemgetter(1), votes))) // 2
+    if plus >= win:
+        return Node(output=1)
+    if len(votes) - plus >= win:
+        return Node(output=0)
+    return Node(query_var=next_var)
 
 
 def make_majority(d: int) -> DecisionTree:
@@ -444,34 +480,13 @@ def make_majority(d: int) -> DecisionTree:
         raise ValueError("majority is defined for odd d")
     if d > 21:
         raise ValueError("majority construction limited to d <= 21")
-    win = (d + 1) // 2
-    nodes: list[Node] = []
-
-    def build(next_var: int, plus: int, minus: int) -> int:
-        if plus >= win:
-            nodes.append(Node(output=1))
-            return len(nodes) - 1
-        if minus >= win:
-            nodes.append(Node(output=0))
-            return len(nodes) - 1
-        here = len(nodes)
-        nodes.append(Node())
-        lo = build(next_var + 1, plus, minus + 1)
-        hi = build(next_var + 1, plus + 1, minus)
-        nodes[here] = Node(query_var=next_var, child_minus=lo, child_plus=hi)
-        return here
-
-    root = build(1, 0, 0)
-    return DecisionTree(d, nodes, root)
+    return grow(d, lambda path: _majority_step(path, d, len(path) + 1))
 
 
-def _address_pointer(index_signs: Sequence[int]) -> int:
-    """1-based array slot selected by the index bits (+1 reads as bit 1)."""
-    slot = 0
-    for i, sign in enumerate(index_signs):
-        if sign == 1:
-            slot |= 1 << i
-    return slot + 1
+def _address_slot(path: Sequence[tuple[int, int]], d: int) -> int:
+    """0-based array slot selected by the first d (index) signs of the
+    path; index variable i with sign +1 sets bit i - 1."""
+    return sum(1 << i for i, (_, sign) in enumerate(path[:d]) if sign == 1)
 
 
 def make_address(d: int) -> DecisionTree:
@@ -482,30 +497,15 @@ def make_address(d: int) -> DecisionTree:
     """
     if d < 1 or d > 4:
         raise ValueError("address construction limited to 1 <= d <= 4")
-    n = d + (1 << d)
-    nodes: list[Node] = []
 
-    def build(level: int, signs: list[int]) -> int:
-        if level > d:
-            slot = _address_pointer(signs)
-            here = len(nodes)
-            nodes.append(Node())
-            nodes.append(Node(output=0))
-            nodes.append(Node(output=1))
-            nodes[here] = Node(query_var=d + slot, child_minus=here + 1, child_plus=here + 2)
-            return here
-        here = len(nodes)
-        nodes.append(Node())
-        signs.append(-1)
-        lo = build(level + 1, signs)
-        signs[-1] = 1
-        hi = build(level + 1, signs)
-        signs.pop()
-        nodes[here] = Node(query_var=level, child_minus=lo, child_plus=hi)
-        return here
+    def rule(path):
+        if len(path) < d:
+            return Node(query_var=len(path) + 1)
+        if len(path) == d:
+            return Node(query_var=d + _address_slot(path, d) + 1)
+        return Node(output=int(path[-1][1] == 1))
 
-    root = build(1, [])
-    return DecisionTree(n, nodes, root)
+    return grow(d + (1 << d), rule)
 
 
 def make_address_of_majority(d: int) -> DecisionTree:
@@ -517,41 +517,14 @@ def make_address_of_majority(d: int) -> DecisionTree:
         raise ValueError("majority blocks need odd d")
     if d > 3:
         raise ValueError("composition limited to d <= 3")
-    n = d + (1 << d) * d
-    nodes: list[Node] = []
 
-    def build_majority(base: int, next_offset: int, plus: int, minus: int) -> int:
-        win = (d + 1) // 2
-        if plus >= win:
-            nodes.append(Node(output=1))
-            return len(nodes) - 1
-        if minus >= win:
-            nodes.append(Node(output=0))
-            return len(nodes) - 1
-        here = len(nodes)
-        nodes.append(Node())
-        lo = build_majority(base, next_offset + 1, plus, minus + 1)
-        hi = build_majority(base, next_offset + 1, plus + 1, minus)
-        nodes[here] = Node(query_var=base + next_offset, child_minus=lo, child_plus=hi)
-        return here
+    def rule(path):
+        if len(path) < d:
+            return Node(query_var=len(path) + 1)
+        # Vote len(path) - d + 1 of the block that follows variable d + slot * d.
+        return _majority_step(path[d:], d, _address_slot(path, d) * d + len(path) + 1)
 
-    def build_index(level: int, signs: list[int]) -> int:
-        if level > d:
-            slot = _address_pointer(signs)
-            base = d + (slot - 1) * d
-            return build_majority(base, 1, 0, 0)
-        here = len(nodes)
-        nodes.append(Node())
-        signs.append(-1)
-        lo = build_index(level + 1, signs)
-        signs[-1] = 1
-        hi = build_index(level + 1, signs)
-        signs.pop()
-        nodes[here] = Node(query_var=level, child_minus=lo, child_plus=hi)
-        return here
-
-    root = build_index(1, [])
-    return DecisionTree(n, nodes, root)
+    return grow(d + (1 << d) * d, rule)
 
 
 def random_tree(n: int, d: int, seed: int) -> DecisionTree:
@@ -560,25 +533,15 @@ def random_tree(n: int, d: int, seed: int) -> DecisionTree:
     """
     check_random_tree_shape(n, d)
     rng = derive_rng(seed, "random-tree", n, d)
-    nodes: list[Node] = []
 
-    def build(level: int, used: list[int]) -> int:
-        if level == d:
-            nodes.append(Node(output=int(rng.integers(0, 2))))
-            return len(nodes) - 1
+    def rule(path):
+        if len(path) == d:
+            return Node(output=int(rng.integers(0, 2)))
+        used = {var for var, _ in path}
         free = [v for v in range(1, n + 1) if v not in used]
-        var = int(free[rng.integers(0, len(free))])
-        here = len(nodes)
-        nodes.append(Node())
-        used.append(var)
-        lo = build(level + 1, used)
-        hi = build(level + 1, used)
-        used.pop()
-        nodes[here] = Node(query_var=var, child_minus=lo, child_plus=hi)
-        return here
+        return Node(query_var=free[rng.integers(0, len(free))])
 
-    root = build(0, [])
-    return DecisionTree(n, nodes, root)
+    return grow(n, rule)
 
 
 def check_random_tree_shape(n: int, d: int) -> None:

@@ -164,18 +164,29 @@ class _GoodnessAccumulator:
         self.violations: list[dict] = []
         self.violation_count = 0
 
-    def record_bulk(self, count: int, max_ratio: float, max_pair, over: list) -> None:
-        """Vectorized passes report only their max ratio and violations."""
-        self.checked += count
-        if max_ratio > self.worst_ratio:
-            self.worst_ratio = max_ratio
-            self.worst_pair = max_pair
-        for rows, cols, norm, bound in over:
-            self.violation_count += 1
-            if len(self.violations) < MAX_STORED_VIOLATIONS:
-                self.violations.append(
-                    {"S": list(rows), "T": list(cols), "norm": norm, "bound": bound}
-                )
+    def record(self, norms: np.ndarray, bounds, pair_of) -> None:
+        """Record a batch of block norms against their budgets: one scalar,
+        or an array shaped like norms. pair_of maps an index of norms to
+        its 1-based (S, T)."""
+        self.checked += norms.size
+        if np.ndim(bounds) == 0:
+            # Argmax on the norms: no ratio array as large as the batch.
+            best = np.unravel_index(int(np.argmax(norms)), norms.shape)
+            ratio = float(norms[best]) / bounds
+        else:
+            ratios = norms / bounds
+            best = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+            ratio = float(ratios[best])
+        if ratio > self.worst_ratio:
+            self.worst_ratio = ratio
+            self.worst_pair = pair_of(best)
+        over = np.argwhere(norms > bounds)
+        self.violation_count += len(over)
+        bounds = np.broadcast_to(bounds, norms.shape)
+        for idx in map(tuple, over[: MAX_STORED_VIOLATIONS - len(self.violations)]):
+            rows, cols = pair_of(idx)
+            self.violations.append({"S": list(rows), "T": list(cols),
+                                    "norm": float(norms[idx]), "bound": float(bounds[idx])})
 
     def report(self) -> GoodnessReport:
         return GoodnessReport(
@@ -189,19 +200,8 @@ class _GoodnessAccumulator:
 
 
 def _check_singletons(u: OrthogonalMatrix, acc: _GoodnessAccumulator) -> None:
-    bound = goodness_bound(1, 1, u.n)
-    mags = np.abs(u.entries)
-    i, j = np.unravel_index(int(np.argmax(mags)), mags.shape)
-    over_idx = np.argwhere(mags > bound)
-    over = [
-        ((int(a) + 1,), (int(b) + 1,), float(mags[a, b]), bound) for a, b in over_idx
-    ]
-    acc.record_bulk(
-        mags.size,
-        float(mags[i, j]) / bound,
-        ((int(i) + 1,), (int(j) + 1,)),
-        over,
-    )
+    acc.record(np.abs(u.entries), goodness_bound(1, 1, u.n),
+               lambda ij: ((int(ij[0]) + 1,), (int(ij[1]) + 1,)))
 
 
 def _two_by_two_norms(a, b, c, d):
@@ -217,31 +217,20 @@ def _check_small_blocks(u: OrthogonalMatrix, acc: _GoodnessAccumulator) -> None:
     n = u.n
     ent = u.entries
     pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)], dtype=int)
+    ci, cj = pairs[:, 0], pairs[:, 1]
+
+    def pair(p):
+        return int(ci[p]) + 1, int(cj[p]) + 1
 
     # 1 x 2 and 2 x 1 blocks: norm is the Euclidean norm of the two entries.
     bound_12 = goodness_bound(1, 2, n)
-    for transpose in (False, True):
-        m = ent.T if transpose else ent
-        norms = np.sqrt(m[:, pairs[:, 0]] ** 2 + m[:, pairs[:, 1]] ** 2)
-        r, p = np.unravel_index(int(np.argmax(norms)), norms.shape)
-        best = float(norms[r, p])
-        rows = (int(r) + 1,)
-        cols = (int(pairs[p, 0]) + 1, int(pairs[p, 1]) + 1)
-        if transpose:
-            rows, cols = cols, rows
-        over_idx = np.argwhere(norms > bound_12)
-        over = []
-        for a, b in over_idx:
-            rr = (int(a) + 1,)
-            cc = (int(pairs[b, 0]) + 1, int(pairs[b, 1]) + 1)
-            if transpose:
-                rr, cc = cc, rr
-            over.append((rr, cc, float(norms[a, b]), bound_12))
-        acc.record_bulk(norms.size, best / bound_12, (rows, cols), over)
+    acc.record(np.sqrt(ent[:, ci] ** 2 + ent[:, cj] ** 2), bound_12,
+               lambda rp: ((int(rp[0]) + 1,), pair(rp[1])))
+    acc.record(np.sqrt(ent.T[:, ci] ** 2 + ent.T[:, cj] ** 2), bound_12,
+               lambda rp: (pair(rp[1]), (int(rp[0]) + 1,)))
 
     # 2 x 2 blocks, chunked over row pairs to bound memory.
     bound_22 = goodness_bound(2, 2, n)
-    ci, cj = pairs[:, 0], pairs[:, 1]
     chunk = 256
     for start in range(0, len(pairs), chunk):
         rp = pairs[start : start + chunk]
@@ -249,21 +238,8 @@ def _check_small_blocks(u: OrthogonalMatrix, acc: _GoodnessAccumulator) -> None:
         b = ent[rp[:, 0]][:, cj]
         c = ent[rp[:, 1]][:, ci]
         d = ent[rp[:, 1]][:, cj]
-        norms = _two_by_two_norms(a, b, c, d)
-        r, p = np.unravel_index(int(np.argmax(norms)), norms.shape)
-        rows = (int(rp[r, 0]) + 1, int(rp[r, 1]) + 1)
-        cols = (int(ci[p]) + 1, int(cj[p]) + 1)
-        over_idx = np.argwhere(norms > bound_22)
-        over = [
-            (
-                (int(rp[x, 0]) + 1, int(rp[x, 1]) + 1),
-                (int(ci[y]) + 1, int(cj[y]) + 1),
-                float(norms[x, y]),
-                bound_22,
-            )
-            for x, y in over_idx
-        ]
-        acc.record_bulk(norms.size, float(norms[r, p]) / bound_22, (rows, cols), over)
+        acc.record(_two_by_two_norms(a, b, c, d), bound_22,
+                   lambda xy, start=start: (pair(start + xy[0]), pair(xy[1])))
 
 
 # Byte budget for the stacked blocks of one pass over sampled pairs.
@@ -286,16 +262,12 @@ def _record_sampled(u: OrthogonalMatrix, draws: list, acc: _GoodnessAccumulator)
         cols = np.array([draws[i][1] for i in idx])
         norms[idx] = spectral_norm(u.entries[rows[:, :, None], cols[:, None, :]])
         bounds[idx] = goodness_bound(s_size, t_size, u.n)
-    ratios = norms / bounds
 
-    def pair(i):
-        rows, cols = draws[i]
+    def pair_of(i):
+        rows, cols = draws[i[0]]
         return tuple(int(r) + 1 for r in rows), tuple(int(c) + 1 for c in cols)
 
-    over = [(*pair(i), float(norms[i]), float(bounds[i]))
-            for i in np.flatnonzero(norms > bounds)]
-    best = int(np.argmax(ratios))
-    acc.record_bulk(len(draws), float(ratios[best]), pair(best), over)
+    acc.record(norms, bounds, pair_of)
 
 
 def check_goodness(
@@ -354,10 +326,8 @@ def hadamard_counterexample(log2n: int) -> tuple[float, float]:
         raise ValueError("log2n must be even")
     if log2n > 40:
         raise ValueError("log2n limited to 40")
-    n = 2.0**log2n
-    half = 2.0 ** (log2n // 2)
-    bound = float(np.sqrt(100.0 * (half + half) * np.log(n) / n))
-    return 1.0, bound
+    half = 2 ** (log2n // 2)
+    return 1.0, goodness_bound(half, half, 2**log2n)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -26,8 +27,9 @@ __all__ = ["VerifyConfig", "CheckResult", "run_check", "run_all", "build_manifes
            "CHECK_NAMES"]
 
 
-# Counts behind a standard error need two samples; every other count one.
-_MIN_COUNTS = {"uniform_var_samples": 2, "moment_mc_samples": 2, "advantage_samples": 2}
+# Counts behind a standard error need two samples (moment_mc_samples two
+# antithetic pairs, so four); every other count one.
+_MIN_COUNTS = {"uniform_var_samples": 2, "moment_mc_samples": 4, "advantage_samples": 2}
 
 
 @dataclass(frozen=True)
@@ -649,9 +651,10 @@ def manifest_from_json(text: str) -> dict:
         for row in rows:
             for key in numbers:
                 value = row.get(key)
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                # A number a double holds: no booleans, NaN, infinities or huge integers.
+                if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                     raise ValueError(f"manifest check {check['name']}: {key} must be "
-                                     "a number")
+                                     "a finite number")
             missing = [key for key in present if key not in row]
             if missing:
                 raise ValueError(f"manifest check {check['name']}: missing {missing}")

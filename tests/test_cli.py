@@ -1,5 +1,6 @@
 """End-to-end CLI flows on temporary files."""
 import json
+import math
 import warnings
 
 import numpy as np
@@ -364,10 +365,13 @@ def _child(lo, hi):
     lambda tmp_path: ["moments", "--matrix", _matrix_and_instances(tmp_path)[0], "--k", "2",
                       "--set", "1,1;2,2", "--method", "mc"],
     lambda tmp_path: ["advantage", "--matrix", _matrix_and_instances(tmp_path)[0], "--k", "1"],
+    lambda tmp_path: ["moments", "--matrix", _matrix_and_instances(tmp_path)[0], "--k", "2",
+                      "--set", "1;2", "--method", "mc", "--mc-samples", "3"],
 ], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "negative-child",
         "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
         "fourier-without-input", "config-count-is-text", "config-one-advantage-sample",
-        "config-not-an-object", "moments-repeated-index", "advantage-one-fold"])
+        "config-not-an-object", "moments-repeated-index", "advantage-one-fold",
+        "moments-one-antithetic-pair"])
 def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys):
     argv = build(tmp_path)
     with warnings.catch_warnings():
@@ -423,8 +427,14 @@ def test_rorrelate_reads_instances_before_matrix(tmp_path, capsys):
                                               "passed": True}]}}]},
     {"checks": [{"name": "distinguishing_sanity", "passed": True,
                  "details": {"envelope": [{"advantage": 0.1, "bound": 0.2}]}}]},
+    {"checks": [{"name": "level_bounds", "passed": True,
+                 "details": {"max_binom_ratio": math.nan, "max_level1_ratio": 0.5,
+                             "max_level_ell_ratio": 0.5}}]},
+    {"checks": [{"name": "distinguishing_sanity", "passed": True,
+                 "details": {"envelope": [{"tree": "t", "n": 8, "passed": True,
+                                           "advantage": 0.1, "bound": math.inf}]}}]},
 ], ids=["empty-object", "list", "checks-not-a-list", "passed-not-bool", "missing-ratio",
-        "estimate-is-text", "envelope-row-short"])
+        "estimate-is-text", "envelope-row-short", "ratio-is-nan", "bound-is-infinite"])
 def test_report_refuses_malformed_manifest(doc, tmp_path, capsys):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps(doc))
@@ -451,6 +461,7 @@ def test_tree_corpus_refuses_depth_over_leaf_budget(tmp_path, capsys):
     ({"uniform_var_samples": 1}, "uniform_var_samples"),
     ({"seed": "7"}, "seed"),
     ({"nope": 1}, "nope"),
+    ({"moment_mc_samples": 3}, "moment_mc_samples"),
 ])
 def test_verify_config_refuses_bad_fields(overrides, key):
     with pytest.raises(ValueError, match=key):

@@ -153,8 +153,10 @@ def test_u_tilde_mc_identity_squares():
 
 def test_u_tilde_mc_sample_guard():
     u = ortho.sample_haar(4, seed=0)
-    with pytest.raises(ValueError):
-        u_tilde_mc(u, [1], [2], 1, seed=0)
+    # Fewer than two antithetic pairs leave no spread for the stderr.
+    for samples in (1, 2, 3):
+        with pytest.raises(ValueError):
+            u_tilde_mc(u, [1], [2], samples, seed=0)
 
 
 def _full_width_u_tilde(u, s, t, samples, rng):

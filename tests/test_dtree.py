@@ -1,5 +1,6 @@
 """Decision trees: evaluation, sparse Fourier, decomposition, families."""
 import collections
+import hashlib
 import json
 import math
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from reference import cross_check_spectrum
-from rorrlab import boolfn, dtree
+from rorrlab import boolfn, dtree, ortho
 from rorrlab.boolfn import OutputConvention, binomial, l1_level, point_from_index
 from rorrlab.cli import main
+from rorrlab.distinguish import dictator_tree, greedy_pair_tree
 from rorrlab.dtree import (
     DecisionTree,
     Node,
@@ -17,6 +19,7 @@ from rorrlab.dtree import (
     acceptance_probability,
     decomposition_sides,
     evaluate_rows,
+    grow,
     leaf_signatures,
     make_address,
     make_address_of_majority,
@@ -492,3 +495,78 @@ def test_deep_cycle_is_refused_not_walked_forever():
     doc["nodes"][-3]["hi"] = 0  # the last query loops back to the root
     with pytest.raises(ValueError, match="repeats along a path"):
         tree_from_json(json.dumps(doc))
+
+
+def _greedy(n, k, pairs):
+    return greedy_pair_tree(ortho.sample_haar(n, 7), k, pairs)
+
+
+# sha256 of tree_to_json for each builder: pins each arena, its pre-order
+# node numbering and the random-tree stream.
+_ARENAS = [
+    (make_majority, (1,), "3851b7e47d1fab64d6d8283c504658bb53ae27a0ba3618044f05d1f9c8b87842"),
+    (make_majority, (3,), "31337fb1965dba0ab655ff14d56e53b2cf570eaad0648ce21ecd44f35b22a4b8"),
+    (make_majority, (5,), "b6420df891ef4d734064da54fb14203365fbe745e32fa8bf6292b527da0bbc5f"),
+    (make_majority, (9,), "99ef1597010704e43d15a5e6cc3e541cf7013d5c2def01e5b0ead44b027f00e2"),
+    (make_majority, (13,), "bf8b17e0ae5fe6edfa3c1b6f7ebd28bbd722aa263f143d615d8faa543a6f9f96"),
+    (make_address, (1,), "0ff064ae8bd10ce88aa7d9fb3bc105f51bc74144d92b771341ccb22c39818522"),
+    (make_address, (2,), "ed3bf41e408e6eaf9d1f8b6c302b0eb4ecc40121c6aba2a3204514c02436ed1d"),
+    (make_address, (3,), "02b512ae23b215351c819001f68fdd7bcaa0d2e6d26ba00ad12f7889c63d69d7"),
+    (make_address, (4,), "5f6d7449305aded8ee2c6c468ddb538c8caae313c4ef168cb260e485b9bba88c"),
+    (make_address_of_majority, (1,),
+     "0ff064ae8bd10ce88aa7d9fb3bc105f51bc74144d92b771341ccb22c39818522"),
+    (make_address_of_majority, (3,),
+     "239b47317567d2b588fcde381c91050878aedfcc51466675a0c1a588a2a23c05"),
+    (make_constant, (3, 1), "55bff84adf6df9209c69273f1fb027955947d18d7cf083d6be2f9b1dceaf2dab"),
+    (make_dictator, (4, 1), "b5e7cbd805e67f311fdd4d052c37936f6ba2aa610960d039876512929e6e1e9d"),
+    (make_dictator, (3, 3), "69cb0841eef1c77ecd037e18760c613a6e1abcb0b4fb3a2461367a4311f5f6c3"),
+    (make_parity, (4, [1, 2, 3, 4]),
+     "2837ee61ce07d47fe43a86fd5a37eb3b9db8153c51f905ecc8354851ff69b96a"),
+    (make_parity, (3, [3, 1]), "b64ec336b557f148cf82b95796613e18dfbf9d51fc9e5ea9e6aaf22dd7fd2b7b"),
+    (make_parity, (130, [1, 64, 65, 129, 130]),
+     "a8959d0a4b89154bd88deb5a4480bf54750e9ae39c117c98cc2ec57f365cfa60"),
+    (random_tree, (512, 6, 0), "1eaff5805c3a3de153b8cc4190019b4cab3998ed5057a2f6adf6c440bcd9fc41"),
+    (random_tree, (512, 6, 1), "b7be1dc1c3df825099669cd4ce012a0af1b12f176b17d1becc61ec700dcfd23a"),
+    (random_tree, (16, 9, 0), "73a90e679122597cefab5eebe90bca7e0d7b175001bb81aec02cc8dc35885503"),
+    (random_tree, (10, 10, 2), "6ef06fbd0ff7f34da63bf4395106c7766d99540b5c992bee7159dcc393b70d44"),
+    (random_tree, (12, 6, 3), "969b7018797ed8dfea8c94964066cf37c7fc4403b039de4ba536160dc9c23daa"),
+    (random_tree, (22, 4, 4), "e7a01b8742cedd5a0e1c2e394ab79992bd8936420f67bd56928187966a0d9216"),
+    (random_tree, (5, 0, 0), "fc178fa24e88f4d010a4b2cba62ca7e11b3ac4de7dbd29cf7b71437caa91e59e"),
+    (_greedy, (16, 2, 1), "41c1a3d1e6285a2f87c85f7258898140a9ab75d6cc28b06a19ee2c8dad410958"),
+    (_greedy, (16, 2, 2), "e4d194bc47ac8c1f6a3b703bd6c03746afd278463f5baecc664728c15524151e"),
+    (_greedy, (16, 2, 3), "97538f58c4839a97ea3659e54ea59217e706a4c0576c7cfbe9dbdc08484da55f"),
+    (_greedy, (256, 2, 1), "f9aa1f940287644a356236dbd35f4a889722a3f001a14ab3e584c8e910b413b3"),
+    (_greedy, (256, 2, 2), "bfffe894613888a7caedc58456c451388d0a9370f65424c9bcdbcc0148ca92df"),
+    (_greedy, (256, 2, 3), "41768c3126068a91f0310a721371ef4ff55f14bdd44281c66774d161acfbc57b"),
+    (_greedy, (256, 3, 3), "fb5db44d8c7ff6f6e58a4237dbaf49ed38578794fee35f1fc0fdd1851b5708d5"),
+    (dictator_tree, (2, 16, 1, 1),
+     "2d4a405186c6fa30ae280a7caff5ec09849bdfc5aeb9cd52abc35c2dbfdce5c5"),
+    (dictator_tree, (3, 8, 2, 2),
+     "42c0f6a5e8e3bc48529fdb92b8c35694296e04b6626e7f52f6d0a3e14ee55baa"),
+]
+
+
+@pytest.mark.parametrize("build, args, digest", _ARENAS, ids=[
+    f"{build.__name__.strip('_')}{args}".replace(" ", "") for build, args, _ in _ARENAS])
+def test_builder_arenas_are_pinned(build, args, digest):
+    assert hashlib.sha256(tree_to_json(build(*args)).encode()).hexdigest() == digest
+
+
+def test_grow_builds_a_deep_decision_list():
+    depth = 3000
+
+    def rule(path):
+        if path and path[-1][1] == -1:
+            return Node(output=(len(path) - 1) % 2)
+        if len(path) == depth:
+            return Node(output=1)
+        return Node(query_var=len(path) + 1)
+
+    tree = grow(depth, rule)
+    assert tree.nodes == tree_from_json(_decision_list(depth)).nodes
+    assert tree.depth == depth
+
+
+def test_grow_refuses_a_rule_that_outruns_the_variables():
+    with pytest.raises(ValueError, match="more than 2 variables"):
+        grow(2, lambda path: Node(query_var=1))

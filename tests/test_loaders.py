@@ -5,6 +5,7 @@ randomly shaped JSON documents), and may either refuse with ValueError or
 return an object that passes its own invariants.
 """
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -200,8 +201,10 @@ def test_manifest_from_json_refuses_only_with_value_error(doc):
     manifest = _load_or_none(verify.manifest_from_json, json.dumps(doc))
     if manifest is not None:
         for row in verify.report_rows(manifest):
-            # report formats both with :.6g
-            assert all(isinstance(row[key], (int, float)) for key in ("measured", "reference"))
+            # report formats both with :.6g; abs() <= max, as math.isfinite
+            # raises OverflowError on integers too large for a float.
+            assert all(type(row[key]) in (int, float) and abs(row[key]) <= sys.float_info.max
+                       for key in ("measured", "reference"))
 
 
 _csv_lines = st.lists(st.sampled_from(["1", "-1", " 1", "0", "2", "300", "x", "", "1,-1",
