@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, boolfn, dist, distinguish, dtree, ortho, qsim, rorrelation
+from .util import atomic_write
 from .verify import (
     VerifyConfig,
     build_manifest,
@@ -29,22 +30,14 @@ from .verify import (
     manifest_to_json,
     report_rows,
     run_all,
-    CHECK_NAMES,
 )
-
-
-def _atomic_write(path: str | Path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _emit(text: str, out: str | None) -> None:
     """Write `text` to --out (atomically) when given, and echo it to stdout
     ending with one newline."""
     if out:
-        _atomic_write(out, text)
+        atomic_write(out, text)
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
@@ -206,7 +199,7 @@ def cmd_tree_corpus(args) -> int:
         tree = dtree.random_tree(args.n, args.d, args.seed + i)
         text = dtree.tree_to_json(tree)
         name = f"tree_{i:04d}.json"
-        _atomic_write(out_dir / name, text)
+        atomic_write(out_dir / name, text)
         manifest_lines.append(json.dumps({
             "file": name,
             "n": args.n,
@@ -214,7 +207,7 @@ def cmd_tree_corpus(args) -> int:
             "seed": args.seed + i,
             "sha256": hashlib.sha256(text.encode()).hexdigest(),
         }, sort_keys=True))
-    _atomic_write(out_dir / "corpus.jsonl", "\n".join(manifest_lines) + "\n")
+    atomic_write(out_dir / "corpus.jsonl", "\n".join(manifest_lines) + "\n")
     print(json.dumps({"count": args.count, "dir": str(out_dir)}))
     return 0
 
@@ -243,16 +236,12 @@ def cmd_verify_paper(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     names = args.checks.split(",") if args.checks else None
-    if names:
-        bad = [n for n in names if n not in CHECK_NAMES]
-        if bad:
-            raise ValueError(f"unknown checks {bad}")
     started = time.perf_counter()
     results = run_all(cfg, names)
     manifest = build_manifest(cfg, results)
     text = manifest_to_json(manifest)
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write(args.out, text)
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.runtime_seconds:.2f}s)")
     print(f"total {time.perf_counter() - started:.2f}s; "
@@ -261,10 +250,11 @@ def cmd_verify_paper(args) -> int:
 
 
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
+    text = io.StringIO(newline="")
+    writer = csv.DictWriter(text, fieldnames=fieldnames, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    atomic_write(path, text.getvalue())
 
 
 def cmd_report(args) -> int:
@@ -294,7 +284,7 @@ def cmd_report(args) -> int:
     lines.append("")
     lines.append(f"Plot data: `{shape_path.name}` (advantage vs bound shape).")
     md_path = out_dir / "report.md"
-    _atomic_write(md_path, "\n".join(lines) + "\n")
+    atomic_write(md_path, "\n".join(lines) + "\n")
     print(json.dumps({"csv": str(csv_path), "markdown": str(md_path),
                       "sidecar": str(shape_path), "rows": len(all_rows)}))
     return 0

@@ -28,7 +28,6 @@ __all__ = [
     "MisclassificationReport",
     "global_index",
     "evaluate_batch",
-    "two_arm_advantage",
     "advantage",
     "advantage_corpus",
     "thm_main_bound",
@@ -58,19 +57,6 @@ def evaluate_batch(tree: DecisionTree | TreeMixture, batch: np.ndarray) -> np.nd
             out += weight * evaluate_rows(component, batch)
         return out
     return evaluate_rows(tree, batch).astype(float)
-
-
-def two_arm_advantage(
-    tree: DecisionTree | TreeMixture, uniform: np.ndarray, chained: np.ndarray
-) -> tuple[float, float]:
-    """E[F(uniform)] - E[F(chained)] over two flat batches, with its stderr."""
-    f_uniform = evaluate_batch(tree, uniform)
-    f_chained = evaluate_batch(tree, chained)
-    estimate = float(f_uniform.mean() - f_chained.mean())
-    stderr = float(math.sqrt(
-        f_uniform.var(ddof=1) / f_uniform.size + f_chained.var(ddof=1) / f_chained.size
-    ))
-    return estimate, stderr
 
 
 @dataclass(frozen=True)
@@ -135,11 +121,13 @@ def advantage_corpus(
     chained = chained.reshape(samples, -1)
     reports = []
     for tree_id, tree in pairs:
-        estimate, stderr = two_arm_advantage(tree, uniform, chained)
+        f_uniform = evaluate_batch(tree, uniform)
+        f_chained = evaluate_batch(tree, chained)
         reports.append(AdvantageReport(
             tree_id=tree_id,
-            estimate=estimate,
-            stderr=stderr,
+            estimate=float(f_uniform.mean() - f_chained.mean()),
+            stderr=float(math.sqrt(f_uniform.var(ddof=1) / samples
+                                   + f_chained.var(ddof=1) / samples)),
             theory_bound=thm_main_bound(max(tree.depth, 1), k, u.n),
             d=tree.depth,
             k=k,
@@ -279,13 +267,15 @@ def standard_corpus(u: OrthogonalMatrix, k: int, seed: int) -> list[tuple[str, D
     if k < 2:
         raise ValueError("fold count k must be at least 2")
     n = u.n
+    if n < 2:
+        raise ValueError(f"the standard corpus needs N >= 2 coordinates per block, got N = {n}")
     total = k * n
     corpus: list[tuple[str, DecisionTree]] = [
         ("const0", DecisionTree(total, [Node(output=0)])),
         ("const1", DecisionTree(total, [Node(output=1)])),
         ("dictator-b1", dictator_tree(k, n, 1, 1)),
-        ("dictator-b2", dictator_tree(k, n, 2, min(2, n))),
-        ("parity-within", within_block_parity_tree(k, n, 1, 1, min(2, n))),
+        ("dictator-b2", dictator_tree(k, n, 2, 2)),
+        ("parity-within", within_block_parity_tree(k, n, 1, 1, 2)),
         ("parity-cross", cross_block_parity_tree(k, n, 1, 1)),
         ("greedy-1", greedy_pair_tree(u, k, 1)),
         ("greedy-3", greedy_pair_tree(u, k, 3)),

@@ -616,12 +616,11 @@ def level_ell_bound(
     p: float,
     ell: int,
     constant: float = 32.0,
-    variant: str = "log2",
 ) -> float:
-    """sqrt(C^ell * binom(d, ell)) * p * prod_i sqrt(log(4 n^i / p)).
+    """sqrt(C^ell * binom(d, ell)) * p * prod_i sqrt(log2(4 n^i / p)).
 
-    variant "log2" uses log2(4 n^i / p) (the looser reading); variant
-    "ln" uses ln(e n^i / p). Both are reported by the corpus tooling.
+    log2(4 n^i / p) is the looser reading of the log factor; it dominates
+    ln(e n^i / p).
     """
     if p <= 0.0:
         return 0.0
@@ -629,13 +628,7 @@ def level_ell_bound(
         return p
     product = 1.0
     for i in range(ell):
-        if variant == "log2":
-            term = math.log2(4.0 * n_vars**i / p)
-        elif variant == "ln":
-            term = math.log(math.e * n_vars**i / p)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        product *= math.sqrt(term)
+        product *= math.sqrt(math.log2(4.0 * n_vars**i / p))
     return math.sqrt(constant**ell * binomial(d, ell)) * p * product
 
 

@@ -9,6 +9,7 @@ over random larger ones.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import struct
@@ -18,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import derive_rng
+from .util import atomic_write, derive_rng
 
 __all__ = [
     "OrthogonalMatrix",
@@ -379,7 +380,7 @@ def save_matrix(path: str | Path, u: OrthogonalMatrix) -> str:
         raise ValueError(f"seed {seed} does not fit the unsigned 64-bit header field")
     payload = u.entries.astype("<f8").tobytes()
     header = MATRIX_MAGIC + struct.pack("<QQ", u.n, seed)
-    Path(path).write_bytes(header + payload)
+    atomic_write(path, header + payload)
     return file_sha256(path)
 
 
@@ -398,7 +399,9 @@ def load_matrix(path: str | Path) -> OrthogonalMatrix:
 
 
 def save_matrix_csv(path: str | Path, u: OrthogonalMatrix) -> None:
-    np.savetxt(path, u.entries, delimiter=",", fmt="%.17g")
+    text = io.StringIO()
+    np.savetxt(text, u.entries, delimiter=",", fmt="%.17g")
+    atomic_write(path, text.getvalue())
 
 
 def file_sha256(path: str | Path) -> str:

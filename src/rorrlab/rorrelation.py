@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .ortho import OrthogonalMatrix
+from .util import atomic_write
 
 __all__ = [
     "Label",
@@ -195,7 +196,7 @@ def save_instances(
     body = bytearray(header + hash_bytes + path_bytes + struct.pack("<I", len(instances)))
     for inst in instances:
         body += ((inst.vectors.reshape(-1) + 1) // 2).astype(np.uint8).tobytes()
-    Path(path).write_bytes(bytes(body))
+    atomic_write(path, bytes(body))
 
 
 def load_instances(path: str | Path) -> tuple[list[RorrelationInstance], str, str]:

@@ -1,8 +1,10 @@
-"""Shared helpers: deterministic seed derivation, Monte-Carlo statistics
-and JSON field checks."""
+"""Shared helpers: deterministic seed derivation, Monte-Carlo statistics,
+JSON field checks and atomic file writes."""
 from __future__ import annotations
 
 import hashlib
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +14,7 @@ __all__ = [
     "mean_and_stderr",
     "variance_and_stderr",
     "json_int",
+    "atomic_write",
 ]
 
 
@@ -63,3 +66,18 @@ def json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {type(value).__name__}")
     return value
+
+
+def atomic_write(path: str | Path, data: str | bytes) -> None:
+    """Write `data` (text as UTF-8) to a temporary file beside `path`, then
+    os.replace it onto `path`: a reader sees the old file or the new one,
+    never a part. On failure the temporary file is removed and `path` is
+    left as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -1,10 +1,13 @@
 """The acceptance suite: every quantitative claim the laboratory commits
 to, as named checks shared by the CLI (verify-paper) and the test suite.
 
-Each check returns a CheckResult with a verdict and the measured
-quantities; sample counts and tolerances default to the committed
-values. A reduced configuration exists for smoke runs and the
-determinism check; it changes sample counts only, never tolerances.
+Every check is a function check(cfg, shared) -> (passed, details):
+a verdict and the measured quantities. `run_check` is the one place
+that times a check, names its CheckResult and converts its details to
+plain JSON types; `shared` holds the values several checks of one run
+read. Sample counts and tolerances default to the committed values.
+A reduced configuration exists for smoke runs and the determinism
+check; it changes sample counts only, never tolerances.
 """
 from __future__ import annotations
 
@@ -113,21 +116,11 @@ def _plain(value):
     return value
 
 
-def _result(name: str, passed: bool, started: float, **details) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=bool(passed),
-        runtime_seconds=time.perf_counter() - started,
-        details=_plain(details),
-    )
-
-
 # ---------------------------------------------------------------------------
 # 1. Quantum identity: circuit acceptance equals (1 + phi)/2 to 1e-10
 # ---------------------------------------------------------------------------
 
-def check_quantum_identity(cfg: VerifyConfig) -> CheckResult:
-    started = time.perf_counter()
+def check_quantum_identity(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     rng = derive_rng(cfg.seed, "accept-quantum")
     grid = list(itertools.product((8, 16, 32), (2, 3, 4, 5)))
     worst = 0.0
@@ -140,8 +133,7 @@ def check_quantum_identity(cfg: VerifyConfig) -> CheckResult:
         target = (1.0 + rorrelation.phi(u, z)) / 2.0
         worst = max(worst, abs(prob - target))
         trials += 1
-    return _result(
-        "quantum_identity", worst <= 1e-10, started,
+    return worst <= 1e-10, dict(
         trials=trials, worst_abs_error=worst, tolerance=1e-10,
     )
 
@@ -150,8 +142,7 @@ def check_quantum_identity(cfg: VerifyConfig) -> CheckResult:
 # 2. Sign-correlation closed form at a correlation grid
 # ---------------------------------------------------------------------------
 
-def check_sign_correlation(cfg: VerifyConfig) -> CheckResult:
-    started = time.perf_counter()
+def check_sign_correlation(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     rows = []
     ok = True
     for i, rho in enumerate((0.0, 0.3, -0.3, 0.7, -0.7, 0.95, -0.95)):
@@ -167,7 +158,7 @@ def check_sign_correlation(cfg: VerifyConfig) -> CheckResult:
         ok &= passed
         rows.append({"rho": rho, "estimate": mean, "stderr": stderr,
                      "closed_form": target, "passed": passed})
-    return _result("sign_correlation", ok, started, rows=rows)
+    return ok, dict(rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +168,11 @@ def check_sign_correlation(cfg: VerifyConfig) -> CheckResult:
 _EPHI_GRID = tuple(itertools.product((64, 128), (2, 3, 4)))
 
 
-def _ephi_exact(cfg: VerifyConfig, shared: dict | None) -> dict:
+def _ephi_exact(cfg: VerifyConfig, shared: dict) -> dict:
     """(exact E[phi], exact uniform variance) of every `ephi` matrix, keyed
     by (n, k, s). Each matrix is built once and dropped after both values
     are read; `shared` keeps the values (never the matrices) for the other
     check of the same run."""
-    shared = {} if shared is None else shared
     key = ("ephi", cfg.seed, cfg.expected_phi_seeds)
     if key not in shared:
         values = {}
@@ -195,8 +185,7 @@ def _ephi_exact(cfg: VerifyConfig, shared: dict | None) -> dict:
     return shared[key]
 
 
-def check_expected_phi(cfg: VerifyConfig, shared: dict | None = None) -> CheckResult:
-    started = time.perf_counter()
+def check_expected_phi(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     table = _ephi_exact(cfg, shared)
     floor_ok = True
     worst_gap = float("inf")
@@ -219,8 +208,7 @@ def check_expected_phi(cfg: VerifyConfig, shared: dict | None = None) -> CheckRe
         mc_ok &= passed
         mc_rows.append({"k": k, "exact": exact, "estimate": mean,
                         "stderr": stderr, "passed": passed})
-    return _result(
-        "expected_phi", floor_ok and mc_ok, started,
+    return floor_ok and mc_ok, dict(
         floor_satisfied=floor_ok, worst_gap_above_floor=worst_gap, monte_carlo=mc_rows,
     )
 
@@ -229,8 +217,7 @@ def check_expected_phi(cfg: VerifyConfig, shared: dict | None = None) -> CheckRe
 # 4. Uniform variance is exactly 1/N, and empirically so
 # ---------------------------------------------------------------------------
 
-def check_uniform_variance(cfg: VerifyConfig, shared: dict | None = None) -> CheckResult:
-    started = time.perf_counter()
+def check_uniform_variance(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     table = _ephi_exact(cfg, shared)
     exact_ok = True
     worst = 0.0
@@ -246,8 +233,7 @@ def check_uniform_variance(cfg: VerifyConfig, shared: dict | None = None) -> Che
     values = rorrelation.phi_batch(u, batch)
     var, var_stderr = variance_and_stderr(values)
     empirical_ok = abs(var - 1.0 / 64) <= 4.0 * var_stderr
-    return _result(
-        "uniform_variance", exact_ok and empirical_ok, started,
+    return exact_ok and empirical_ok, dict(
         worst_exact_error=worst, empirical_variance=var,
         empirical_stderr=var_stderr, target=1.0 / 64, empirical_passed=empirical_ok,
     )
@@ -257,8 +243,7 @@ def check_uniform_variance(cfg: VerifyConfig, shared: dict | None = None) -> Che
 # 5. Moment structure: parity zeros and the good-matrix budget
 # ---------------------------------------------------------------------------
 
-def check_moment_structure(cfg: VerifyConfig) -> CheckResult:
-    started = time.perf_counter()
+def check_moment_structure(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     rng = derive_rng(cfg.seed, "accept-moments")
     u256 = {k: ortho.sample_haar(256, sub_seed(cfg.seed, "moments", k)) for k in (2, 3)}
 
@@ -294,8 +279,7 @@ def check_moment_structure(cfg: VerifyConfig) -> CheckResult:
         audit_rows.append({"k": k, "sets": len(report.rows),
                            "worst_margin": report.worst_margin,
                            "violations": len(report.violations)})
-    return _result(
-        "moment_structure", small_zero_ok and odd_zero_ok and audit_ok, started,
+    return small_zero_ok and odd_zero_ok and audit_ok, dict(
         small_sets_exactly_zero=small_zero_ok, odd_parity_exactly_zero=odd_zero_ok,
         audits=audit_rows,
     )
@@ -305,8 +289,7 @@ def check_moment_structure(cfg: VerifyConfig) -> CheckResult:
 # 6. Decomposition identity on a random tree corpus
 # ---------------------------------------------------------------------------
 
-def check_fourier_decomposition(cfg: VerifyConfig) -> CheckResult:
-    started = time.perf_counter()
+def check_fourier_decomposition(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     rng = derive_rng(cfg.seed, "accept-decomp")
     worst = 0.0
     checked = 0
@@ -319,8 +302,7 @@ def check_fourier_decomposition(cfg: VerifyConfig) -> CheckResult:
             lhs, rhs = dtree.decomposition_sides(tree, subset)
             worst = max(worst, abs(lhs - rhs))
             checked += 1
-    return _result(
-        "fourier_decomposition", worst <= 1e-9, started,
+    return worst <= 1e-9, dict(
         trees=cfg.decomposition_trees, identities_checked=checked,
         worst_abs_gap=worst, tolerance=1e-9,
     )
@@ -352,8 +334,7 @@ def _bound_corpus(cfg: VerifyConfig) -> list[tuple[str, dtree.DecisionTree]]:
     return corpus
 
 
-def check_level_bounds(cfg: VerifyConfig) -> CheckResult:
-    started = time.perf_counter()
+def check_level_bounds(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     binom_ok = level1_ok = levelell_ok = True
     worst_binom = worst_l1 = worst_lell = 0.0
     trees = 0
@@ -381,8 +362,7 @@ def check_level_bounds(cfg: VerifyConfig) -> CheckResult:
                     levelell_ok = False
                 if bound > 0:
                     worst_lell = max(worst_lell, l1 / bound)
-    return _result(
-        "level_bounds", binom_ok and level1_ok and levelell_ok, started,
+    return binom_ok and level1_ok and levelell_ok, dict(
         trees=trees, binom_bound_ok=binom_ok, max_binom_ratio=worst_binom,
         level1_ok=level1_ok, max_level1_ratio=worst_l1,
         level_ell_ok=levelell_ok, max_level_ell_ratio=worst_lell,
@@ -393,8 +373,7 @@ def check_level_bounds(cfg: VerifyConfig) -> CheckResult:
 # 8. Address exactness and the composition's sqrt(d) excess
 # ---------------------------------------------------------------------------
 
-def check_address_exactness(cfg: VerifyConfig) -> CheckResult:
-    started = time.perf_counter()
+def check_address_exactness(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     exact_ok = True
     rows = []
     for d in (1, 2, 3):
@@ -414,8 +393,7 @@ def check_address_exactness(cfg: VerifyConfig) -> CheckResult:
         if target > 0:
             best_ratio = max(best_ratio, boolfn.l1_level(spec, ell) / target)
     ratio_ok = best_ratio >= 1.2
-    return _result(
-        "address_exactness", exact_ok and ratio_ok, started,
+    return exact_ok and ratio_ok, dict(
         exact_equalities=exact_ok, mismatches=rows,
         composition_best_ratio=best_ratio, ratio_threshold=1.2,
     )
@@ -425,8 +403,7 @@ def check_address_exactness(cfg: VerifyConfig) -> CheckResult:
 # 9. Goodness of Haar samples; Hadamard and identity counterexamples
 # ---------------------------------------------------------------------------
 
-def check_goodness(cfg: VerifyConfig) -> CheckResult:
-    started = time.perf_counter()
+def check_goodness(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     haar_ok = True
     haar_rows = []
     for n in (64, 128, 256):
@@ -444,8 +421,7 @@ def check_goodness(cfg: VerifyConfig) -> CheckResult:
     id_report = ortho.check_goodness(identity, sampled_pairs=100, max_block=4,
                                      seed=sub_seed(cfg.seed, "good-id"))
     identity_ok = id_report.violation_count > 0
-    return _result(
-        "goodness", haar_ok and hadamard_ok and identity_ok, started,
+    return haar_ok and hadamard_ok and identity_ok, dict(
         haar=haar_rows, hadamard_norm=norm, hadamard_bound=bound,
         hadamard_flagged=hadamard_ok, identity_flagged=identity_ok,
     )
@@ -455,8 +431,7 @@ def check_goodness(cfg: VerifyConfig) -> CheckResult:
 # 10. Bilinear tails against the Gaussian-limit oracle
 # ---------------------------------------------------------------------------
 
-def check_tail_bounds(cfg: VerifyConfig) -> CheckResult:
-    started = time.perf_counter()
+def check_tail_bounds(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     report = ortho.bilinear_tail_check(256, cfg.tail_trials, sub_seed(cfg.seed, "tails"))
     ok = True
     rows = []
@@ -468,15 +443,14 @@ def check_tail_bounds(cfg: VerifyConfig) -> CheckResult:
         ok &= passed and subg
         rows.append({**row, "oracle_sigma": sigma, "gaussian_passed": passed,
                      "subgaussian_passed": subg})
-    return _result("tail_bounds", ok, started, n=256, trials=cfg.tail_trials, rows=rows)
+    return ok, dict(n=256, trials=cfg.tail_trials, rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # 11. Distinguishing sanity: null trees, the arcsine tree, the envelope
 # ---------------------------------------------------------------------------
 
-def check_distinguishing(cfg: VerifyConfig) -> CheckResult:
-    started = time.perf_counter()
+def check_distinguishing(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     k = 2
     ok = True
     envelope_rows = []
@@ -484,41 +458,34 @@ def check_distinguishing(cfg: VerifyConfig) -> CheckResult:
     arcsine_rows = []
     for n in (64, 256):
         u = ortho.sample_haar(n, sub_seed(cfg.seed, "dist", n))
-        uniform = dist.sample_uniform_batch(k, n, cfg.advantage_samples,
-                                            sub_seed(cfg.seed, "dist-u", n))
-        chained = dist.sample_duk_batch(u, k, cfg.advantage_samples,
-                                        sub_seed(cfg.seed, "dist-d", n))
-        flat_u = uniform.reshape(cfg.advantage_samples, -1)
-        flat_d = chained.reshape(cfg.advantage_samples, -1)
+        reports = distinguish.advantage_corpus(
+            distinguish.standard_corpus(u, k, cfg.seed), u, k, cfg.advantage_samples,
+            sub_seed(cfg.seed, "dist-arms", n))
+        by_tree = {r.tree_id: r for r in reports}
 
-        corpus = distinguish.standard_corpus(u, k, cfg.seed)
-        est, _ = distinguish.two_arm_advantage(dict(corpus)["const1"], flat_u, flat_d)
-        const_ok = est == 0.0
-        dict_est, dict_err = distinguish.two_arm_advantage(
-            distinguish.dictator_tree(k, n, 1, 1), flat_u, flat_d)
-        dict_ok = abs(dict_est) <= 4.0 * max(dict_err, 1e-12)
+        const, dictator = by_tree["const1"], by_tree["dictator-b1"]
+        const_ok = const.estimate == 0.0
+        dict_ok = abs(dictator.estimate) <= 4.0 * max(dictator.stderr, 1e-12)
         ok &= const_ok and dict_ok
-        null_rows.append({"n": n, "const_advantage": est, "const_ok": const_ok,
-                          "dictator_advantage": dict_est, "dictator_stderr": dict_err,
-                          "dictator_ok": dict_ok})
+        null_rows.append({"n": n, "const_advantage": const.estimate, "const_ok": const_ok,
+                          "dictator_advantage": dictator.estimate,
+                          "dictator_stderr": dictator.stderr, "dictator_ok": dict_ok})
 
-        tree = distinguish.cross_block_parity_tree(k, n, 1, 1)
-        est, stderr = distinguish.two_arm_advantage(tree, flat_u, flat_d)
+        # parity-cross is the parity of z^(1)_1 and z^(2)_1: arcsine law of U_11.
+        parity = by_tree["parity-cross"]
         closed = -0.5 * rorrelation.sign_correlation(u.entries[0, 0])
-        parity_ok = abs(est - closed) <= 4.0 * stderr
+        parity_ok = abs(parity.estimate - closed) <= 4.0 * parity.stderr
         ok &= parity_ok
-        arcsine_rows.append({"n": n, "estimate": est, "stderr": stderr,
+        arcsine_rows.append({"n": n, "estimate": parity.estimate, "stderr": parity.stderr,
                              "closed_form": closed, "passed": parity_ok})
 
-        for name, tree in corpus:
-            est, stderr = distinguish.two_arm_advantage(tree, flat_u, flat_d)
-            bound = distinguish.thm_main_bound(max(tree.depth, 1), k, n)
-            passed = abs(est) <= 10.0 * bound
+        for r in reports:
+            passed = abs(r.estimate) <= 10.0 * r.theory_bound
             ok &= passed
-            envelope_rows.append({"n": n, "tree": name, "advantage": est,
-                                  "stderr": stderr, "bound": bound, "passed": passed})
-    return _result(
-        "distinguishing_sanity", ok, started,
+            envelope_rows.append({"n": n, "tree": r.tree_id, "advantage": r.estimate,
+                                  "stderr": r.stderr, "bound": r.theory_bound,
+                                  "passed": passed})
+    return ok, dict(
         null_trees=null_rows, arcsine_tree=arcsine_rows, envelope=envelope_rows,
     )
 
@@ -527,11 +494,10 @@ def check_distinguishing(cfg: VerifyConfig) -> CheckResult:
 # 12. Determinism of the reporting pipeline
 # ---------------------------------------------------------------------------
 
-def check_determinism(cfg: VerifyConfig) -> CheckResult:
+def check_determinism(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     """Re-run a representative slice of the suite and compare serialized
     results byte for byte. The full-manifest determinism test lives in
     the test suite, which builds two complete manifests."""
-    started = time.perf_counter()
 
     def slice_once() -> str:
         u = ortho.sample_haar(32, sub_seed(cfg.seed, "det"))
@@ -547,8 +513,7 @@ def check_determinism(cfg: VerifyConfig) -> CheckResult:
         }, sort_keys=True)
 
     first, second = slice_once(), slice_once()
-    return _result("determinism", first == second, started,
-                   slices_match=first == second)
+    return first == second, dict(slices_match=first == second)
 
 
 CHECK_NAMES = {
@@ -567,19 +532,22 @@ CHECK_NAMES = {
 }
 
 
-# Checks that read the exact `ephi` values, computed once per run.
-_EPHI_CHECKS = {"expected_phi", "uniform_variance"}
-
-
 def run_check(name: str, cfg: VerifyConfig, shared: dict | None = None) -> CheckResult:
-    """Run one check; `shared` holds values that several checks of one
-    run read, so they are computed once per run."""
+    """Run and time one check; `shared` holds values that several checks of
+    one run read, so they are computed once per run."""
     check = CHECK_NAMES[name]
-    return check(cfg, shared) if name in _EPHI_CHECKS else check(cfg)
+    started = time.perf_counter()
+    passed, details = check(cfg, {} if shared is None else shared)
+    return CheckResult(name=name, passed=bool(passed),
+                       runtime_seconds=time.perf_counter() - started, details=_plain(details))
 
 
 def run_all(cfg: VerifyConfig, names: list[str] | None = None) -> list[CheckResult]:
+    """Run the named checks (all by default) in order, sharing one run's values."""
     selected = names or list(CHECK_NAMES)
+    unknown = [name for name in selected if name not in CHECK_NAMES]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}")
     shared: dict = {}
     return [run_check(name, cfg, shared) for name in selected]
 
@@ -615,22 +583,10 @@ def manifest_to_json(manifest: dict) -> str:
     return json.dumps(manifest, sort_keys=True, indent=2)
 
 
-# Detail fields that report_rows tabulates, per check: the list of rows they
-# sit in (None: the details object itself), the fields that must be numbers,
-# and the fields that must only be present.
-_REPORTED_DETAILS = {
-    "expected_phi": ("monte_carlo", ("estimate", "exact"), ("k", "passed")),
-    "uniform_variance": (None, ("empirical_variance", "target"), ("empirical_passed",)),
-    "level_bounds": (None, ("max_binom_ratio", "max_level1_ratio",
-                            "max_level_ell_ratio"), ()),
-    "distinguishing_sanity": ("envelope", ("advantage", "bound"), ("tree", "n", "passed")),
-}
-
-
 def manifest_from_json(text: str) -> dict:
-    """Parse a manifest and check the shape report_rows reads: an object
-    whose `checks` is a list of objects with a string `name`, a boolean
-    `passed` and an object `details` holding the tabulated fields."""
+    """Parse a manifest and check its shape: an object whose `checks` is a
+    list of objects with a string `name`, a boolean `passed` and an object
+    `details`; report_rows then checks the tabulated fields."""
     manifest = json.loads(text)
     checks = manifest.get("checks") if isinstance(manifest, dict) else None
     if not isinstance(checks, list):
@@ -641,53 +597,59 @@ def manifest_from_json(text: str) -> dict:
                 and isinstance(check.get("details"), dict)):
             raise ValueError("each manifest check needs a string name, a boolean "
                              "passed and an object details")
-        if check["name"] not in _REPORTED_DETAILS:
-            continue
-        rows_key, numbers, present = _REPORTED_DETAILS[check["name"]]
-        rows = check["details"].get(rows_key, []) if rows_key else [check["details"]]
-        if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
-            raise ValueError(f"manifest check {check['name']}: {rows_key} must be "
-                             "a list of objects")
-        for row in rows:
-            for key in numbers:
-                value = row.get(key)
-                # A number a double holds: no booleans, NaN, infinities or huge integers.
-                if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-                    raise ValueError(f"manifest check {check['name']}: {key} must be "
-                                     "a finite number")
-            missing = [key for key in present if key not in row]
-            if missing:
-                raise ValueError(f"manifest check {check['name']}: missing {missing}")
+    report_rows(manifest)
     return manifest
 
 
+def _detail_rows(name: str, details: dict, key: str) -> list[dict]:
+    rows = details.get(key, [])
+    if not (isinstance(rows, list) and all(isinstance(row, dict) for row in rows)):
+        raise ValueError(f"manifest check {name}: {key} must be a list of objects")
+    return rows
+
+
+def _fields(name: str, row: dict, numbers: tuple, present: tuple = ()) -> list:
+    """The values of `numbers`, each a number a double holds (no booleans,
+    NaN, infinities or huge integers), then of `present`, each any value."""
+    for key in numbers:
+        value = row.get(key)
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"manifest check {name}: {key} must be a finite number")
+    missing = [key for key in present if key not in row]
+    if missing:
+        raise ValueError(f"manifest check {name}: missing {missing}")
+    return [row[key] for key in numbers + present]
+
+
 def report_rows(manifest: dict) -> list[dict]:
-    """The rows `rorrlab report` tabulates from a manifest that
-    manifest_from_json accepted."""
+    """The rows `rorrlab report` tabulates from a manifest of the shape
+    manifest_from_json checks; refuses (ValueError) a tabulated field that
+    is missing or not a finite number."""
     rows = []
     for check in manifest["checks"]:
         name, details = check["name"], check["details"]
         if name == "expected_phi":
-            for row in details.get("monte_carlo", []):
-                rows.append({"check": name, "quantity": f"E[phi] k={row['k']}",
-                             "measured": row["estimate"],
-                             "reference": row["exact"], "passed": row["passed"]})
+            for row in _detail_rows(name, details, "monte_carlo"):
+                estimate, exact, k, passed = _fields(name, row, ("estimate", "exact"),
+                                                     ("k", "passed"))
+                rows.append({"check": name, "quantity": f"E[phi] k={k}",
+                             "measured": estimate, "reference": exact, "passed": passed})
         elif name == "uniform_variance":
+            variance, target, passed = _fields(name, details, ("empirical_variance", "target"),
+                                               ("empirical_passed",))
             rows.append({"check": name, "quantity": "Var[phi] uniform",
-                         "measured": details["empirical_variance"],
-                         "reference": details["target"],
-                         "passed": details["empirical_passed"]})
+                         "measured": variance, "reference": target, "passed": passed})
         elif name == "level_bounds":
-            for key in ("max_binom_ratio", "max_level1_ratio", "max_level_ell_ratio"):
-                rows.append({"check": name, "quantity": key,
-                             "measured": details[key], "reference": 1.0,
-                             "passed": details[key] <= 1.0})
+            keys = ("max_binom_ratio", "max_level1_ratio", "max_level_ell_ratio")
+            for key, ratio in zip(keys, _fields(name, details, keys)):
+                rows.append({"check": name, "quantity": key, "measured": ratio,
+                             "reference": 1.0, "passed": ratio <= 1.0})
         elif name == "distinguishing_sanity":
-            for row in details.get("envelope", []):
-                rows.append({"check": name,
-                             "quantity": f"advantage {row['tree']} N={row['n']}",
-                             "measured": row["advantage"],
-                             "reference": row["bound"], "passed": row["passed"]})
+            for row in _detail_rows(name, details, "envelope"):
+                advantage, bound, tree, n, passed = _fields(
+                    name, row, ("advantage", "bound"), ("tree", "n", "passed"))
+                rows.append({"check": name, "quantity": f"advantage {tree} N={n}",
+                             "measured": advantage, "reference": bound, "passed": passed})
         else:
             rows.append({"check": name, "quantity": "passed",
                          "measured": float(check["passed"]), "reference": 1.0,

@@ -7,9 +7,10 @@ carries one.
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from rorrlab import ortho
+from rorrlab import ortho, verify
 from rorrlab.verify import (
     CheckResult,
     VerifyConfig,
@@ -166,3 +167,28 @@ def test_ephi_matrices_built_once_per_run(monkeypatch):
     builds.clear()
     run_all(cfg, ["uniform_variance"])
     assert len(builds) == 6 * cfg.expected_phi_seeds + 1
+
+
+def test_run_all_refuses_an_unknown_check_before_running_any(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.CHECK_NAMES, "quantum_identity",
+                        lambda cfg, shared: ran.append(cfg) or (True, {}))
+    with pytest.raises(ValueError, match="nope"):
+        run_all(VerifyConfig.reduced(), ["quantum_identity", "nope"])
+    assert ran == []
+
+
+def test_run_check_names_times_and_converts_every_result(monkeypatch):
+    # Checks return (passed, details); run_check names each result after
+    # its CHECK_NAMES key, times it and converts numpy values to plain ones.
+    for name in verify.CHECK_NAMES:
+        monkeypatch.setitem(verify.CHECK_NAMES, name, lambda cfg, shared: (
+            np.bool_(True), {"value": np.float64(0.5), "rows": (np.int64(1),)}))
+    names = ["goodness", "quantum_identity", "determinism", "level_bounds"]
+    results = run_all(VerifyConfig.reduced(), names)
+    assert [r.name for r in results] == names
+    assert list(build_manifest(VerifyConfig.reduced(), results)["timing"]["per_check"]) == names
+    for r in results:
+        assert r.passed is True and r.runtime_seconds >= 0.0
+        assert r.details == {"value": 0.5, "rows": [1]}
+        assert type(r.details["value"]) is float and type(r.details["rows"][0]) is int

@@ -1,7 +1,9 @@
 """End-to-end CLI flows on temporary files."""
 import json
 import math
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,6 +344,12 @@ def _config_file(doc):
     return build
 
 
+def _one_by_one_matrix(tmp_path):
+    path = tmp_path / "one.mat"
+    ortho.save_matrix(path, ortho.sample_haar(1, seed=0))
+    return str(path)
+
+
 def _child(lo, hi):
     return {"n": 4, "root": 0, "nodes": [
         {"q": 0, "lo": lo, "hi": hi, "out": None},
@@ -367,11 +375,13 @@ def _child(lo, hi):
     lambda tmp_path: ["advantage", "--matrix", _matrix_and_instances(tmp_path)[0], "--k", "1"],
     lambda tmp_path: ["moments", "--matrix", _matrix_and_instances(tmp_path)[0], "--k", "2",
                       "--set", "1;2", "--method", "mc", "--mc-samples", "3"],
+    lambda tmp_path: ["advantage", "--matrix", _one_by_one_matrix(tmp_path), "--k", "2",
+                      "--samples", "10"],
 ], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "negative-child",
         "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
         "fourier-without-input", "config-count-is-text", "config-one-advantage-sample",
         "config-not-an-object", "moments-repeated-index", "advantage-one-fold",
-        "moments-one-antithetic-pair"])
+        "moments-one-antithetic-pair", "advantage-corpus-at-n-1"])
 def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys):
     argv = build(tmp_path)
     with warnings.catch_warnings():
@@ -380,6 +390,47 @@ def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys):
     assert code == 2 and stdout == ""
     assert err.count("\n") == 1 and err.startswith("error:")
     assert not (tmp_path / "m.json").exists()
+
+
+def _report_argv(tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"checks": [{"name": "goodness", "passed": True,
+                                                "details": {}}]}))
+    (tmp_path / "report").mkdir()
+    return ["report", str(manifest), "--out-dir", str(tmp_path / "report")]
+
+
+@pytest.mark.parametrize("target, build", [
+    ("u.mat", lambda tmp_path: ["sample-matrix", "--n", "4", "--out", str(tmp_path / "u.mat")]),
+    ("u.csv", lambda tmp_path: ["sample-matrix", "--n", "4", "--out", str(tmp_path / "v.mat"),
+                                "--csv", str(tmp_path / "u.csv")]),
+    ("z.inst", lambda tmp_path: ["sample-dist", "--dist", "uniform", "--n", "4", "--k", "2",
+                                 "--count", "3", "--out", str(tmp_path / "z.inst")]),
+    ("good.json", lambda tmp_path: ["check-good", "--matrix", _matrix_and_instances(tmp_path)[0],
+                                    "--out", str(tmp_path / "good.json")]),
+    ("report/report.csv", _report_argv),
+    ("report/advantage_vs_bound.csv", _report_argv),
+], ids=["sample-matrix-out", "sample-matrix-csv", "sample-dist-out", "check-good-out",
+        "report-csv", "report-sidecar-csv"])
+def test_failed_replace_keeps_the_old_output(target, build, tmp_path, capsys, monkeypatch):
+    # Every output goes through a temporary file and os.replace; when the
+    # replace fails the command exits 2 and the old file keeps its bytes.
+    argv = build(tmp_path)
+    path = tmp_path / target
+    path.write_bytes(b"old bytes")
+    replace = os.replace
+
+    def refuse(src, dst):
+        if Path(dst) == path:
+            raise OSError("replace refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, stdout, err = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    assert path.read_bytes() == b"old bytes"
+    assert not path.with_name(path.name + ".tmp").exists()
 
 
 def test_qsim_simulates_each_instance_once(tmp_path, capsys, monkeypatch):

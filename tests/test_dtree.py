@@ -411,12 +411,7 @@ def test_level_ell_bound_corpus_and_variants():
         p = acceptance_probability(tree)
         for ell in range(1, tree.depth + 1):
             loose = dtree.level_ell_bound(tree.depth, tree.n, p, ell, constant=32.0)
-            tight = dtree.level_ell_bound(tree.depth, tree.n, p, ell,
-                                          constant=32.0, variant="ln")
-            assert loose >= tight  # log2(4 n^i / p) dominates ln(e n^i / p)
             assert l1_level(spec, ell) <= loose + 1e-12
-    with pytest.raises(ValueError):
-        dtree.level_ell_bound(4, 8, 0.5, 2, variant="nope")
 
 
 def test_mixture_spectrum_convexity():
