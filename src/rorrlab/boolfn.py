@@ -37,10 +37,7 @@ __all__ = [
     "validate_bit_vector",
     "fourier_from_truth_table",
     "l1_level",
-    "evaluate_multilinear",
-    "convert_convention",
     "walsh_hadamard_inplace",
-    "truth_table_index",
     "point_from_index",
     "spectrum_to_json",
     "spectrum_from_json",
@@ -131,9 +128,6 @@ class FourierSpectrum:
             return 0.0  # beyond every key; its mask may be huge
         return self.masks.get(sum(1 << (i - 1) for i in variables), 0.0)
 
-    def squared_mass(self) -> float:
-        return float(sum(c * c for c in self.masks.values()))
-
 
 class _SubsetView(Mapping):
     """A spectrum's coefficients under sorted 1-based tuple keys."""
@@ -170,19 +164,15 @@ def _mask_subset(mask: int) -> tuple[int, ...]:
     return tuple(subset)
 
 
-def truth_table_index(x: np.ndarray) -> int:
-    """Position of the point x in the truth-table ordering."""
-    idx = 0
-    for i, xi in enumerate(x):
-        if xi == -1:
-            idx |= 1 << i
-    return idx
-
-
-def point_from_index(b: int, n: int) -> np.ndarray:
-    """Inverse of truth_table_index: the +-1 point at position b."""
-    bits = (b >> np.arange(n)) & 1
-    return np.where(bits == 1, -1, 1).astype(np.int8)
+def point_from_index(b: int | np.ndarray, n: int) -> np.ndarray:
+    """The +-1 point (int8) at truth-table position b: x_i = -1 exactly
+    when bit i-1 of b is set. An array of positions gives one point per
+    position, along a new last axis."""
+    b = np.asarray(b)
+    point = np.empty(b.shape + (n,), dtype=np.int8)
+    for i in range(n):
+        point[..., i] = 1 - 2 * ((b >> i) & 1)
+    return point
 
 
 def walsh_hadamard_inplace(values: np.ndarray) -> np.ndarray:
@@ -225,39 +215,6 @@ def l1_level(spec: FourierSpectrum, ell: int) -> float:
     if not (0 <= ell <= spec.n):
         raise ValueError(f"level {ell} out of range for n={spec.n}")
     return float(sum(abs(c) for mask, c in spec.masks.items() if mask.bit_count() == ell))
-
-
-def evaluate_multilinear(spec: FourierSpectrum, x: Sequence[float]) -> float:
-    """Evaluate the multilinear polynomial at a +-1 point."""
-    point = validate_bit_vector(x)
-    if point.size != spec.n:
-        raise ValueError(f"point has {point.size} entries, expected {spec.n}")
-    # A monomial is -1 exactly when it holds an odd number of the -1 variables.
-    minus = truth_table_index(point)
-    total = 0.0
-    for mask, coeff in spec.masks.items():
-        total += -coeff if (mask & minus).bit_count() & 1 else coeff
-    return total
-
-
-def convert_convention(
-    spec: FourierSpectrum,
-    source: OutputConvention,
-    target: OutputConvention,
-) -> FourierSpectrum:
-    """Re-express a spectrum in the other output convention (v = 2b - 1)."""
-    if source == target:
-        return spec
-    if source == OutputConvention.ZERO_ONE:
-        # v = 2b - 1: double everything, shift the constant by -1.
-        out = {mask: 2.0 * c for mask, c in spec.masks.items()}
-        out[0] = out.get(0, 0.0) - 1.0
-    else:
-        # b = (v + 1) / 2: halve everything, shift the constant by +1/2.
-        out = {mask: 0.5 * c for mask, c in spec.masks.items()}
-        out[0] = out.get(0, 0.0) + 0.5
-    out = {mask: c for mask, c in out.items() if abs(c) > DROP_THRESHOLD}
-    return FourierSpectrum(n=spec.n, masks=out)
 
 
 # ---------------------------------------------------------------------------

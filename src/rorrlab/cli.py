@@ -3,7 +3,9 @@
 Subcommands: sample-matrix, check-good, rorrelate, classify, sample-dist,
 moments, qsim, fourier, tree-corpus, advantage, verify-paper, report.
 Every command validates its inputs before any file is written and writes
-output files atomically. Randomness is controlled by --seed everywhere.
+output files atomically; a command that writes several files writes them
+as one set (util.file_set), so a failure leaves every target as it was.
+Randomness is controlled by --seed everywhere.
 A refused input (a ValueError or OSError from any layer) ends in exit
 code 2 and one `error:` line on stderr, printed by `main` alone.
 """
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, boolfn, dist, distinguish, dtree, ortho, qsim, rorrelation
-from .util import atomic_write
+from .util import atomic_write, file_set
 from .verify import (
     VerifyConfig,
     build_manifest,
@@ -47,9 +49,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_sample_matrix(args) -> int:
     u = ortho.sample_haar(args.n, args.seed)
-    digest = ortho.save_matrix(args.out, u)
-    if args.csv:
-        ortho.save_matrix_csv(args.csv, u)
+    with file_set() as stage:
+        digest = ortho.save_matrix(stage(args.out), u)
+        if args.csv:
+            ortho.save_matrix_csv(stage(args.csv), u)
     print(json.dumps({"n": args.n, "seed": args.seed, "path": args.out,
                       "sha256": digest}))
     return 0
@@ -195,19 +198,20 @@ def cmd_tree_corpus(args) -> int:
     dtree.check_random_tree_shape(args.n, args.d)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_lines = []
-    for i in range(args.count):
-        tree = dtree.random_tree(args.n, args.d, args.seed + i)
-        text = dtree.tree_to_json(tree)
-        name = f"tree_{i:04d}.json"
-        atomic_write(out_dir / name, text)
-        manifest_lines.append(json.dumps({
-            "file": name,
-            "n": args.n,
-            "d": args.d,
-            "seed": args.seed + i,
-            "sha256": hashlib.sha256(text.encode()).hexdigest(),
-        }, sort_keys=True))
-    atomic_write(out_dir / "corpus.jsonl", "\n".join(manifest_lines) + "\n")
+    with file_set() as stage:
+        for i in range(args.count):
+            tree = dtree.random_tree(args.n, args.d, args.seed + i)
+            text = dtree.tree_to_json(tree)
+            name = f"tree_{i:04d}.json"
+            atomic_write(stage(out_dir / name), text)
+            manifest_lines.append(json.dumps({
+                "file": name,
+                "n": args.n,
+                "d": args.d,
+                "seed": args.seed + i,
+                "sha256": hashlib.sha256(text.encode()).hexdigest(),
+            }, sort_keys=True))
+        atomic_write(stage(out_dir / "corpus.jsonl"), "\n".join(manifest_lines) + "\n")
     print(json.dumps({"count": args.count, "dir": str(out_dir)}))
     return 0
 
@@ -265,26 +269,26 @@ def cmd_report(args) -> int:
             all_rows.append({"manifest": Path(path).name, **row})
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    with file_set() as stage:
+        csv_path = out_dir / "report.csv"
+        _write_csv(stage(csv_path), ["manifest", "check", "quantity", "measured",
+                                     "reference", "passed"], all_rows)
+        shape_path = out_dir / "advantage_vs_bound.csv"
+        _write_csv(stage(shape_path), ["manifest", "quantity", "measured", "reference"],
+                   [r for r in all_rows if r["check"] == "distinguishing_sanity"])
 
-    csv_path = out_dir / "report.csv"
-    _write_csv(csv_path, ["manifest", "check", "quantity", "measured", "reference",
-                          "passed"], all_rows)
-    shape_path = out_dir / "advantage_vs_bound.csv"
-    _write_csv(shape_path, ["manifest", "quantity", "measured", "reference"],
-               [r for r in all_rows if r["check"] == "distinguishing_sanity"])
-
-    lines = ["# Verification report", ""]
-    lines.append("| manifest | check | quantity | measured | reference | passed |")
-    lines.append("|---|---|---|---|---|---|")
-    for r in all_rows:
-        lines.append(
-            f"| {r['manifest']} | {r['check']} | {r['quantity']} "
-            f"| {r['measured']:.6g} | {r['reference']:.6g} | {r['passed']} |"
-        )
-    lines.append("")
-    lines.append(f"Plot data: `{shape_path.name}` (advantage vs bound shape).")
-    md_path = out_dir / "report.md"
-    atomic_write(md_path, "\n".join(lines) + "\n")
+        lines = ["# Verification report", ""]
+        lines.append("| manifest | check | quantity | measured | reference | passed |")
+        lines.append("|---|---|---|---|---|---|")
+        for r in all_rows:
+            lines.append(
+                f"| {r['manifest']} | {r['check']} | {r['quantity']} "
+                f"| {r['measured']:.6g} | {r['reference']:.6g} | {r['passed']} |"
+            )
+        lines.append("")
+        lines.append(f"Plot data: `{shape_path.name}` (advantage vs bound shape).")
+        md_path = out_dir / "report.md"
+        atomic_write(stage(md_path), "\n".join(lines) + "\n")
     print(json.dumps({"csv": str(csv_path), "markdown": str(md_path),
                       "sidecar": str(shape_path), "rows": len(all_rows)}))
     return 0

@@ -35,8 +35,6 @@ __all__ = [
     "split_global_set",
     "duk_moment_bound",
     "moment_bound_audit",
-    "max_chain_sides",
-    "max_chain_inequality",
 ]
 
 MC_CHUNK = 8192
@@ -85,11 +83,6 @@ class MomentEstimate:
     stderr: float
     samples: int
     exact: bool
-
-    def within(self, target: float, sigmas: float = 4.0) -> bool:
-        if self.exact:
-            return math.isclose(self.value, target, rel_tol=0, abs_tol=1e-12)
-        return abs(self.value - target) <= sigmas * self.stderr
 
 
 def u_tilde_exact_1x1(u: OrthogonalMatrix, i: int, j: int) -> MomentEstimate:
@@ -327,20 +320,3 @@ def moment_bound_audit(
         n=u.n, k=k, constant=constant, rows=rows, violations=violations
     )
 
-
-# ---------------------------------------------------------------------------
-# Max-chain inequality: sum of adjacent maxima dominates (k-1)/k of the sum
-# ---------------------------------------------------------------------------
-
-def max_chain_sides(values: Sequence[float]) -> tuple[float, float]:
-    a = [float(v) for v in values]
-    if len(a) < 2:
-        raise ValueError("need at least two values")
-    lhs = sum(max(a[i], a[i + 1]) for i in range(len(a) - 1))
-    rhs = sum(a) * (len(a) - 1) / len(a)
-    return lhs, rhs
-
-
-def max_chain_inequality(values: Sequence[float]) -> bool:
-    lhs, rhs = max_chain_sides(values)
-    return lhs >= rhs - 1e-12 * max(1.0, abs(rhs))

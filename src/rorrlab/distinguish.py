@@ -2,10 +2,11 @@
 
 Trees here run over kN variables in block-major layout: global variable
 (j-1)*N + i is coordinate i of z^(j). The advantage of a tree F is
-E[F(uniform)] - E[F(D_{U,k})]; theory-bound evaluators give the shapes
-the advantage is compared against, with unspecified big-O constants
-pinned to 1 (reported, never asserted; only the 10x sanity envelope is
-a hard test).
+E[F(uniform)] - E[F(D_{U,k})]; `thm_main_bound` gives the shape it is
+compared against, with the unspecified big-O constant pinned to 1
+(reported, never asserted; only the 10x sanity envelope is a hard test).
+A randomized tree's advantage is the weighted mean of its trees'
+advantages on one draw of the arms (see `advantage_corpus`).
 """
 from __future__ import annotations
 
@@ -17,23 +18,18 @@ from typing import Sequence
 import numpy as np
 
 from .dist import sample_duk_batch, sample_uniform_batch
-from .dtree import (DecisionTree, Node, TreeMixture, evaluate_rows, grow, make_dictator,
-                    make_parity, random_tree)
+from .dtree import (DecisionTree, Node, evaluate_rows, grow, make_dictator, make_parity,
+                    random_tree)
 from .ortho import OrthogonalMatrix
-from .rorrelation import classify_value, phi_batch, Label
-from .util import derive_rng, sub_seed
+from .util import sub_seed
 
 __all__ = [
     "AdvantageReport",
-    "MisclassificationReport",
     "global_index",
     "evaluate_batch",
     "advantage",
     "advantage_corpus",
     "thm_main_bound",
-    "conjectured_bound",
-    "lower_bound_depth",
-    "misclassification_rate",
     "cross_block_parity_tree",
     "within_block_parity_tree",
     "dictator_tree",
@@ -49,13 +45,8 @@ def global_index(block: int, coord: int, n: int) -> int:
     return (block - 1) * n + coord
 
 
-def evaluate_batch(tree: DecisionTree | TreeMixture, batch: np.ndarray) -> np.ndarray:
-    """Tree outputs over a (m, vars) +-1 batch; mixtures give expectations."""
-    if isinstance(tree, TreeMixture):
-        out = np.zeros(batch.shape[0])
-        for weight, component in tree.components:
-            out += weight * evaluate_rows(component, batch)
-        return out
+def evaluate_batch(tree: DecisionTree, batch: np.ndarray) -> np.ndarray:
+    """Tree outputs, as floats, over a (m, vars) +-1 batch."""
     return evaluate_rows(tree, batch).astype(float)
 
 
@@ -87,7 +78,7 @@ class AdvantageReport:
 
 
 def advantage(
-    tree: DecisionTree | TreeMixture,
+    tree: DecisionTree,
     u: OrthogonalMatrix,
     k: int,
     samples: int,
@@ -99,7 +90,7 @@ def advantage(
 
 
 def advantage_corpus(
-    pairs: Sequence[tuple[str, DecisionTree | TreeMixture]],
+    pairs: Sequence[tuple[str, DecisionTree]],
     u: OrthogonalMatrix,
     k: int,
     samples: int,
@@ -142,78 +133,6 @@ def thm_main_bound(d: int, k: int, n: int) -> float:
     if d < 1:
         raise ValueError("depth must be positive")
     return float((d * math.log(k * n)) ** ((3 * k - 1) / 4.0) / n ** ((k - 1) / 2.0))
-
-
-def conjectured_bound(d: int, k: int, n: int) -> float:
-    """(d (ln kN)^(2-1/k) / N^(1-1/k))^(k/2), constant pinned to 1."""
-    if d < 1:
-        raise ValueError("depth must be positive")
-    inner = d * math.log(k * n) ** (2.0 - 1.0 / k) / n ** (1.0 - 1.0 / k)
-    return float(inner ** (k / 2.0))
-
-
-def lower_bound_depth(k: int, n: int) -> float:
-    """N^(2(k-1)/(3k-1)) / (k ln(kN)), constant pinned to 1."""
-    return float(n ** (2.0 * (k - 1) / (3.0 * k - 1)) / (k * math.log(k * n)))
-
-
-@dataclass(frozen=True)
-class MisclassificationReport:
-    rate: float
-    stderr: float
-    samples: int
-    errors: int
-    yes_count: int
-    no_count: int
-    ambiguous_count: int
-
-
-def misclassification_rate(
-    tree: DecisionTree | TreeMixture,
-    u: OrthogonalMatrix,
-    k: int,
-    samples: int,
-    seed: int,
-) -> MisclassificationReport:
-    """Error rate of a tree on the half-uniform half-chain mixture.
-
-    Counts an error only on promise (YES/NO) inputs; inputs in the
-    promise gap never count against the tree. Tree output bit 1 is read
-    as the YES claim.
-    """
-    rng = derive_rng(seed, "misclassify", u.n, k, samples)
-    from_chain = rng.integers(0, 2, size=samples).astype(bool)
-    n_chain = int(from_chain.sum())
-    chain = sample_duk_batch(u, k, n_chain, sub_seed(seed, "mix-duk"))
-    unif = sample_uniform_batch(k, u.n, samples - n_chain, sub_seed(seed, "mix-unif"))
-    batch = np.empty((samples, k, u.n), dtype=np.int8)
-    batch[from_chain] = chain
-    batch[~from_chain] = unif
-    values = phi_batch(u, batch)
-    outputs = evaluate_batch(tree, batch.reshape(samples, -1))
-    errors = 0
-    yes = no = ambiguous = 0
-    for value, out in zip(values, outputs):
-        label = classify_value(float(value), k).tag
-        if label == Label.YES:
-            yes += 1
-            errors += out < 0.5
-        elif label == Label.NO:
-            no += 1
-            errors += out >= 0.5
-        else:
-            ambiguous += 1
-    rate = errors / samples
-    stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / samples)
-    return MisclassificationReport(
-        rate=float(rate),
-        stderr=float(stderr),
-        samples=samples,
-        errors=int(errors),
-        yes_count=yes,
-        no_count=no,
-        ambiguous_count=ambiguous,
-    )
 
 
 # ---------------------------------------------------------------------------

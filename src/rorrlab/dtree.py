@@ -29,6 +29,7 @@ from .boolfn import (
     OutputConvention,
     MAX_FILE_VARS,
     binomial,
+    point_from_index,
     validate_bit_vector,
 )
 from .util import derive_rng, json_int
@@ -38,7 +39,6 @@ __all__ = [
     "DecisionTree",
     "LeafSignature",
     "NodeStats",
-    "TreeMixture",
     "evaluate_rows",
     "grow",
     "sparse_fourier",
@@ -55,7 +55,6 @@ __all__ = [
     "make_parity",
     "random_tree",
     "check_random_tree_shape",
-    "mixture_spectrum",
     "level1_bound",
     "level_ell_bound",
     "tree_to_json",
@@ -91,9 +90,6 @@ class LeafSignature:
     fixed: tuple[tuple[int, int], ...]  # (variable, sign) sorted by variable
     depth: int
     output: int
-
-    def sign_sum(self) -> int:
-        return sum(sign for _, sign in self.fixed)
 
 
 @dataclass(frozen=True)
@@ -167,12 +163,7 @@ class DecisionTree:
         """Dense 0/1 table in position order; guarded to n <= 20."""
         if self.n > 20:
             raise ValueError("truth table limited to n <= 20")
-        # Row b is point_from_index(b, n): bit i of b set means x_{i+1} = -1.
-        index = np.arange(1 << self.n)
-        points = np.empty((index.size, self.n), dtype=np.int8)
-        for i in range(self.n):
-            points[:, i] = 1 - 2 * ((index >> i) & 1)
-        return evaluate_rows(self, points)
+        return evaluate_rows(self, point_from_index(np.arange(1 << self.n), self.n))
 
     def node_stats(self) -> tuple[NodeStats, ...]:
         """Stats for every internal node; built once, tree is immutable."""
@@ -324,12 +315,9 @@ def sparse_fourier(
     return spec
 
 
-def decomposition_sides(
-    tree: DecisionTree,
-    subset: Sequence[int],
-    convention: OutputConvention = OutputConvention.ZERO_ONE,
-) -> tuple[float, float]:
-    """Both sides of the coefficient decomposition identity for a set S.
+def decomposition_sides(tree: DecisionTree, subset: Sequence[int]) -> tuple[float, float]:
+    """Both sides of the coefficient decomposition identity for a set S,
+    in the {0,1} convention.
 
     Left: f_hat(S) read off the sparse spectrum. Right: sum over nodes v
     querying some j in S whose path has fixed S minus j, of
@@ -338,8 +326,7 @@ def decomposition_sides(
     s = tuple(sorted(set(subset)))
     if not s:
         raise ValueError("decomposition requires a non-empty subset")
-    lhs = sparse_fourier(tree, convention).coefficient(s)
-    scale = 1.0 if convention == OutputConvention.ZERO_ONE else 2.0
+    lhs = sparse_fourier(tree).coefficient(s)
     rhs = 0.0
     for stats in tree.node_stats():
         j = stats.next_var
@@ -357,7 +344,7 @@ def decomposition_sides(
         if not ok:
             continue
         b_hat = stats.reach_probability * sign
-        rhs += b_hat * stats.a_hat_next * scale
+        rhs += b_hat * stats.a_hat_next
     return lhs, rhs
 
 
@@ -366,40 +353,22 @@ def relabel_nonnegative(tree: DecisionTree) -> DecisionTree:
     is negative, making every A_v_hat({next(v)}) >= 0.
 
     Pure relabeling: same graph, same reach probabilities, same
-    acceptance probability.
+    acceptance probability. Nodes the root cannot reach are copied.
     """
-    accept = _subtree_acceptance(tree)
-    new_nodes = []
-    for idx, node in enumerate(tree.nodes):
-        # Nodes the root cannot reach have no acceptance value; copy them.
-        if node.is_leaf or idx not in accept:
-            new_nodes.append(node)
-            continue
-        if accept[node.child_plus] < accept[node.child_minus]:
-            new_nodes.append(
-                Node(
-                    query_var=node.query_var,
-                    child_minus=node.child_plus,
-                    child_plus=node.child_minus,
-                )
-            )
-        else:
-            new_nodes.append(node)
-    return DecisionTree(tree.n, new_nodes, tree.root)
+    swap = {stats.node_id for stats in tree.node_stats() if stats.a_hat_next < 0}
+    nodes = [Node(query_var=node.query_var, child_minus=node.child_plus,
+                  child_plus=node.child_minus) if idx in swap else node
+             for idx, node in enumerate(tree.nodes)]
+    return DecisionTree(tree.n, nodes, tree.root)
 
 
-def refined_level1_sum(
-    tree: DecisionTree,
-    d_lo: int,
-    d_hi: int,
-    convention: OutputConvention = OutputConvention.ZERO_ONE,
-) -> float:
-    """Sum of p_v * |A_v_hat({next(v)})| over nodes in layers [d_lo, d_hi)."""
+def refined_level1_sum(tree: DecisionTree, d_lo: int, d_hi: int) -> float:
+    """Sum of p_v * |A_v_hat({next(v)})| over nodes in layers [d_lo, d_hi),
+    in the {0,1} convention."""
     if d_lo < 0 or d_hi <= d_lo or d_hi > max(1, tree.depth):
         raise ValueError(f"bad layer range [{d_lo}, {d_hi}) for depth {tree.depth}")
-    scale = 1.0 if convention == OutputConvention.ZERO_ONE else 2.0
     return sum(
-        stats.reach_probability * abs(stats.a_hat_next) * scale
+        stats.reach_probability * abs(stats.a_hat_next)
         for stats in tree.node_stats()
         if d_lo <= stats.depth < d_hi
     )
@@ -552,51 +521,6 @@ def check_random_tree_shape(n: int, d: int) -> None:
     if d < 0 or 2**d > MAX_LEAVES:
         raise ValueError(f"depth {d} outside 0..{MAX_LEAVES.bit_length() - 1} "
                          f"(at most {MAX_LEAVES} leaves)")
-
-
-# ---------------------------------------------------------------------------
-# Randomized trees (finite mixtures)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TreeMixture:
-    """Randomized decision tree as an explicit finite mixture."""
-
-    components: tuple[tuple[float, DecisionTree], ...]
-
-    def __post_init__(self):
-        if not self.components:
-            raise ValueError("mixture needs at least one component")
-        total = sum(w for w, _ in self.components)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
-        sizes = {t.n for _, t in self.components}
-        if len(sizes) != 1:
-            raise ValueError("mixture components must share a variable count")
-
-    @property
-    def n(self) -> int:
-        return self.components[0][1].n
-
-    @property
-    def depth(self) -> int:
-        return max(t.depth for _, t in self.components)
-
-    def evaluate(self, x: Sequence[int]) -> float:
-        return sum(w * t.evaluate(x) for w, t in self.components)
-
-
-def mixture_spectrum(
-    mixture: TreeMixture,
-    convention: OutputConvention = OutputConvention.ZERO_ONE,
-) -> FourierSpectrum:
-    """Convex combination of the component spectra."""
-    coeffs: dict[int, float] = {}
-    for weight, tree in mixture.components:
-        for mask, c in sparse_fourier(tree, convention).masks.items():
-            coeffs[mask] = coeffs.get(mask, 0.0) + weight * c
-    coeffs = {mask: c for mask, c in coeffs.items() if c != 0.0}
-    return FourierSpectrum(n=mixture.n, masks=coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ __all__ = [
     "TailCheckReport",
     "sample_haar",
     "haar_corner_samples",
-    "submatrix",
     "spectral_norm",
     "goodness_bound",
     "check_goodness",
@@ -101,17 +100,6 @@ def haar_corner_samples(n: int, count: int, seed: int) -> np.ndarray:
     rng = derive_rng(seed, "haar-corner", n, count)
     g = rng.standard_normal((count, n))
     return g[:, 0] / np.linalg.norm(g, axis=1)
-
-
-def submatrix(u: OrthogonalMatrix, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-    """Block with the given 1-based row and column index sets."""
-    r = np.asarray(sorted(set(rows)), dtype=int) - 1
-    c = np.asarray(sorted(set(cols)), dtype=int) - 1
-    if r.size == 0 or c.size == 0:
-        raise ValueError("row and column sets must be non-empty")
-    if r.min() < 0 or r.max() >= u.n or c.min() < 0 or c.max() >= u.n:
-        raise ValueError("index out of range")
-    return u.entries[np.ix_(r, c)]
 
 
 def spectral_norm(blocks: np.ndarray) -> np.ndarray | float:

@@ -32,7 +32,6 @@ __all__ = [
     "sign_correlation",
     "exact_expected_phi",
     "exact_uniform_variance",
-    "uniform_no_probability_bound",
     "yes_threshold",
     "no_threshold",
     "save_instances",
@@ -166,12 +165,6 @@ def exact_uniform_variance(u: OrthogonalMatrix, k: int) -> float:
     for _ in range(k - 1):
         v = sq @ v
     return float(np.sum(v)) / u.n**2
-
-
-def uniform_no_probability_bound(k: int, n: int) -> float:
-    """Chebyshev guarantee that a uniform instance is a NO instance:
-    1 - 4^(k+1)/N, clipped to [0, 1]."""
-    return float(min(1.0, max(0.0, 1.0 - 4.0 ** (k + 1) / n)))
 
 
 # ---------------------------------------------------------------------------

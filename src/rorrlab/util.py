@@ -1,9 +1,11 @@
 """Shared helpers: deterministic seed derivation, Monte-Carlo statistics,
-JSON field checks and atomic file writes."""
+JSON field checks and atomic file writes, one at a time or as a set."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ __all__ = [
     "variance_and_stderr",
     "json_int",
     "atomic_write",
+    "file_set",
 ]
 
 
@@ -68,16 +71,55 @@ def json_int(value, name: str) -> int:
     return value
 
 
+@contextlib.contextmanager
+def file_set():
+    """Replace several files as one set.
+
+    The block gets stage(path), the temporary path beside `path` to write
+    its new contents to. Leaving the block replaces the targets in the
+    order staged; if a replace fails, each target already replaced gets
+    its old bytes back (or is removed if it did not exist). An exception
+    inside the block replaces nothing. No temporary file is left either way.
+    """
+    staged: dict[Path, Path] = {}
+
+    def stage(path: str | Path) -> Path:
+        path = Path(path)
+        return staged.setdefault(path, path.with_name(path.name + ".tmp"))
+
+    kept: list[Path | None] = []  # each target's old bytes, kept until the set is in place
+    done = 0  # targets replaced so far
+    try:
+        yield stage
+        for i, (path, tmp) in enumerate(staged.items()):
+            kept.append(None)
+            # The last replace is never undone, so its target needs no copy.
+            if i < len(staged) - 1 and path.exists():
+                kept[i] = path.with_name(path.name + ".old")
+                kept[i].unlink(missing_ok=True)
+                try:
+                    os.link(path, kept[i])
+                except OSError:  # no hard links on this file system
+                    shutil.copyfile(path, kept[i])
+            os.replace(tmp, path)
+            done += 1
+    except BaseException:
+        for path, old in reversed(list(zip(staged, kept))[:done]):
+            if old is None:
+                path.unlink(missing_ok=True)
+            else:
+                os.replace(old, path)
+        raise
+    finally:
+        for leftover in [*staged.values(), *kept]:
+            if leftover is not None:
+                leftover.unlink(missing_ok=True)
+
+
 def atomic_write(path: str | Path, data: str | bytes) -> None:
     """Write `data` (text as UTF-8) to a temporary file beside `path`, then
     os.replace it onto `path`: a reader sees the old file or the new one,
     never a part. On failure the temporary file is removed and `path` is
-    left as it was."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    left as it was. This is file_set with one file."""
+    with file_set() as stage:
+        stage(path).write_bytes(data.encode() if isinstance(data, str) else data)

