@@ -34,7 +34,6 @@ __all__ = [
     "MAX_FILE_VARS",
     "OutputConvention",
     "FourierSpectrum",
-    "validate_bit_vector",
     "fourier_from_truth_table",
     "l1_level",
     "walsh_hadamard_inplace",
@@ -69,16 +68,6 @@ class OutputConvention(enum.Enum):
 
     PLUS_MINUS_ONE = "pm1"
     ZERO_ONE = "01"
-
-
-def validate_bit_vector(x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Return x as an int8 array, insisting every entry is exactly +-1."""
-    arr = np.asarray(x)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("bit vector must be one-dimensional and non-empty")
-    if not np.all(np.abs(arr) == 1):
-        raise ValueError("bit vector entries must be exactly -1 or +1")
-    return arr.astype(np.int8)
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,12 @@ from .boolfn import (
     MAX_FILE_VARS,
     binomial,
     point_from_index,
-    validate_bit_vector,
 )
 from .util import derive_rng, json_int
 
 __all__ = [
     "Node",
     "DecisionTree",
-    "LeafSignature",
     "NodeStats",
     "evaluate_rows",
     "grow",
@@ -46,7 +44,6 @@ __all__ = [
     "relabel_nonnegative",
     "refined_level1_sum",
     "acceptance_probability",
-    "leaf_signatures",
     "make_majority",
     "make_address",
     "make_address_of_majority",
@@ -65,7 +62,8 @@ __all__ = [
 # the number of nonzero coefficients (each lies on a subset of a leaf path).
 MAX_FOURIER_WORK = 1 << 26
 
-# Leaf budget of leaf_signatures and of random_tree's complete trees.
+# Leaf budget of every tree, counted along every root-to-leaf path (a
+# node shared by several parents counts once per path through it).
 MAX_LEAVES = 1 << 22
 
 
@@ -84,15 +82,6 @@ class Node:
 
 
 @dataclass(frozen=True)
-class LeafSignature:
-    """Variables fixed on the path to one leaf, with their signs."""
-
-    fixed: tuple[tuple[int, int], ...]  # (variable, sign) sorted by variable
-    depth: int
-    output: int
-
-
-@dataclass(frozen=True)
 class NodeStats:
     """Per-node quantities used by the decomposition machinery."""
 
@@ -105,19 +94,22 @@ class NodeStats:
 
 
 class DecisionTree:
-    """Immutable arena-backed decision tree over n variables (1-based)."""
+    """Immutable arena-backed decision tree over n variables (1-based).
+
+    The constructor's one walk checks every path, refuses more than
+    MAX_LEAVES leaves, and records the depth, the Fourier work (sum of
+    2^depth over the leaves) and each reachable node's subtree acceptance.
+    """
 
     def __init__(self, n: int, nodes: Sequence[Node], root: int = 0):
         self.n = n
         self.nodes = tuple(nodes)
         self.root = root
-        self._depth: int | None = None
         self._stats: tuple[NodeStats, ...] | None = None
-        self._leaf_cache: tuple[LeafSignature, ...] | None = None
         self._spectra: dict[OutputConvention, FourierSpectrum] = {}
-        self._validate()
+        self.depth, self._fourier_work, self._accept = self._validate()
 
-    def _validate(self) -> None:
+    def _validate(self) -> tuple[int, int, dict[int, float]]:
         if self.n < 0:
             raise ValueError("variable count must be nonnegative")
         if not self.nodes:
@@ -131,12 +123,21 @@ class DecisionTree:
                     raise ValueError(f"node {idx} has child {child} outside the arena "
                                      f"of {size} nodes")
         on_path: set[int] = set()
-        for idx, node, _, leaving in _walk(self):
+        accept: dict[int, float] = {}  # uniform acceptance of the subtree below each node
+        leaves = work = depth = 0
+        for idx, node, path, leaving in _walk(self):
             if node.is_leaf:
                 if node.output not in (0, 1):
                     raise ValueError(f"leaf {idx} output must be a bit")
+                leaves += 1
+                if leaves > MAX_LEAVES:
+                    raise ValueError(f"tree unfolds to more than MAX_LEAVES = {MAX_LEAVES} leaves")
+                work += 1 << len(path)
+                depth = max(depth, len(path))
+                accept[idx] = float(node.output)
             elif leaving:
                 on_path.remove(node.query_var)
+                accept[idx] = 0.5 * (accept[node.child_minus] + accept[node.child_plus])
             else:
                 var = node.query_var
                 if not (1 <= var <= self.n):
@@ -146,18 +147,7 @@ class DecisionTree:
                 if node.child_minus is None or node.child_plus is None:
                     raise ValueError(f"internal node {idx} missing a child")
                 on_path.add(var)
-
-    @property
-    def depth(self) -> int:
-        if self._depth is None:
-            self._depth = max((leaf.depth for leaf in leaf_signatures(self)), default=0)
-        return self._depth
-
-    def evaluate(self, x: Sequence[int]) -> int:
-        point = validate_bit_vector(x)
-        if point.size != self.n:
-            raise ValueError(f"input has {point.size} entries, expected {self.n}")
-        return int(evaluate_rows(self, point[np.newaxis, :])[0])
+        return depth, work, accept
 
     def truth_table(self) -> np.ndarray:
         """Dense 0/1 table in position order; guarded to n <= 20."""
@@ -168,7 +158,7 @@ class DecisionTree:
     def node_stats(self) -> tuple[NodeStats, ...]:
         """Stats for every internal node; built once, tree is immutable."""
         if self._stats is None:
-            accept = _subtree_acceptance(self)
+            accept = self._accept
             rows: list[NodeStats] = []
             for idx, node, path, leaving in _walk(self):
                 if node.is_leaf or leaving:
@@ -221,17 +211,6 @@ def _walk(tree: DecisionTree):
             yield idx, node, path, True
 
 
-def _subtree_acceptance(tree: DecisionTree) -> dict[int, float]:
-    """Uniform acceptance probability of the subtree below each node."""
-    accept: dict[int, float] = {}
-    for idx, node, _, leaving in _walk(tree):
-        if node.is_leaf:
-            accept[idx] = float(node.output)
-        elif leaving:
-            accept[idx] = 0.5 * (accept[node.child_minus] + accept[node.child_plus])
-    return accept
-
-
 def evaluate_rows(tree: DecisionTree, batch: np.ndarray) -> np.ndarray:
     """Output bits (int8) of the tree on every row of an (m, n) +-1 batch.
 
@@ -259,21 +238,7 @@ def evaluate_rows(tree: DecisionTree, batch: np.ndarray) -> np.ndarray:
 
 def acceptance_probability(tree: DecisionTree) -> float:
     """Pr[f(x) = 1] under the uniform distribution (exact dyadic)."""
-    return _subtree_acceptance(tree)[tree.root]
-
-
-def leaf_signatures(tree: DecisionTree) -> tuple[LeafSignature, ...]:
-    if tree._leaf_cache is None:
-        leaves: list[LeafSignature] = []
-        for _, node, path, _ in _walk(tree):
-            if not node.is_leaf:
-                continue
-            if len(leaves) > MAX_LEAVES:
-                raise ValueError("tree too large to enumerate leaves")
-            leaves.append(LeafSignature(fixed=tuple(sorted(path)), depth=len(path),
-                                        output=node.output))
-        tree._leaf_cache = tuple(leaves)
-    return tree._leaf_cache
+    return tree._accept[tree.root]
 
 
 def sparse_fourier(
@@ -287,7 +252,7 @@ def sparse_fourier(
     cached = tree._spectra.get(convention)
     if cached is not None:
         return cached
-    if sum(1 << leaf.depth for leaf in leaf_signatures(tree)) > MAX_FOURIER_WORK:
+    if tree._fourier_work > MAX_FOURIER_WORK:
         raise ValueError("tree too deep for exact sparse Fourier budget")
     leaf_value = (0.0 if convention == OutputConvention.ZERO_ONE else -1.0, 1.0)
     spectra: list[dict[int, float]] = []  # one per subtree whose parent is still open

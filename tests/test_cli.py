@@ -503,6 +503,23 @@ def test_file_set_replaces_nothing_when_its_block_fails(tmp_path):
     assert _leftovers(tmp_path) == []
 
 
+@pytest.mark.parametrize("existing", [True, False], ids=["old-file", "no-file"])
+@pytest.mark.parametrize("second", ["u.mat", "./u.mat", "sub/../u.mat"])
+def test_a_file_named_twice_in_one_set_is_refused(second, existing, tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "u.mat"
+    if existing:
+        target.write_bytes(b"old bytes")
+    code, stdout, err = run(["sample-matrix", "--n", "4", "--out", "u.mat", "--csv", second],
+                            capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"error: output {Path(second)} names a file already written by this command\n"
+    assert target.read_bytes() == b"old bytes" if existing else not target.exists()
+    assert _leftovers(tmp_path) == []
+
+
 def test_qsim_simulates_each_instance_once(tmp_path, capsys, monkeypatch):
     from rorrlab import qsim
 

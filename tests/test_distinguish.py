@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import depth_and_acceptance, evaluate
 from rorrlab import dist, distinguish, dtree, ortho, rorrelation
 from rorrlab.distinguish import (
     advantage,
@@ -63,11 +64,11 @@ def test_cross_block_parity_closed_form():
 def test_cross_block_parity_tree_semantics():
     tree = cross_block_parity_tree(2, 4, 2, 3)
     x = np.ones(8, dtype=np.int8)
-    assert tree.evaluate(x) == 1
+    assert evaluate(tree, x) == 1
     x[1] = -1  # z1_2
-    assert tree.evaluate(x) == 0
+    assert evaluate(tree, x) == 0
     x[6] = -1  # z2_3
-    assert tree.evaluate(x) == 1
+    assert evaluate(tree, x) == 1
 
 
 def test_within_block_parity_uniform_mean():
@@ -120,7 +121,13 @@ def test_frontier_evaluator_matches_reference_walk(tree, rows, seed):
     assert got.dtype == np.float64 and np.array_equal(got, expected)
     assert np.array_equal(dtree.evaluate_rows(tree, batch), expected)
     for x, value in zip(batch, expected):
-        assert tree.evaluate(x) == value
+        assert evaluate(tree, x) == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees())
+def test_depth_and_acceptance_match_the_leaf_paths(tree):
+    assert (tree.depth, dtree.acceptance_probability(tree)) == depth_and_acceptance(tree)
 
 
 def test_advantage_corpus_matches_per_tree_advantage():

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from reference import convert_convention, cross_check_spectrum
+from reference import (convert_convention, cross_check_spectrum, depth_and_acceptance, evaluate,
+                       leaf_paths)
 from rorrlab import boolfn, dtree, ortho
 from rorrlab.boolfn import OutputConvention, binomial, l1_level, point_from_index
 from rorrlab.cli import main
@@ -19,7 +20,6 @@ from rorrlab.dtree import (
     decomposition_sides,
     evaluate_rows,
     grow,
-    leaf_signatures,
     make_address,
     make_address_of_majority,
     make_constant,
@@ -37,23 +37,42 @@ from rorrlab.dtree import (
 ZO = OutputConvention.ZERO_ONE
 PM = OutputConvention.PLUS_MINUS_ONE
 
+# Arenas in which a node is reached along more than one path.
+SHARED_ARENAS = (
+    # Node 2 is reached from both children of the root.
+    DecisionTree(4, [
+        Node(query_var=3, child_minus=1, child_plus=4),
+        Node(query_var=1, child_minus=2, child_plus=5),
+        Node(query_var=4, child_minus=5, child_plus=6),
+        Node(output=0),
+        Node(query_var=2, child_minus=2, child_plus=6),
+        Node(output=1),
+        Node(output=0),
+    ]),
+    # Node 2 is reached along two paths and needs a relabeling swap.
+    DecisionTree(3, [Node(output=0), Node(output=1),
+                     Node(query_var=2, child_minus=1, child_plus=0),
+                     Node(query_var=1, child_minus=2, child_plus=4),
+                     Node(query_var=3, child_minus=2, child_plus=1)], root=3),
+)
+
 
 def test_single_leaf_tree():
     tree = make_constant(3, 1)
-    assert tree.evaluate([1, -1, 1]) == 1
+    assert evaluate(tree, [1, -1, 1]) == 1
     assert tree.depth == 0
 
 
 def test_depth_one_tree():
     tree = make_dictator(2, 1)
-    assert tree.evaluate([1, -1]) == 1
-    assert tree.evaluate([-1, 1]) == 0
+    assert evaluate(tree, [1, -1]) == 1
+    assert evaluate(tree, [-1, 1]) == 0
 
 
 def test_majority3_vote():
     tree = make_majority(3)
-    assert tree.evaluate([-1, -1, 1]) == 0
-    assert tree.evaluate([1, 1, -1]) == 1
+    assert evaluate(tree, [-1, -1, 1]) == 0
+    assert evaluate(tree, [1, 1, -1]) == 1
     table = tree.truth_table()
     for b in range(8):
         x = point_from_index(b, 3)
@@ -68,7 +87,7 @@ def test_majority_even_rejected():
 def test_evaluate_dimension_mismatch():
     tree = make_dictator(2, 1)
     with pytest.raises(ValueError):
-        tree.evaluate([1])
+        evaluate(tree, [1])
 
 
 def test_truth_table_matches_evaluate():
@@ -76,7 +95,7 @@ def test_truth_table_matches_evaluate():
     table = tree.truth_table()
     assert table.dtype == np.int8 and table.size == 1 << 12
     for b in range(1 << 12):
-        assert table[b] == tree.evaluate(point_from_index(b, 12))
+        assert table[b] == evaluate(tree, point_from_index(b, 12))
 
 
 def test_evaluate_rows_shape_mismatch():
@@ -131,18 +150,9 @@ def test_sparse_matches_dense_random_trees():
 
 
 def test_sparse_equals_dense_exactly_with_shared_subtree():
-    # Node 2 is reached from both children of the root; coefficients are
-    # dyadic, so the merge must match the dense transform bit for bit.
-    shared = DecisionTree(4, [
-        Node(query_var=3, child_minus=1, child_plus=4),
-        Node(query_var=1, child_minus=2, child_plus=5),
-        Node(query_var=4, child_minus=5, child_plus=6),
-        Node(output=0),
-        Node(query_var=2, child_minus=2, child_plus=6),
-        Node(output=1),
-        Node(output=0),
-    ])
-    for tree in (shared, random_tree(10, 7, 3)):
+    # Coefficients are dyadic, so the merge must match the dense transform
+    # bit for bit.
+    for tree in (SHARED_ARENAS[0], random_tree(10, 7, 3)):
         for conv in (ZO, PM):
             table = tree.truth_table().astype(float)
             if conv == PM:
@@ -205,8 +215,8 @@ def test_relabel_single_swap():
     nodes = [Node(query_var=1, child_minus=1, child_plus=2), Node(output=1), Node(output=0)]
     tree = DecisionTree(1, nodes)
     out = relabel_nonnegative(tree)
-    assert out.evaluate([1]) == 1
-    assert out.evaluate([-1]) == 0
+    assert evaluate(out, [1]) == 1
+    assert evaluate(out, [-1]) == 0
 
 
 def test_relabel_copies_unreachable_nodes():
@@ -224,12 +234,8 @@ def test_relabel_copies_unreachable_nodes():
 
 
 def test_relabel_swaps_a_shared_node_once():
-    # Node 2 is reached along two paths and needs a swap; it gets one swap,
-    # not one per path.
-    tree = DecisionTree(3, [Node(output=0), Node(output=1),
-                            Node(query_var=2, child_minus=1, child_plus=0),
-                            Node(query_var=1, child_minus=2, child_plus=4),
-                            Node(query_var=3, child_minus=2, child_plus=1)], root=3)
+    # The shared node 2 gets one swap, not one per path.
+    tree = SHARED_ARENAS[1]
     out = relabel_nonnegative(tree)
     assert out.nodes[2] == Node(query_var=2, child_minus=0, child_plus=1)
     assert out.nodes[3:] == tree.nodes[3:]
@@ -310,7 +316,7 @@ def test_majority_agrees_with_vote():
         rng = np.random.default_rng(d)
         for _ in range(200):
             x = 2 * rng.integers(0, 2, size=d) - 1
-            assert tree.evaluate(x) == (1 if x.sum() > 0 else 0)
+            assert evaluate(tree, x) == (1 if x.sum() > 0 else 0)
 
 
 def test_address_shape():
@@ -325,9 +331,9 @@ def test_address_selects_array_entry():
     tree = make_address(1)
     # Index +1 selects the second array slot (variable 3).
     x = np.array([1, -1, 1])
-    assert tree.evaluate(x) == 1
+    assert evaluate(tree, x) == 1
     x = np.array([1, 1, -1])
-    assert tree.evaluate(x) == 0
+    assert evaluate(tree, x) == 0
 
 
 def test_address_l1_exactness():
@@ -351,7 +357,7 @@ def test_address_of_majority_shape_and_semantics():
             if x[i] == 1:
                 slot |= 1 << i
         block = x[3 + slot * 3 : 6 + slot * 3]
-        assert tree.evaluate(x) == (1 if block.sum() > 0 else 0)
+        assert evaluate(tree, x) == (1 if block.sum() > 0 else 0)
     with pytest.raises(ValueError):
         make_address_of_majority(2)
 
@@ -362,7 +368,7 @@ def test_address_of_majority_d1_is_address1():
     assert tree.n == addr.n
     for b in range(8):
         x = point_from_index(b, 3)
-        assert tree.evaluate(x) == addr.evaluate(x)
+        assert evaluate(tree, x) == evaluate(addr, x)
 
 
 def test_address_of_majority_excess_ratio():
@@ -386,9 +392,9 @@ def test_random_tree_reproducible_and_distinct():
 
 def test_random_tree_structure():
     tree = random_tree(6, 4, seed=5)
-    leaves = leaf_signatures(tree)
+    leaves = leaf_paths(tree)
     assert len(leaves) == 16
-    assert all(leaf.depth == 4 for leaf in leaves)
+    assert all(len(path) == 4 for path, _ in leaves)
     with pytest.raises(ValueError):
         random_tree(3, 4, seed=0)
     # 2^23 leaves exceed MAX_LEAVES; refused before any node is built.
@@ -402,8 +408,8 @@ def test_leaf_sum_distribution_exact():
     # is distributed as a sum of d iid +-1 variables: counts are binomials.
     for d, seed in ((6, 0), (10, 1), (12, 2)):
         tree = random_tree(d + 2, d, seed)
-        counts = collections.Counter(sum(sign for _, sign in leaf.fixed)
-                                     for leaf in leaf_signatures(tree))
+        counts = collections.Counter(sum(sign for _, sign in path)
+                                     for path, _ in leaf_paths(tree))
         for m in range(d + 1):
             assert counts.get(d - 2 * m, 0) == math.comb(d, m)
 
@@ -470,9 +476,9 @@ def test_deep_decision_list_needs_no_recursion():
     stats = tree.node_stats()
     assert [s.depth for s in stats] == list(range(depth))
     assert stats[-1].path == tuple((i, 1) for i in range(1, depth))
-    leaves = leaf_signatures(tree)
+    leaves = leaf_paths(tree)
     assert len(leaves) == depth + 1
-    assert leaves[0].fixed == ((1, -1),) and leaves[-1].depth == depth
+    assert leaves[0] == (((1, -1),), 0) and len(leaves[-1][0]) == depth
     with pytest.raises(ValueError, match="too deep"):
         sparse_fourier(tree)
 
@@ -484,6 +490,29 @@ def test_deep_decision_list_fourier_cli_is_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: tree too deep for exact sparse Fourier budget\n"
+
+
+def _shared_chain(queries):
+    """JSON arena whose node i queries x_{i+1} and has node i + 1 as both
+    children, ending in one leaf: queries + 1 nodes that unfold to
+    2^queries leaves."""
+    nodes = [{"q": i, "lo": i + 1, "hi": i + 1, "out": None} for i in range(queries)]
+    nodes.append({"q": None, "lo": None, "hi": None, "out": 1})
+    return json.dumps({"n": queries, "root": 0, "nodes": nodes})
+
+
+def test_shared_chain_past_the_leaf_budget_is_refused_at_load(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(dtree, "MAX_LEAVES", 1024)
+    tree = tree_from_json(_shared_chain(10))  # 1024 leaves, at the limit
+    assert tree.depth == 10 and acceptance_probability(tree) == 1.0
+    with pytest.raises(ValueError, match="MAX_LEAVES = 1024"):
+        tree_from_json(_shared_chain(14))
+    path = tmp_path / "chain.json"
+    path.write_text(_shared_chain(14))
+    assert main(["fourier", "--tree", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tree unfolds to more than MAX_LEAVES = 1024 leaves\n"
 
 
 def test_deep_cycle_is_refused_not_walked_forever():
@@ -546,6 +575,12 @@ _ARENAS = [
     f"{build.__name__.strip('_')}{args}".replace(" ", "") for build, args, _ in _ARENAS])
 def test_builder_arenas_are_pinned(build, args, digest):
     assert hashlib.sha256(tree_to_json(build(*args)).encode()).hexdigest() == digest
+
+
+def test_depth_and_acceptance_match_the_leaf_paths():
+    # Every builder's arena, the random trees among them, and the shared arenas.
+    for tree in [build(*args) for build, args, _ in _ARENAS] + list(SHARED_ARENAS):
+        assert (tree.depth, acceptance_probability(tree)) == depth_and_acceptance(tree)
 
 
 def test_grow_builds_a_deep_decision_list():

@@ -1,6 +1,7 @@
 """Every exported name reaches the product: each name in a module's
-__all__ is read by some code of the package other than its definition
-and its __all__ entry, unless it is one of the outside entry points below."""
+__all__, and each public method or property of a class there, is read by
+some code of the package other than its definition and its __all__ entry,
+unless it is one of the outside entry points below."""
 import ast
 from pathlib import Path
 
@@ -22,6 +23,8 @@ OUTSIDE_ENTRY_POINTS = {
     ("boolfn", "spectrum_from_json"),
     ("boolfn", "write_truth_table_bytes"),
     ("boolfn", "write_truth_table_csv"),
+    # perfbench/tests compares it with the benchmark's oracle.
+    ("dtree", "DecisionTree.truth_table"),
 }
 
 
@@ -61,4 +64,27 @@ def test_every_exported_name_is_read_inside_the_package():
     read = set().union(*(_reads(module, tree) for module, tree in modules.items()))
     unread = {(module, name) for module, tree in modules.items()
               for name in _exports(tree)} - read
+    assert sorted(unread - OUTSIDE_ENTRY_POINTS) == []
+
+
+def _public_members(tree: ast.Module, classes: list[str]) -> set[tuple[str, str]]:
+    """(class, member) for each public method or property of the named classes."""
+    return {(node.name, item.name) for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in classes
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    """Every attribute name a module's code reads, on any object: a member
+    counts as read when any code reads an attribute of its name."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_member_of_an_exported_class_is_read_inside_the_package():
+    modules = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    read = set().union(*(_attribute_reads(tree) for tree in modules.values()))
+    unread = {(module, f"{cls}.{name}") for module, tree in modules.items()
+              for cls, name in _public_members(tree, _exports(tree)) if name not in read}
     assert sorted(unread - OUTSIDE_ENTRY_POINTS) == []
