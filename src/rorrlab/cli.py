@@ -113,9 +113,7 @@ def cmd_sample_dist(args) -> int:
         matrix_hash = ""
         n = args.n
     instances = [
-        rorrelation.RorrelationInstance(k=args.k, vectors=batch[i],
-                                        matrix_ref=matrix_hash)
-        for i in range(args.count)
+        rorrelation.RorrelationInstance(k=args.k, vectors=batch[i]) for i in range(args.count)
     ]
     rorrelation.save_instances(args.out, instances, matrix_path=matrix_path,
                                matrix_hash=matrix_hash)
@@ -177,12 +175,14 @@ def cmd_qsim(args) -> int:
 def cmd_fourier(args) -> int:
     if args.tree:
         tree = dtree.tree_from_json(Path(args.tree).read_text())
-        spec = dtree.sparse_fourier(tree, boolfn.OutputConvention(args.convention))
+        spec = dtree.sparse_fourier(tree, boolfn.OutputConvention(args.convention or "01"))
     elif args.table:
         if args.table.endswith(".csv"):
-            values = boolfn.read_truth_table_csv(args.table).astype(float)
+            values, native = boolfn.read_truth_table_csv(args.table).astype(float), "pm1"
         else:
-            values = boolfn.read_truth_table_bytes(args.table).astype(float)
+            values, native = boolfn.read_truth_table_bytes(args.table).astype(float), "01"
+        if args.convention and args.convention != native:  # v = 2b - 1
+            values = 2.0 * values - 1.0 if native == "01" else 0.5 * (values + 1.0)
         # Both readers refuse tables whose length is not a power of two.
         spec = boolfn.fourier_from_truth_table(values, values.size.bit_length() - 1)
     else:
@@ -369,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fourier", help="spectrum of a truth table or tree file")
     p.add_argument("--table", help="truth table (.csv of +-1 or raw 0/1 bytes)")
     p.add_argument("--tree", help="tree JSON file")
-    p.add_argument("--convention", choices=["01", "pm1"], default="01")
+    p.add_argument("--convention", choices=["01", "pm1"],
+                   help="output convention (default: 01 for a tree, the table's own "
+                        "alphabet for a table)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_fourier)
 

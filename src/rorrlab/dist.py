@@ -39,6 +39,9 @@ __all__ = [
 
 MC_CHUNK = 8192
 
+# The universal constant of the good-matrix moment budget.
+MOMENT_CONSTANT = 100.0
+
 
 def _sign(values: np.ndarray) -> np.ndarray:
     """Sign with sgn(0) := +1, as int8."""
@@ -226,12 +229,12 @@ def d_hat_product(
     )
 
 
-def duk_moment_bound(ell: int, n: int, k: int, c: float = 100.0) -> float:
-    """(c * ell * ln N / N)^(ell (1 - 1/k) / 2), the good-matrix moment
-    budget with the universal constant pinned to c."""
+def duk_moment_bound(ell: int, n: int, k: int) -> float:
+    """(C * ell * ln N / N)^(ell (1 - 1/k) / 2), the good-matrix moment
+    budget with the universal constant C = MOMENT_CONSTANT."""
     if ell < 1:
         raise ValueError("set size must be positive")
-    base = c * ell * math.log(n) / n
+    base = MOMENT_CONSTANT * ell * math.log(n) / n
     return float(base ** (ell * (1.0 - 1.0 / k) / 2.0))
 
 
@@ -239,7 +242,6 @@ def duk_moment_bound(ell: int, n: int, k: int, c: float = 100.0) -> float:
 class MomentAuditReport:
     n: int
     k: int
-    constant: float
     rows: list[dict]
     violations: list[dict]
 
@@ -254,7 +256,7 @@ class MomentAuditReport:
             {
                 "n": self.n,
                 "k": self.k,
-                "constant": self.constant,
+                "constant": MOMENT_CONSTANT,
                 "rows": self.rows,
                 "violations": self.violations,
             },
@@ -269,7 +271,6 @@ def moment_bound_audit(
     max_size: int,
     seed: int,
     mc_samples: int = 20_000,
-    constant: float = 100.0,
 ) -> MomentAuditReport:
     """Spot-check |D_hat(S)| against the moment budget on sampled sets.
 
@@ -302,7 +303,7 @@ def moment_bound_audit(
         est = d_hat_product(
             u, parts, samples=mc_samples, seed=sub_seed(seed, "audit", trial)
         )
-        bound = duk_moment_bound(size, u.n, k, constant)
+        bound = duk_moment_bound(size, u.n, k)
         margin = bound - (abs(est.value) - 4.0 * est.stderr)
         row = {
             "S": [list(p) for p in parts],
@@ -316,7 +317,5 @@ def moment_bound_audit(
         rows.append(row)
         if margin < 0:
             violations.append(row)
-    return MomentAuditReport(
-        n=u.n, k=k, constant=constant, rows=rows, violations=violations
-    )
+    return MomentAuditReport(n=u.n, k=k, rows=rows, violations=violations)
 

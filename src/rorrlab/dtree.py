@@ -36,11 +36,11 @@ from .util import derive_rng, json_int
 __all__ = [
     "Node",
     "DecisionTree",
-    "NodeStats",
     "evaluate_rows",
     "grow",
     "sparse_fourier",
     "decomposition_sides",
+    "next_var_coefficients",
     "relabel_nonnegative",
     "refined_level1_sum",
     "acceptance_probability",
@@ -81,32 +81,22 @@ class Node:
         return self.query_var is None
 
 
-@dataclass(frozen=True)
-class NodeStats:
-    """Per-node quantities used by the decomposition machinery."""
-
-    node_id: int
-    depth: int
-    next_var: int
-    path: tuple[tuple[int, int], ...]  # (variable, sign) along the path
-    reach_probability: float  # exactly 2^-depth
-    a_hat_next: float  # subtree coefficient on the queried variable ({0,1})
-
-
 class DecisionTree:
     """Immutable arena-backed decision tree over n variables (1-based).
 
-    The constructor's one walk checks every path, refuses more than
-    MAX_LEAVES leaves, and records the depth, the Fourier work (sum of
-    2^depth over the leaves) and each reachable node's subtree acceptance.
+    The constructor counts the root-to-leaf paths over the arena, each
+    node once, and refuses more than MAX_LEAVES leaves before its one
+    walk checks every path and records the depth, the Fourier work (sum
+    of 2^depth over the leaves) and each reachable node's subtree
+    acceptance.
     """
 
     def __init__(self, n: int, nodes: Sequence[Node], root: int = 0):
         self.n = n
         self.nodes = tuple(nodes)
         self.root = root
-        self._stats: tuple[NodeStats, ...] | None = None
         self._spectra: dict[OutputConvention, FourierSpectrum] = {}
+        self._visits: list[tuple[int, int, int, float]] | None = None
         self.depth, self._fourier_work, self._accept = self._validate()
 
     def _validate(self) -> tuple[int, int, dict[int, float]]:
@@ -122,16 +112,14 @@ class DecisionTree:
                 if child is not None and not 0 <= child < size:
                     raise ValueError(f"node {idx} has child {child} outside the arena "
                                      f"of {size} nodes")
+        self._check_leaf_count()
         on_path: set[int] = set()
         accept: dict[int, float] = {}  # uniform acceptance of the subtree below each node
-        leaves = work = depth = 0
+        work = depth = 0
         for idx, node, path, leaving in _walk(self):
             if node.is_leaf:
                 if node.output not in (0, 1):
                     raise ValueError(f"leaf {idx} output must be a bit")
-                leaves += 1
-                if leaves > MAX_LEAVES:
-                    raise ValueError(f"tree unfolds to more than MAX_LEAVES = {MAX_LEAVES} leaves")
                 work += 1 << len(path)
                 depth = max(depth, len(path))
                 accept[idx] = float(node.output)
@@ -149,32 +137,41 @@ class DecisionTree:
                 on_path.add(var)
         return depth, work, accept
 
+    def _check_leaf_count(self) -> None:
+        """Refuse a root that unfolds to more than MAX_LEAVES leaves, or that
+        reaches a cycle, in time linear in the arena: a depth-first pass on
+        an explicit stack counts the leaves below each reachable node once,
+        from its children's counts. A missing child counts no leaves; the
+        walk refuses it."""
+        nodes = self.nodes
+        below: list[int | None] = [None] * len(nodes)  # leaves below a node; -1 while open
+        stack = [(self.root, False)]  # (node, children counted)
+        while stack:
+            idx, counted = stack.pop()
+            node = nodes[idx]
+            children = [c for c in (node.child_minus, node.child_plus) if c is not None]
+            if node.is_leaf:
+                below[idx] = 1
+            elif counted:
+                below[idx] = sum(below[c] for c in children)
+                if below[idx] > MAX_LEAVES:  # the root unfolds to at least as many
+                    raise ValueError(f"tree unfolds to more than MAX_LEAVES = {MAX_LEAVES} "
+                                     f"leaves")
+            elif below[idx] is None:  # a node pushed by several parents is opened once
+                below[idx] = -1
+                stack.append((idx, True))
+                for child in children:
+                    if below[child] == -1:  # open: on the path to this node
+                        raise ValueError(f"variable {nodes[child].query_var} repeats along "
+                                         f"a path")
+                    if below[child] is None:
+                        stack.append((child, False))
+
     def truth_table(self) -> np.ndarray:
         """Dense 0/1 table in position order; guarded to n <= 20."""
         if self.n > 20:
             raise ValueError("truth table limited to n <= 20")
         return evaluate_rows(self, point_from_index(np.arange(1 << self.n), self.n))
-
-    def node_stats(self) -> tuple[NodeStats, ...]:
-        """Stats for every internal node; built once, tree is immutable."""
-        if self._stats is None:
-            accept = self._accept
-            rows: list[NodeStats] = []
-            for idx, node, path, leaving in _walk(self):
-                if node.is_leaf or leaving:
-                    continue
-                rows.append(
-                    NodeStats(
-                        node_id=idx,
-                        depth=len(path),
-                        next_var=node.query_var,
-                        path=tuple(path),
-                        reach_probability=0.5 ** len(path),
-                        a_hat_next=0.5 * (accept[node.child_plus] - accept[node.child_minus]),
-                    )
-                )
-            self._stats = tuple(rows)
-        return self._stats
 
 
 def _walk(tree: DecisionTree):
@@ -280,36 +277,50 @@ def sparse_fourier(
     return spec
 
 
+def next_var_coefficients(tree: DecisionTree) -> dict[int, float]:
+    """A_v_hat({next(v)}) = (acceptance below the plus child - acceptance
+    below the minus child) / 2 for every reachable internal node v, in the
+    {0,1} convention: the subtree's coefficient on the variable v queries,
+    read from the acceptances the constructor recorded."""
+    accept, nodes = tree._accept, tree.nodes
+    return {idx: 0.5 * (accept[node.child_plus] - accept[node.child_minus])
+            for idx in accept if not (node := nodes[idx]).is_leaf}
+
+
 def decomposition_sides(tree: DecisionTree, subset: Sequence[int]) -> tuple[float, float]:
     """Both sides of the coefficient decomposition identity for a set S,
     in the {0,1} convention.
 
-    Left: f_hat(S) read off the sparse spectrum. Right: sum over nodes v
-    querying some j in S whose path has fixed S minus j, of
-    B_v_hat(S \\ {j}) * A_v_hat({j}). The two agree exactly.
+    Left: f_hat(S) read off the sparse spectrum. Right: sum over visits
+    of nodes v querying some j in S whose path has fixed S minus j, of
+    B_v_hat(S \\ {j}) * A_v_hat({j}), where B_v_hat(S \\ {j}) is 2^-depth(v)
+    times the path's signs on S minus j. The two agree exactly.
     """
     s = tuple(sorted(set(subset)))
     if not s:
         raise ValueError("decomposition requires a non-empty subset")
     lhs = sparse_fourier(tree).coefficient(s)
+    if tree._visits is None:
+        # (bit of next(v), path variables, path variables set to -1,
+        # 2^-depth * A_v_hat) for each visit of an internal node, in pre-order.
+        a_hat = next_var_coefficients(tree)
+        visits = []
+        for idx, node, path, leaving in _walk(tree):
+            if not (node.is_leaf or leaving):
+                fixed = minus = 0
+                for var, sign in path:
+                    fixed |= 1 << (var - 1)
+                    if sign < 0:
+                        minus |= 1 << (var - 1)
+                visits.append((1 << (node.query_var - 1), fixed, minus,
+                               0.5 ** len(path) * a_hat[idx]))
+        tree._visits = visits
+    smask = sum(1 << (i - 1) for i in s)
     rhs = 0.0
-    for stats in tree.node_stats():
-        j = stats.next_var
-        if j not in s:
-            continue
-        rest = tuple(i for i in s if i != j)
-        path_signs = dict(stats.path)
-        sign = 1
-        ok = True
-        for i in rest:
-            if i not in path_signs:
-                ok = False
-                break
-            sign *= path_signs[i]
-        if not ok:
-            continue
-        b_hat = stats.reach_probability * sign
-        rhs += b_hat * stats.a_hat_next
+    for bit, fixed, minus, term in tree._visits:
+        rest = smask ^ bit
+        if smask & bit and not rest & ~fixed:
+            rhs += -term if (rest & minus).bit_count() & 1 else term
     return lhs, rhs
 
 
@@ -318,9 +329,10 @@ def relabel_nonnegative(tree: DecisionTree) -> DecisionTree:
     is negative, making every A_v_hat({next(v)}) >= 0.
 
     Pure relabeling: same graph, same reach probabilities, same
-    acceptance probability. Nodes the root cannot reach are copied.
+    acceptance probability. A node is swapped once however many paths
+    reach it; nodes the root cannot reach are copied.
     """
-    swap = {stats.node_id for stats in tree.node_stats() if stats.a_hat_next < 0}
+    swap = {idx for idx, a_hat in next_var_coefficients(tree).items() if a_hat < 0}
     nodes = [Node(query_var=node.query_var, child_minus=node.child_plus,
                   child_plus=node.child_minus) if idx in swap else node
              for idx, node in enumerate(tree.nodes)]
@@ -328,15 +340,13 @@ def relabel_nonnegative(tree: DecisionTree) -> DecisionTree:
 
 
 def refined_level1_sum(tree: DecisionTree, d_lo: int, d_hi: int) -> float:
-    """Sum of p_v * |A_v_hat({next(v)})| over nodes in layers [d_lo, d_hi),
-    in the {0,1} convention."""
+    """Sum of p_v * |A_v_hat({next(v)})| over node visits in layers
+    [d_lo, d_hi), p_v = 2^-depth, in the {0,1} convention."""
     if d_lo < 0 or d_hi <= d_lo or d_hi > max(1, tree.depth):
         raise ValueError(f"bad layer range [{d_lo}, {d_hi}) for depth {tree.depth}")
-    return sum(
-        stats.reach_probability * abs(stats.a_hat_next)
-        for stats in tree.node_stats()
-        if d_lo <= stats.depth < d_hi
-    )
+    a_hat = next_var_coefficients(tree)
+    return sum(0.5 ** len(path) * abs(a_hat[idx]) for idx, node, path, leaving in _walk(tree)
+               if not (node.is_leaf or leaving) and d_lo <= len(path) < d_hi)
 
 
 # ---------------------------------------------------------------------------

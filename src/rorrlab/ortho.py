@@ -113,51 +113,25 @@ def goodness_bound(s_size: int, t_size: int, n: int) -> float:
     return float(np.sqrt(100.0 * (s_size + t_size) * np.log(n) / n))
 
 
-@dataclass
-class GoodnessReport:
-    n: int
-    checked_pairs: int
-    worst_ratio: float
-    worst_pair: tuple[tuple[int, ...], tuple[int, ...]] | None
-    violations: list[dict]
-    violation_count: int
-
-    @property
-    def is_good_so_far(self) -> bool:
-        return self.violation_count == 0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "checked_pairs": self.checked_pairs,
-                "worst_ratio": self.worst_ratio,
-                "worst_pair": [list(p) for p in self.worst_pair] if self.worst_pair else None,
-                "violations": self.violations,
-                "violation_count": self.violation_count,
-                "good_so_far": self.is_good_so_far,
-            },
-            sort_keys=True,
-        )
-
-
 MAX_STORED_VIOLATIONS = 50
 
 
-class _GoodnessAccumulator:
-    def __init__(self, n: int):
-        self.n = n
-        self.checked = 0
-        self.worst_ratio = 0.0
-        self.worst_pair = None
-        self.violations: list[dict] = []
-        self.violation_count = 0
+@dataclass
+class GoodnessReport:
+    """Goodness certificate of an n x n matrix, built up by `record`."""
+
+    n: int
+    checked_pairs: int = 0
+    worst_ratio: float = 0.0
+    worst_pair: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    violations: list[dict] = field(default_factory=list)
+    violation_count: int = 0
 
     def record(self, norms: np.ndarray, bounds, pair_of) -> None:
         """Record a batch of block norms against their budgets: one scalar,
         or an array shaped like norms. pair_of maps an index of norms to
         its 1-based (S, T)."""
-        self.checked += norms.size
+        self.checked_pairs += norms.size
         if np.ndim(bounds) == 0:
             # Argmax on the norms: no ratio array as large as the batch.
             best = np.unravel_index(int(np.argmax(norms)), norms.shape)
@@ -177,20 +151,24 @@ class _GoodnessAccumulator:
             self.violations.append({"S": list(rows), "T": list(cols),
                                     "norm": float(norms[idx]), "bound": float(bounds[idx])})
 
-    def report(self) -> GoodnessReport:
-        return GoodnessReport(
-            n=self.n,
-            checked_pairs=self.checked,
-            worst_ratio=self.worst_ratio,
-            worst_pair=self.worst_pair,
-            violations=self.violations,
-            violation_count=self.violation_count,
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "n": self.n,
+                "checked_pairs": self.checked_pairs,
+                "worst_ratio": self.worst_ratio,
+                "worst_pair": [list(p) for p in self.worst_pair] if self.worst_pair else None,
+                "violations": self.violations,
+                "violation_count": self.violation_count,
+                "good_so_far": self.violation_count == 0,
+            },
+            sort_keys=True,
         )
 
 
-def _check_singletons(u: OrthogonalMatrix, acc: _GoodnessAccumulator) -> None:
-    acc.record(np.abs(u.entries), goodness_bound(1, 1, u.n),
-               lambda ij: ((int(ij[0]) + 1,), (int(ij[1]) + 1,)))
+def _check_singletons(u: OrthogonalMatrix, report: GoodnessReport) -> None:
+    report.record(np.abs(u.entries), goodness_bound(1, 1, u.n),
+                  lambda ij: ((int(ij[0]) + 1,), (int(ij[1]) + 1,)))
 
 
 def _two_by_two_norms(a, b, c, d):
@@ -201,7 +179,7 @@ def _two_by_two_norms(a, b, c, d):
     return np.sqrt(0.5 * (fro2 + gap))
 
 
-def _check_small_blocks(u: OrthogonalMatrix, acc: _GoodnessAccumulator) -> None:
+def _check_small_blocks(u: OrthogonalMatrix, report: GoodnessReport) -> None:
     """All (S, T) with |S|, |T| <= 2, vectorized; only feasible for n <= 64."""
     n = u.n
     ent = u.entries
@@ -213,10 +191,10 @@ def _check_small_blocks(u: OrthogonalMatrix, acc: _GoodnessAccumulator) -> None:
 
     # 1 x 2 and 2 x 1 blocks: norm is the Euclidean norm of the two entries.
     bound_12 = goodness_bound(1, 2, n)
-    acc.record(np.sqrt(ent[:, ci] ** 2 + ent[:, cj] ** 2), bound_12,
-               lambda rp: ((int(rp[0]) + 1,), pair(rp[1])))
-    acc.record(np.sqrt(ent.T[:, ci] ** 2 + ent.T[:, cj] ** 2), bound_12,
-               lambda rp: (pair(rp[1]), (int(rp[0]) + 1,)))
+    report.record(np.sqrt(ent[:, ci] ** 2 + ent[:, cj] ** 2), bound_12,
+                  lambda rp: ((int(rp[0]) + 1,), pair(rp[1])))
+    report.record(np.sqrt(ent.T[:, ci] ** 2 + ent.T[:, cj] ** 2), bound_12,
+                  lambda rp: (pair(rp[1]), (int(rp[0]) + 1,)))
 
     # 2 x 2 blocks, chunked over row pairs to bound memory.
     bound_22 = goodness_bound(2, 2, n)
@@ -227,15 +205,15 @@ def _check_small_blocks(u: OrthogonalMatrix, acc: _GoodnessAccumulator) -> None:
         b = ent[rp[:, 0]][:, cj]
         c = ent[rp[:, 1]][:, ci]
         d = ent[rp[:, 1]][:, cj]
-        acc.record(_two_by_two_norms(a, b, c, d), bound_22,
-                   lambda xy, start=start: (pair(start + xy[0]), pair(xy[1])))
+        report.record(_two_by_two_norms(a, b, c, d), bound_22,
+                      lambda xy, start=start: (pair(start + xy[0]), pair(xy[1])))
 
 
 # Byte budget for the stacked blocks of one pass over sampled pairs.
 GOODNESS_STACK_BYTES = 1 << 22
 
 
-def _record_sampled(u: OrthogonalMatrix, draws: list, acc: _GoodnessAccumulator) -> None:
+def _record_sampled(u: OrthogonalMatrix, draws: list, report: GoodnessReport) -> None:
     """Record sampled (rows, cols) pairs (sorted 0-based index arrays) in
     draw order. Blocks of one shape share one stacked SVD, whose norms
     are bit for bit those of per-block SVDs."""
@@ -256,7 +234,7 @@ def _record_sampled(u: OrthogonalMatrix, draws: list, acc: _GoodnessAccumulator)
         rows, cols = draws[i[0]]
         return tuple(int(r) + 1 for r in rows), tuple(int(c) + 1 for c in cols)
 
-    acc.record(norms, bounds, pair_of)
+    report.record(norms, bounds, pair_of)
 
 
 def check_goodness(
@@ -277,10 +255,10 @@ def check_goodness(
         raise ValueError(f"sampled_pairs must be non-negative, got {sampled_pairs}")
     if max_block < 1:
         raise ValueError(f"max_block must be at least 1, got {max_block}")
-    acc = _GoodnessAccumulator(u.n)
-    _check_singletons(u, acc)
+    report = GoodnessReport(u.n)
+    _check_singletons(u, report)
     if u.n <= 64:
-        _check_small_blocks(u, acc)
+        _check_small_blocks(u, report)
     rng = derive_rng(seed, "goodness", u.n, sampled_pairs, max_block)
     cap = min(max_block, u.n)
     draws = []
@@ -293,10 +271,10 @@ def check_goodness(
         draws.append((rows, cols))
         stacked_bytes += 8 * s_size * t_size
         if stacked_bytes >= GOODNESS_STACK_BYTES:
-            _record_sampled(u, draws, acc)
+            _record_sampled(u, draws, report)
             draws, stacked_bytes = [], 0
-    _record_sampled(u, draws, acc)
-    return acc.report()
+    _record_sampled(u, draws, report)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ class RorrelationInstance:
 
     k: int
     vectors: np.ndarray  # shape (k, N), entries +-1
-    matrix_ref: str = ""  # path or hash of the matrix file, if any
 
     def __post_init__(self):
         if self.k < 2:
@@ -109,15 +108,11 @@ def no_threshold(k: int) -> float:
     return 2.0 ** (-(k + 1))
 
 
-def classify(u: OrthogonalMatrix, vectors: np.ndarray, k: int | None = None) -> InstanceLabel:
-    """Label by the promise thresholds; AMBIGUOUS marks the gap between them."""
+def classify(u: OrthogonalMatrix, vectors: np.ndarray) -> InstanceLabel:
+    """Label by the promise thresholds, with k the number of vectors;
+    AMBIGUOUS marks the gap between them."""
     vecs = np.asarray(vectors)
-    if k is None:
-        k = vecs.shape[0]
-    elif k != vecs.shape[0]:
-        raise ValueError("declared k does not match vector count")
-    value = phi(u, vecs)
-    return classify_value(value, k)
+    return classify_value(phi(u, vecs), vecs.shape[0])
 
 
 def classify_value(value: float, k: int) -> InstanceLabel:
@@ -215,12 +210,6 @@ def load_instances(path: str | Path) -> tuple[list[RorrelationInstance], str, st
     raw = np.frombuffer(blob[pos:], dtype=np.uint8).reshape(count, k, n)
     if np.any(raw > 1):
         raise ValueError(f"{path}: sign bytes must be 0 or 1")
-    instances = [
-        RorrelationInstance(
-            k=k,
-            vectors=(raw[i].astype(np.int8) * 2 - 1),
-            matrix_ref=matrix_hash or matrix_path,
-        )
-        for i in range(count)
-    ]
+    instances = [RorrelationInstance(k=k, vectors=raw[i].astype(np.int8) * 2 - 1)
+                 for i in range(count)]
     return instances, matrix_path, matrix_hash

@@ -346,7 +346,8 @@ def _level1_chain(tree: dtree.DecisionTree, p: float, l1: float,
     spec = dtree.sparse_fourier(relabeled)
     refined = dtree.refined_level1_sum(tree, 0, tree.depth)
     return refined, dict(
-        relabel_nonnegative_ok=all(s.a_hat_next >= 0 for s in relabeled.node_stats())
+        relabel_nonnegative_ok=all(
+            a_hat >= 0 for a_hat in dtree.next_var_coefficients(relabeled).values())
         and dtree.acceptance_probability(relabeled) == p,
         refined_dominates_level1_ok=l1 <= refined,
         relabeled_level1_exact_ok=refined == sum(

@@ -26,6 +26,7 @@ from rorrlab.dtree import (
     make_dictator,
     make_majority,
     make_parity,
+    next_var_coefficients,
     random_tree,
     refined_level1_sum,
     relabel_nonnegative,
@@ -192,14 +193,17 @@ def test_decomposition_empty_set_rejected():
 
 
 def test_decomposition_random_corpus():
-    # The identity is exact on every non-empty subset.
+    # The identity is exact on every non-empty subset, also where a node
+    # is reached along several paths (one term per path).
     rng = np.random.default_rng(0)
+    trees = []
     for trial in range(25):
         n = int(rng.integers(4, 9))
         d = int(rng.integers(1, min(n, 6) + 1))
-        tree = random_tree(n, d, seed=1000 + trial)
-        for bits in range(1, 1 << n):
-            subset = tuple(i + 1 for i in range(n) if (bits >> i) & 1)
+        trees.append(random_tree(n, d, seed=1000 + trial))
+    for tree in trees + list(SHARED_ARENAS):
+        for bits in range(1, 1 << tree.n):
+            subset = tuple(i + 1 for i in range(tree.n) if (bits >> i) & 1)
             lhs, rhs = decomposition_sides(tree, subset)
             assert abs(lhs - rhs) <= 1e-9
 
@@ -239,18 +243,55 @@ def test_relabel_swaps_a_shared_node_once():
     out = relabel_nonnegative(tree)
     assert out.nodes[2] == Node(query_var=2, child_minus=0, child_plus=1)
     assert out.nodes[3:] == tree.nodes[3:]
-    assert all(s.a_hat_next >= 0 for s in out.node_stats())
+    assert all(a_hat >= 0 for a_hat in next_var_coefficients(out).values())
 
 
 def test_relabel_invariants_random_trees():
     for seed in range(6):
         tree = random_tree(8, 5, seed)
         out = relabel_nonnegative(tree)
-        assert all(s.a_hat_next >= 0 for s in out.node_stats())
+        assert all(a_hat >= 0 for a_hat in next_var_coefficients(out).values())
         assert acceptance_probability(out) == acceptance_probability(tree)
-        probs = sorted(s.reach_probability for s in tree.node_stats())
-        probs_out = sorted(s.reach_probability for s in out.node_stats())
-        assert probs == probs_out
+        # Only signs change along each path: the queried variables and so
+        # the leaf depths (and every node's reach probability) are kept.
+        leaves, leaves_out = leaf_paths(tree), leaf_paths(out)
+        assert sorted(len(path) for path, _ in leaves) == sorted(
+            len(path) for path, _ in leaves_out)
+        assert sorted(tuple(var for var, _ in path) for path, _ in leaves) == sorted(
+            tuple(var for var, _ in path) for path, _ in leaves_out)
+
+
+def _internal_visits(tree):
+    """(node, depth) of every visit of an internal node, one per distinct
+    proper prefix of a leaf path: a shared node once per path to it."""
+    visits = {}
+    for path, _ in leaf_paths(tree):
+        idx = tree.root
+        for depth, (_, sign) in enumerate(path):
+            visits[path[:depth]] = idx
+            node = tree.nodes[idx]
+            idx = node.child_plus if sign == 1 else node.child_minus
+    return [(idx, len(prefix)) for prefix, idx in visits.items()]
+
+
+def test_next_var_coefficients_match_each_subtree_spectrum():
+    # A_v_hat({q_v}) is the coefficient of q_v in the spectrum of the
+    # subtree rooted at v; only reachable internal nodes are listed.
+    for tree in [build(*args) for build, args, _ in _ARENAS] + list(SHARED_ARENAS):
+        coeffs = next_var_coefficients(tree)
+        reachable, stack = set(), [tree.root]
+        while stack:
+            idx = stack.pop()
+            node = tree.nodes[idx]
+            if not node.is_leaf and idx not in reachable:
+                reachable.add(idx)
+                stack += [node.child_minus, node.child_plus]
+        assert coeffs.keys() == reachable
+        # At most about 512 nodes of each arena, evenly spread, keep the
+        # 3,431 internal nodes of Majority-13 to a second.
+        for v in sorted(coeffs)[::max(1, len(coeffs) // 512)]:
+            subtree = DecisionTree(tree.n, tree.nodes, root=v)
+            assert coeffs[v] == sparse_fourier(subtree).coefficient((tree.nodes[v].query_var,))
 
 
 def test_refined_level1_sum_single_leaf():
@@ -266,10 +307,18 @@ def test_refined_level1_sum_depth_one():
 def test_refined_level1_sum_majority3():
     tree = make_majority(3)
     total = refined_level1_sum(tree, 0, tree.depth)
-    expected = sum(
-        s.reach_probability * abs(s.a_hat_next) for s in tree.node_stats()
-    )
+    coeffs = next_var_coefficients(tree)
+    visits = _internal_visits(tree)
+    assert len(visits) == 5
+    expected = sum(0.5 ** depth * abs(coeffs[idx]) for idx, depth in visits)
     assert total == pytest.approx(expected)
+    # A node shared by two paths counts once per path.
+    shared = SHARED_ARENAS[0]
+    coeffs = next_var_coefficients(shared)
+    visits = _internal_visits(shared)
+    assert len(visits) == len(leaf_paths(shared)) - 1 > len(coeffs)
+    assert refined_level1_sum(shared, 0, shared.depth) == sum(
+        0.5 ** depth * abs(coeffs[idx]) for idx, depth in visits)
     # Full-range refined sum upper-bounds the relabeled tree's level-1 mass.
     relabeled = relabel_nonnegative(tree)
     spec = sparse_fourier(relabeled, ZO)
@@ -473,12 +522,21 @@ def test_deep_decision_list_needs_no_recursion():
     assert evaluate_rows(tree, rows).tolist() == [1, 0, 1]
     # Leaves with bit 1 sit at depths 2, 4, ...: 1/4 + 1/16 + ... = 1/3.
     assert acceptance_probability(tree) == pytest.approx(1 / 3, abs=1e-15)
-    stats = tree.node_stats()
-    assert [s.depth for s in stats] == list(range(depth))
-    assert stats[-1].path == tuple((i, 1) for i in range(1, depth))
     leaves = leaf_paths(tree)
     assert len(leaves) == depth + 1
-    assert leaves[0] == (((1, -1),), 0) and len(leaves[-1][0]) == depth
+    assert leaves[0] == (((1, -1),), 0)
+    assert leaves[-1] == (tuple((i, 1) for i in range(1, depth + 1)), 1)
+    # Node 2i has a leaf with bit i % 2 below its minus child and accepts
+    # (i % 2 + a) / 2, with a the acceptance below its plus child.
+    coeffs = next_var_coefficients(tree)
+    below, expected = 1.0, {}
+    for i in reversed(range(depth)):
+        expected[2 * i] = 0.5 * (below - i % 2)
+        below = 0.5 * (i % 2 + below)
+    assert coeffs == expected
+    # Layer i holds node 2i alone, visited in order.
+    assert refined_level1_sum(tree, 0, depth) == sum(
+        0.5 ** i * abs(expected[2 * i]) for i in range(depth))
     with pytest.raises(ValueError, match="too deep"):
         sparse_fourier(tree)
 
@@ -513,6 +571,32 @@ def test_shared_chain_past_the_leaf_budget_is_refused_at_load(monkeypatch, tmp_p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: tree unfolds to more than MAX_LEAVES = 1024 leaves\n"
+
+
+def test_leaf_budget_and_cycles_are_checked_before_any_walk(monkeypatch):
+    def no_walk(tree):
+        raise AssertionError("a path was walked")
+
+    # Each arena is accepted at exactly its leaf count and refused one below.
+    for tree in (SHARED_ARENAS + (make_majority(5), make_address_of_majority(3),
+                                  tree_from_json(_shared_chain(6)))):
+        leaves = len(leaf_paths(tree))
+        monkeypatch.setattr(dtree, "MAX_LEAVES", leaves)
+        DecisionTree(tree.n, tree.nodes, tree.root)
+        monkeypatch.setattr(dtree, "MAX_LEAVES", leaves - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(dtree, "_walk", no_walk)
+            with pytest.raises(ValueError, match=f"MAX_LEAVES = {leaves - 1} "):
+                DecisionTree(tree.n, tree.nodes, tree.root)
+    monkeypatch.undo()
+    monkeypatch.setattr(dtree, "_walk", no_walk)
+    # 41 nodes that unfold to 2^40 leaves: refused without unfolding a path.
+    with pytest.raises(ValueError, match=f"MAX_LEAVES = {dtree.MAX_LEAVES} "):
+        tree_from_json(_shared_chain(40))
+    doc = json.loads(_shared_chain(40))
+    doc["nodes"][30]["hi"] = 10  # a loop back up the chain
+    with pytest.raises(ValueError, match="variable 11 repeats along a path"):
+        tree_from_json(json.dumps(doc))
 
 
 def test_deep_cycle_is_refused_not_walked_forever():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference import leaf_paths
 from rorrlab import boolfn, dtree, ortho, rorrelation, verify
 
 FUZZ = settings(max_examples=200, deadline=None,
@@ -159,7 +160,9 @@ def test_tree_from_json_refuses_only_with_value_error(doc):
         dtree.sparse_fourier(tree)
     elif tree.depth >= 100:
         assert 0.0 <= dtree.acceptance_probability(tree) <= 1.0
-        assert len(tree.node_stats()) == tree.depth
+        # A caterpillar: one internal node per layer, each reached once.
+        assert len(dtree.next_var_coefficients(tree)) == tree.depth
+        assert len(leaf_paths(tree)) == tree.depth + 1
         with pytest.raises(ValueError, match="too deep"):
             dtree.sparse_fourier(tree)
     else:

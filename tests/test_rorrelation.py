@@ -102,12 +102,6 @@ def test_classify_thresholds():
     assert classify_value(-(2.0 ** -(k + 1)), k).tag is Label.NO
 
 
-def test_classify_k_mismatch():
-    eye = identity_matrix(4)
-    with pytest.raises(ValueError):
-        classify(eye, np.ones((2, 4)), k=3)
-
-
 def test_sign_correlation_values():
     assert sign_correlation(0.0) == pytest.approx(0.0)
     assert sign_correlation(1.0) == pytest.approx(1.0)

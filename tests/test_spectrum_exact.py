@@ -143,3 +143,19 @@ def test_fourier_table_output_matches_the_tuple_encoder(n, form, tmp_path, capsy
     assert main(["fourier", "--table", str(path)]) == 0
     stdout = capsys.readouterr().out
     assert stdout.rstrip("\n") == reference_json(boolfn.fourier_from_truth_table(values, n))
+
+
+@pytest.mark.parametrize("form", ["csv", "bytes"])
+@pytest.mark.parametrize("convention", ["01", "pm1"])
+def test_fourier_table_honours_an_explicit_convention(form, convention, tmp_path, capsys):
+    n = 4
+    bits = np.random.default_rng(7).integers(0, 2, 1 << n)
+    path = tmp_path / ("f.csv" if form == "csv" else "f.bin")
+    if form == "csv":
+        boolfn.write_truth_table_csv(path, 2 * bits - 1)
+    else:
+        boolfn.write_truth_table_bytes(path, bits)
+    values = bits.astype(float) if convention == "01" else 2.0 * bits - 1.0
+    assert main(["fourier", "--table", str(path), "--convention", convention]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.rstrip("\n") == reference_json(boolfn.fourier_from_truth_table(values, n))
