@@ -145,27 +145,31 @@ class DecisionTree:
         walk refuses it."""
         nodes = self.nodes
         below: list[int | None] = [None] * len(nodes)  # leaves below a node; -1 while open
-        stack = [(self.root, False)]  # (node, children counted)
+        stack = [self.root]  # a node to open, or ~node once its children are counted
+        pop, push = stack.pop, stack.append
         while stack:
-            idx, counted = stack.pop()
-            node = nodes[idx]
-            children = [c for c in (node.child_minus, node.child_plus) if c is not None]
-            if node.is_leaf:
-                below[idx] = 1
-            elif counted:
-                below[idx] = sum(below[c] for c in children)
-                if below[idx] > MAX_LEAVES:  # the root unfolds to at least as many
+            idx = pop()
+            if idx < 0:
+                node = nodes[~idx]
+                lo, hi = node.child_minus, node.child_plus
+                count = (0 if lo is None else below[lo]) + (0 if hi is None else below[hi])
+                if count > MAX_LEAVES:  # the root unfolds to at least as many
                     raise ValueError(f"tree unfolds to more than MAX_LEAVES = {MAX_LEAVES} "
                                      f"leaves")
+                below[~idx] = count
             elif below[idx] is None:  # a node pushed by several parents is opened once
+                node = nodes[idx]
+                if node.query_var is None:  # a leaf
+                    below[idx] = 1
+                    continue
                 below[idx] = -1
-                stack.append((idx, True))
-                for child in children:
-                    if below[child] == -1:  # open: on the path to this node
-                        raise ValueError(f"variable {nodes[child].query_var} repeats along "
-                                         f"a path")
-                    if below[child] is None:
-                        stack.append((child, False))
+                push(~idx)
+                for child in (node.child_minus, node.child_plus):
+                    if child is not None:
+                        if below[child] == -1:  # open: on the path to this node
+                            raise ValueError(f"variable {nodes[child].query_var} repeats "
+                                             f"along a path")
+                        push(child)
 
     def truth_table(self) -> np.ndarray:
         """Dense 0/1 table in position order; guarded to n <= 20."""
