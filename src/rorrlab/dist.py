@@ -27,6 +27,7 @@ from .util import derive_rng, sub_seed
 __all__ = [
     "MomentEstimate",
     "MomentAuditReport",
+    "sgn",
     "sample_duk_batch",
     "sample_uniform_batch",
     "u_tilde_exact_1x1",
@@ -43,9 +44,14 @@ MC_CHUNK = 8192
 MOMENT_CONSTANT = 100.0
 
 
-def _sign(values: np.ndarray) -> np.ndarray:
-    """Sign with sgn(0) := +1, as int8."""
-    return np.where(values >= 0, np.int8(1), np.int8(-1))
+def sgn(values: np.ndarray) -> np.ndarray:
+    """Sign as int8 with sgn(0) := +1 (-0.0 included) and NaN -> -1: the
+    one sign kernel of the package. The >= 0 mask, viewed as 0/1 bytes,
+    becomes 2 * mask - 1 in place."""
+    signs = np.greater_equal(values, 0).view(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def sample_duk_batch(u: OrthogonalMatrix, k: int, count: int, seed: int) -> np.ndarray:
@@ -61,10 +67,10 @@ def sample_duk_batch(u: OrthogonalMatrix, k: int, count: int, seed: int) -> np.n
         # One GEMM over all m(k-1) rows; row i of a draw becomes U^T x_i.
         y = (x.reshape(-1, u.n) @ u.entries).reshape(x.shape)
         z = out[done : done + m]
-        z[:, 0] = _sign(x[:, 0])
+        z[:, 0] = sgn(x[:, 0])
         for i in range(1, k - 1):
-            z[:, i] = _sign(y[:, i - 1] * x[:, i])
-        z[:, k - 1] = _sign(y[:, k - 2])
+            z[:, i] = sgn(y[:, i - 1] * x[:, i])
+        z[:, k - 1] = sgn(y[:, k - 2])
         done += m
     return out
 
@@ -138,7 +144,6 @@ def u_tilde_mc(
     cross = u.entries[np.ix_(s_idx, t_idx)]
     r = np.linalg.qr(u.entries[np.ix_(outside, t_idx)], mode="r")
     total = 0.0
-    total_sq = 0.0
     done = 0
     while done < pairs:
         m = min(MC_CHUNK, pairs - done)
@@ -147,14 +152,13 @@ def u_tilde_mc(
         prod = np.prod(x_s, axis=1)
         if t_idx.size:
             prod *= np.prod(x_s @ cross + g @ r, axis=1)
-        signs = _sign(prod).astype(float)
         # Even parity: the antithetic partner contributes the same sign,
         # so the pair mean equals the sign itself.
-        total += float(signs.sum())
-        total_sq += float((signs**2).sum())
+        total += float(sgn(prod).sum(dtype=np.int64))
         done += m
     mean = total / pairs
-    var = max(total_sq / pairs - mean**2, 0.0) * pairs / max(pairs - 1, 1)
+    # Every pair mean is +-1, so its mean square is exactly 1.
+    var = max(1.0 - mean**2, 0.0) * pairs / max(pairs - 1, 1)
     stderr = math.sqrt(var / pairs)
     return MomentEstimate(value=mean, stderr=stderr, samples=2 * pairs, exact=False)
 

@@ -209,30 +209,67 @@ def _check_small_blocks(u: OrthogonalMatrix, report: GoodnessReport) -> None:
                       lambda xy, start=start: (pair(start + xy[0]), pair(xy[1])))
 
 
-# Byte budget for the stacked blocks of one pass over sampled pairs.
-GOODNESS_STACK_BYTES = 1 << 22
+# Sampled pairs are drawn and recorded in chunks of this many index
+# slots per side (16,384 pairs at max_block 8), so memory stays bounded
+# whatever the pair count.
+GOODNESS_CHUNK_SLOTS = 1 << 17
 
 
-def _record_sampled(u: OrthogonalMatrix, draws: list, report: GoodnessReport) -> None:
-    """Record sampled (rows, cols) pairs (sorted 0-based index arrays) in
-    draw order. Blocks of one shape share one stacked SVD, whose norms
-    are bit for bit those of per-block SVDs."""
-    if not draws:
-        return
-    norms = np.empty(len(draws))
-    bounds = np.empty(len(draws))
-    shapes: dict[tuple[int, int], list[int]] = {}
-    for i, (rows, cols) in enumerate(draws):
-        shapes.setdefault((rows.size, cols.size), []).append(i)
-    for (s_size, t_size), idx in shapes.items():
-        rows = np.array([draws[i][0] for i in idx])
-        cols = np.array([draws[i][1] for i in idx])
-        norms[idx] = spectral_norm(u.entries[rows[:, :, None], cols[:, None, :]])
+def _floyd_subsets(rng: np.random.Generator, n: int, size: int, count: int) -> np.ndarray:
+    """`count` uniform `size`-subsets of range(n), one sorted row each.
+
+    Floyd's algorithm on all rows at once: for j = n-size .. n-1 take t
+    uniform in 0..j, and j itself when t is already in the set. That is
+    `size` draws per set, whatever n is.
+    """
+    sets = np.empty((count, size), dtype=np.intp)
+    for col, j in enumerate(range(n - size, n)):
+        pick = rng.integers(0, j + 1, size=count)
+        taken = (sets[:, :col] == pick[:, None]).any(axis=1)
+        sets[:, col] = np.where(taken, j, pick)
+    sets.sort(axis=1)
+    return sets
+
+
+def _goodness_draws(n: int, sampled_pairs: int, max_block: int, seed: int):
+    """The sampled (S, T) pairs of check_goodness, in chunks of at most
+    GOODNESS_CHUNK_SLOTS // cap pairs: yields (sizes, rows, cols) with
+    sizes (m, 2) uniform in 1..cap = min(max_block, n), and pair i's
+    sorted 0-based index sets at rows[i, :sizes[i, 0]] and
+    cols[i, :sizes[i, 1]]."""
+    rng = derive_rng(seed, "goodness", n, sampled_pairs, max_block)
+    cap = min(max_block, n)
+    chunk = max(1, GOODNESS_CHUNK_SLOTS // cap)
+    for start in range(0, sampled_pairs, chunk):
+        m = min(chunk, sampled_pairs - start)
+        sizes = rng.integers(1, cap + 1, size=(m, 2))
+        sets = np.zeros((2, m, cap), dtype=np.intp)
+        for side in range(2):
+            for size in range(1, cap + 1):
+                which = np.flatnonzero(sizes[:, side] == size)
+                sets[side, which, :size] = _floyd_subsets(rng, n, size, which.size)
+        yield sizes, sets[0], sets[1]
+
+
+def _record_sampled(u: OrthogonalMatrix, sizes: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray, report: GoodnessReport) -> None:
+    """Record one chunk of sampled pairs in draw order. Blocks of one
+    shape share one stacked SVD, whose norms are bit for bit those of
+    per-block SVDs."""
+    norms = np.empty(len(sizes))
+    bounds = np.empty(len(sizes))
+    # A set, not np.unique: the first np.unique call of a process costs
+    # more than the whole of a small check.
+    for s_size, t_size in set(map(tuple, sizes.tolist())):
+        idx = np.flatnonzero((sizes[:, 0] == s_size) & (sizes[:, 1] == t_size))
+        blocks = u.entries[rows[idx, :s_size, None], cols[idx, None, :t_size]]
+        norms[idx] = spectral_norm(blocks)
         bounds[idx] = goodness_bound(s_size, t_size, u.n)
 
-    def pair_of(i):
-        rows, cols = draws[i[0]]
-        return tuple(int(r) + 1 for r in rows), tuple(int(c) + 1 for c in cols)
+    def pair_of(idx):
+        (i,) = idx
+        return (tuple(int(r) + 1 for r in rows[i, : sizes[i, 0]]),
+                tuple(int(c) + 1 for c in cols[i, : sizes[i, 1]]))
 
     report.record(norms, bounds, pair_of)
 
@@ -259,21 +296,8 @@ def check_goodness(
     _check_singletons(u, report)
     if u.n <= 64:
         _check_small_blocks(u, report)
-    rng = derive_rng(seed, "goodness", u.n, sampled_pairs, max_block)
-    cap = min(max_block, u.n)
-    draws = []
-    stacked_bytes = 0
-    for _ in range(sampled_pairs):
-        s_size = int(rng.integers(1, cap + 1))
-        t_size = int(rng.integers(1, cap + 1))
-        rows = np.sort(rng.choice(u.n, size=s_size, replace=False))
-        cols = np.sort(rng.choice(u.n, size=t_size, replace=False))
-        draws.append((rows, cols))
-        stacked_bytes += 8 * s_size * t_size
-        if stacked_bytes >= GOODNESS_STACK_BYTES:
-            _record_sampled(u, draws, report)
-            draws, stacked_bytes = [], 0
-    _record_sampled(u, draws, report)
+    for sizes, rows, cols in _goodness_draws(u.n, sampled_pairs, max_block, seed):
+        _record_sampled(u, sizes, rows, cols, report)
     return report
 
 

@@ -151,7 +151,7 @@ def check_sign_correlation(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]
         z2 = rng.standard_normal(cfg.sign_corr_samples)
         x = z1
         y = rho * z1 + math.sqrt(1.0 - rho * rho) * z2
-        prods = np.where(x >= 0, 1.0, -1.0) * np.where(y >= 0, 1.0, -1.0)
+        prods = dist.sgn(x) * dist.sgn(y)
         mean, stderr = mean_and_stderr(prods)
         target = rorrelation.sign_correlation(rho)
         passed = abs(mean - target) <= 4.0 * stderr

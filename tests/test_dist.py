@@ -26,6 +26,17 @@ def _signs(values):
     return np.where(values >= 0, 1, -1)
 
 
+def test_sign_kernel_matches_where_on_edge_values():
+    tiny = np.finfo(float).tiny
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                       tiny / 4, -tiny / 4, tiny, -tiny, 1.0, -1.0])
+    signs = dist.sgn(values)
+    assert signs.dtype == np.int8
+    assert np.array_equal(signs, np.where(values >= 0, 1, -1))
+    grid = np.random.default_rng(0).standard_normal((3, 5, 7))
+    assert np.array_equal(dist.sgn(grid), _signs(grid))
+
+
 def test_gk_construction_invariants():
     # The chain identities, with U^T x recomputed one vector at a time.
     u = ortho.sample_haar(32, seed=2)

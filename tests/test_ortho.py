@@ -138,20 +138,25 @@ def test_goodness_requires_n_at_least_two():
         ortho.check_goodness(u, sampled_pairs=1, max_block=1, seed=0)
 
 
+def _per_block_sampled(u, sampled_pairs, max_block, seed):
+    """Norm, bound and 1-based (S, T) of each sampled pair, in draw order,
+    from one SVD per block over the index sets of ortho._goodness_draws."""
+    out = []
+    for sizes, rows, cols in ortho._goodness_draws(u.n, sampled_pairs, max_block, seed):
+        for (s_size, t_size), r, c in zip(sizes, rows, cols):
+            block = u.entries[np.ix_(r[:s_size], c[:t_size])]
+            out.append((float(np.linalg.svd(block, compute_uv=False)[0]),
+                        ortho.goodness_bound(s_size, t_size, u.n),
+                        (tuple(int(i) + 1 for i in r[:s_size]),
+                         tuple(int(j) + 1 for j in c[:t_size]))))
+    return out
+
+
 def _per_block_goodness(u, sampled_pairs, max_block, seed):
-    """Reference for check_goodness: its exhaustive passes, then the same
-    sampled draws with one SVD per block, recorded one pair at a time."""
+    """Reference for check_goodness: its exhaustive passes, then the
+    sampled pairs with one SVD per block, recorded one pair at a time."""
     report = ortho.check_goodness(u, sampled_pairs=0, max_block=max_block, seed=seed)
-    rng = derive_rng(seed, "goodness", u.n, sampled_pairs, max_block)
-    cap = min(max_block, u.n)
-    for _ in range(sampled_pairs):
-        s_size = int(rng.integers(1, cap + 1))
-        t_size = int(rng.integers(1, cap + 1))
-        rows = tuple(int(r) + 1 for r in np.sort(rng.choice(u.n, size=s_size, replace=False)))
-        cols = tuple(int(c) + 1 for c in np.sort(rng.choice(u.n, size=t_size, replace=False)))
-        block = u.entries[np.ix_(np.array(rows) - 1, np.array(cols) - 1)]
-        norm = float(np.linalg.svd(block, compute_uv=False)[0])
-        bound = ortho.goodness_bound(s_size, t_size, u.n)
+    for norm, bound, (rows, cols) in _per_block_sampled(u, sampled_pairs, max_block, seed):
         report.checked_pairs += 1
         if norm / bound > report.worst_ratio:
             report.worst_ratio, report.worst_pair = norm / bound, (rows, cols)
@@ -163,6 +168,32 @@ def _per_block_goodness(u, sampled_pairs, max_block, seed):
     return report
 
 
+class _Recorded:
+    """Stands in for a GoodnessReport and keeps every recorded pair."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def record(self, norms, bounds, pair_of):
+        bounds = np.broadcast_to(bounds, norms.shape)
+        self.pairs += [(float(norms[i]), float(bounds[i]), pair_of((i,)))
+                       for i in range(norms.size)]
+
+
+def _stacked_sampled(u, sampled_pairs, max_block, seed):
+    recorded = _Recorded()
+    for sizes, rows, cols in ortho._goodness_draws(u.n, sampled_pairs, max_block, seed):
+        ortho._record_sampled(u, sizes, rows, cols, recorded)
+    return recorded.pairs
+
+
+def _hadamard16():
+    h = np.array([[1.0]])
+    for _ in range(4):
+        h = np.block([[h, h], [h, -h]])
+    return ortho.OrthogonalMatrix(n=16, entries=h / 4.0, seed=None)
+
+
 @pytest.mark.parametrize("n, pairs, max_block", [
     (16, 2000, 8),
     (16, 1000, 20),  # max_block > n: sizes capped at n
@@ -171,6 +202,10 @@ def _per_block_goodness(u, sampled_pairs, max_block, seed):
 ])
 def test_stacked_goodness_equals_per_block_svds(n, pairs, max_block):
     u = ortho.sample_haar(n, seed=n + 1)
+    # On Haar matrices a singleton decides the worst pair, so compare
+    # every sampled norm, bound and pair as well, in draw order.
+    assert _stacked_sampled(u, pairs, max_block, 3) == _per_block_sampled(
+        u, pairs, max_block, 3)
     assert ortho.check_goodness(u, pairs, max_block, seed=3) == _per_block_goodness(
         u, pairs, max_block, seed=3)
 
@@ -178,10 +213,7 @@ def test_stacked_goodness_equals_per_block_svds(n, pairs, max_block):
 def test_stacked_goodness_keeps_the_first_of_tied_maxima():
     # Blocks of the Sylvester-Hadamard matrix take few distinct norms, so
     # sampled ratios tie, and rank-one blocks beat every singleton.
-    h = np.array([[1.0]])
-    for _ in range(4):
-        h = np.block([[h, h], [h, -h]])
-    u = ortho.OrthogonalMatrix(n=16, entries=h / 4.0, seed=None)
+    u = _hadamard16()
     report = ortho.check_goodness(u, 2000, 8, seed=5)
     assert report == _per_block_goodness(u, 2000, 8, seed=5)
     assert len(report.worst_pair[0]) > 1
@@ -189,14 +221,13 @@ def test_stacked_goodness_keeps_the_first_of_tied_maxima():
 
 def test_stacked_goodness_across_chunk_boundaries(monkeypatch):
     u = ortho.sample_haar(64, seed=8)
-    expected = _per_block_goodness(u, 2000, 8, seed=4)
+    monkeypatch.setattr(ortho, "GOODNESS_CHUNK_SLOTS", 8 * 150)  # 150 pairs at max_block 8
     flushes = []
     record = ortho._record_sampled
-    monkeypatch.setattr(ortho, "GOODNESS_STACK_BYTES", 4096)
     monkeypatch.setattr(ortho, "_record_sampled",
-                        lambda u, draws, acc: flushes.append(len(draws)) or record(u, draws, acc))
-    assert ortho.check_goodness(u, 2000, 8, seed=4) == expected
-    assert len(flushes) > 10 and sum(flushes) == 2000
+                        lambda u, sizes, *rest: flushes.append(len(sizes)) or record(u, sizes, *rest))
+    assert ortho.check_goodness(u, 2000, 8, seed=4) == _per_block_goodness(u, 2000, 8, seed=4)
+    assert flushes == [150] * 13 + [50]
 
 
 def test_stacked_goodness_identity_past_the_stored_violations():
@@ -207,6 +238,39 @@ def test_stacked_goodness_identity_past_the_stored_violations():
     assert report.violation_count > ortho.MAX_STORED_VIOLATIONS
     assert len(report.violations) == ortho.MAX_STORED_VIOLATIONS
     assert report == _per_block_goodness(identity, 300, 4, seed=6)
+    # Only 1 x 1 blocks can violate at N = 2048; one pair in 2,048 is
+    # diagonal, so these 20,000 pairs hold sampled violations too.
+    sampled = _stacked_sampled(identity, 20_000, 1, 6)
+    assert sampled == _per_block_sampled(identity, 20_000, 1, 6)
+    assert sum(norm > bound for norm, bound, _ in sampled) > 0
+    report = ortho.check_goodness(identity, 20_000, 1, seed=6)
+    assert report.violation_count > 2048
+    assert report == _per_block_goodness(identity, 20_000, 1, seed=6)
+
+
+@pytest.mark.parametrize("n, max_block", [(4, 8), (16, 8), (64, 3), (2048, 8)])
+def test_goodness_draws_are_sorted_distinct_and_in_range(n, max_block):
+    cap = min(max_block, n)
+    seen_sizes = set()
+    for sizes, rows, cols in ortho._goodness_draws(n, 700, max_block, seed=2):
+        assert sizes.min() >= 1 and sizes.max() <= cap
+        seen_sizes |= set(sizes.ravel().tolist())
+        for (s_size, t_size), r, c in zip(sizes, rows, cols):
+            for index_set in (r[:s_size], c[:t_size]):
+                assert np.all(np.diff(index_set) > 0)
+                assert 0 <= index_set[0] and index_set[-1] < n
+    assert seen_sizes == set(range(1, cap + 1))
+
+
+def test_floyd_subsets_are_uniform():
+    # 60,000 draws of 3-subsets of 6: each of the 20 subsets is expected
+    # 3,000 times with binomial sd sqrt(60000 * 1/20 * 19/20) = 53.4; the
+    # bound is five sd.
+    sets = ortho._floyd_subsets(np.random.default_rng(11), 6, 3, 60_000)
+    assert np.all(np.diff(sets, axis=1) > 0)
+    subsets, counts = np.unique(sets, axis=0, return_counts=True)
+    assert len(subsets) == 20
+    assert np.all(np.abs(counts - 3000) <= 5 * np.sqrt(60_000 / 20 * 19 / 20))
 
 
 @pytest.mark.parametrize("pairs, max_block, name", [
