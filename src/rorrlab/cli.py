@@ -87,10 +87,9 @@ def cmd_rorrelate(args) -> int:
 def cmd_classify(args) -> int:
     def rows(u, batch):
         k = batch.shape[1]
-        labels = [rorrelation.classify_value(float(value), k)
-                  for value in rorrelation.phi_batch(u, batch)]
-        return [{"k": k, "N": u.n, "phi": label.phi, "label": label.tag.value}
-                for label in labels]
+        return [{"k": k, "N": u.n, "phi": float(value),
+                 "label": rorrelation.classify_value(float(value), k).value}
+                for value in rorrelation.phi_batch(u, batch)]
     return _per_instance(args, rows)
 
 

@@ -331,10 +331,6 @@ class TailCheckReport:
     trials: int
     rows: list[dict]  # t, frequency, stderr, subgaussian_bound, gaussian_tail
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "trials": self.trials, "rows": self.rows},
-                          sort_keys=True)
-
 
 def bilinear_tail_check(
     n: int, trials: int, seed: int, thresholds: Sequence[float] = (1.0, 2.0, 3.0)

@@ -13,22 +13,21 @@ query model counts, so a full run costs ceil(k/2) queries.
 
 `simulate_batch` runs a batch of m instances at once: each branch is an
 (m, N) block of real amplitudes, so every layer of U or U^T is one GEMM
-for the whole batch (O(mN) working space), and norm drift is tracked per
-row. `simulate_circuit` is its one-row case.
+for the whole batch (O(mN) working space), norm drift is tracked per
+row, and every final state's norm is checked against 1 once for the
+whole batch. `simulate_circuit` is its one-row case.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .boolfn import walsh_hadamard_inplace
 from .ortho import OrthogonalMatrix
 from .util import derive_rng
 
 __all__ = [
-    "QueryState",
     "CircuitRun",
     "AmplifiedDecision",
     "query_count",
@@ -45,28 +44,12 @@ NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class QueryState:
-    """Control qubit tensor index register: 2N real amplitudes, unit norm."""
-
-    amplitudes: np.ndarray = field(repr=False)
-    n: int
-
-    def __post_init__(self):
-        if self.amplitudes.shape != (2 * self.n,):
-            raise ValueError("state must hold 2N amplitudes")
-        drift = abs(float(np.linalg.norm(self.amplitudes)) - 1.0)
-        if drift > NORM_TOL:
-            raise ValueError(f"state norm drifted by {drift:.3e}")
-
-
-@dataclass(frozen=True)
 class CircuitRun:
     n: int
     k: int
     acceptance_probability: float
     branch_inner_product: float  # <a, b>, equal to phi_U(z)
     queries: int
-    final_state: QueryState
     max_norm_drift: float
 
 
@@ -108,11 +91,7 @@ def simulate_batch(u: OrthogonalMatrix, batch: np.ndarray) -> list[CircuitRun]:
         return block
 
     # Both branches start at the Hadamard layer applied to |0..0>.
-    start = np.zeros(n)
-    start[0] = 1.0
-    walsh_hadamard_inplace(start)
-    start /= math.sqrt(n)
-    half0 = track(np.tile(start, (m, 1)))
+    half0 = track(np.full((m, n), 1.0 / math.sqrt(n)))
     half1 = half0.copy()
 
     rounds = query_count(k)
@@ -132,7 +111,12 @@ def simulate_batch(u: OrthogonalMatrix, batch: np.ndarray) -> list[CircuitRun]:
 
     inner = np.einsum("mi,mi->m", half0, half1)
     prob = 0.25 * np.sum((half0 + half1) ** 2, axis=1)
-    amplitudes = np.concatenate([half0, half1], axis=1) / math.sqrt(2.0)
+    # The final state (half0, half1) / sqrt(2) must have unit norm.
+    final_drift = np.abs(np.hypot(np.linalg.norm(half0, axis=1),
+                                  np.linalg.norm(half1, axis=1)) / math.sqrt(2.0) - 1.0)
+    drifted = final_drift[final_drift > NORM_TOL]
+    if drifted.size:
+        raise ValueError(f"state norm drifted by {drifted[0]:.3e}")
     return [
         CircuitRun(
             n=n,
@@ -140,7 +124,6 @@ def simulate_batch(u: OrthogonalMatrix, batch: np.ndarray) -> list[CircuitRun]:
             acceptance_probability=float(prob[i]),
             branch_inner_product=float(inner[i]),
             queries=queries,
-            final_state=QueryState(amplitudes=amplitudes[i], n=n),
             max_norm_drift=float(drift[i]),
         )
         for i in range(m)

@@ -24,7 +24,6 @@ from .util import atomic_write
 
 __all__ = [
     "Label",
-    "InstanceLabel",
     "RorrelationInstance",
     "phi",
     "phi_batch",
@@ -48,12 +47,6 @@ class Label(enum.Enum):
 
 
 @dataclass(frozen=True)
-class InstanceLabel:
-    tag: Label
-    phi: float
-
-
-@dataclass(frozen=True)
 class RorrelationInstance:
     """k sign vectors of length N tied to the matrix they were built for."""
 
@@ -73,18 +66,9 @@ class RorrelationInstance:
         return self.vectors.shape[1]
 
 
-def _check_dimensions(u: OrthogonalMatrix, vectors: np.ndarray) -> np.ndarray:
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2 or vectors.shape[0] < 2:
-        raise ValueError("need a (k, N) stack of vectors with k >= 2")
-    if vectors.shape[1] != u.n:
-        raise ValueError(f"vectors have length {vectors.shape[1]}, matrix is {u.n}")
-    return vectors
-
-
 def phi(u: OrthogonalMatrix, vectors: Sequence[Sequence[float]] | np.ndarray) -> float:
     """k-fold Rorrelation of one instance: the one-row case of phi_batch."""
-    return float(phi_batch(u, _check_dimensions(u, np.asarray(vectors))[None])[0])
+    return float(phi_batch(u, np.asarray(vectors, dtype=float)[None])[0])
 
 
 def phi_batch(u: OrthogonalMatrix, batch: np.ndarray) -> np.ndarray:
@@ -108,19 +92,19 @@ def no_threshold(k: int) -> float:
     return 2.0 ** (-(k + 1))
 
 
-def classify(u: OrthogonalMatrix, vectors: np.ndarray) -> InstanceLabel:
+def classify(u: OrthogonalMatrix, vectors: np.ndarray) -> Label:
     """Label by the promise thresholds, with k the number of vectors;
     AMBIGUOUS marks the gap between them."""
     vecs = np.asarray(vectors)
     return classify_value(phi(u, vecs), vecs.shape[0])
 
 
-def classify_value(value: float, k: int) -> InstanceLabel:
+def classify_value(value: float, k: int) -> Label:
     if value >= yes_threshold(k):
-        return InstanceLabel(Label.YES, value)
+        return Label.YES
     if abs(value) <= no_threshold(k):
-        return InstanceLabel(Label.NO, value)
-    return InstanceLabel(Label.AMBIGUOUS, value)
+        return Label.NO
+    return Label.AMBIGUOUS
 
 
 def sign_correlation(rho: float) -> float:
@@ -138,13 +122,8 @@ def exact_expected_phi(u: OrthogonalMatrix, k: int) -> float:
     M_ij = U_ij * (2/pi) arcsin(U_ij). Always at least (2/pi)^(k-1)
     for orthogonal U.
     """
-    if k < 2:
-        raise ValueError("fold count k must be at least 2")
     m = u.entries * (2.0 / np.pi) * np.arcsin(np.clip(u.entries, -1.0, 1.0))
-    v = np.ones(u.n)
-    for _ in range(k - 1):
-        v = m @ v
-    return float(np.sum(v)) / u.n
+    return _chain_sum(m, k) / u.n
 
 
 def exact_uniform_variance(u: OrthogonalMatrix, k: int) -> float:
@@ -153,13 +132,17 @@ def exact_uniform_variance(u: OrthogonalMatrix, k: int) -> float:
     U o U is doubly stochastic for orthogonal U, so this equals 1/N
     identically; the matrix power is evaluated anyway as the check.
     """
+    return _chain_sum(u.entries**2, k) / u.n**2
+
+
+def _chain_sum(m: np.ndarray, k: int) -> float:
+    """1^T m^(k-1) 1 for a fold count k >= 2."""
     if k < 2:
         raise ValueError("fold count k must be at least 2")
-    sq = u.entries**2
-    v = np.ones(u.n)
+    v = np.ones(m.shape[0])
     for _ in range(k - 1):
-        v = sq @ v
-    return float(np.sum(v)) / u.n**2
+        v = m @ v
+    return float(np.sum(v))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +180,8 @@ def load_instances(path: str | Path) -> tuple[list[RorrelationInstance], str, st
     pos = 16
     if len(blob) < pos + hash_len + path_len + 4:
         raise ValueError(f"{path}: truncated header")
+    if k < 2:
+        raise ValueError(f"{path}: fold count k must be at least 2")
     if n < 1:
         raise ValueError(f"{path}: vector length must be positive")
     matrix_hash = blob[pos : pos + hash_len].decode()

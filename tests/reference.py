@@ -11,7 +11,7 @@ from rorrlab import dist
 from rorrlab.boolfn import (DROP_THRESHOLD, FourierSpectrum, OutputConvention,
                             fourier_from_truth_table)
 from rorrlab.dist import MomentEstimate
-from rorrlab.dtree import DecisionTree, evaluate_rows, sparse_fourier
+from rorrlab.dtree import DecisionTree, sparse_fourier
 from rorrlab.ortho import OrthogonalMatrix
 from rorrlab.util import derive_rng
 
@@ -68,12 +68,16 @@ def validate_bit_vector(x) -> np.ndarray:
 
 
 def evaluate(tree: DecisionTree, x) -> int:
-    """Output bit of the tree at one +-1 point: the one-row case of
-    dtree.evaluate_rows."""
+    """Output bit of the tree at one +-1 point, by walking from the root to
+    a leaf (entry +1 goes to the plus child)."""
     point = validate_bit_vector(x)
     if point.size != tree.n:
         raise ValueError(f"input has {point.size} entries, expected {tree.n}")
-    return int(evaluate_rows(tree, point[np.newaxis, :])[0])
+    node = tree.nodes[tree.root]
+    while not node.is_leaf:
+        plus = point[node.query_var - 1] == 1
+        node = tree.nodes[node.child_plus if plus else node.child_minus]
+    return node.output
 
 
 def leaf_paths(tree: DecisionTree) -> list[tuple[tuple[tuple[int, int], ...], int]]:

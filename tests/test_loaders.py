@@ -5,6 +5,7 @@ randomly shaped JSON documents), and may either refuse with ValueError or
 return an object that passes its own invariants.
 """
 import json
+import struct
 import sys
 
 import numpy as np
@@ -250,4 +251,14 @@ def test_instance_sign_bytes_must_be_bits(valid_files, tmp_path):
     path = tmp_path / "flipped.inst"
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="sign bytes"):
+        rorrelation.load_instances(path)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_empty_instance_file_needs_two_folds(k, tmp_path):
+    # An empty file never builds a RorrelationInstance, so the header alone
+    # must refuse k < 2.
+    path = tmp_path / "short-k.inst"
+    path.write_bytes(rorrelation.INSTANCE_MAGIC + struct.pack("<IIHHI", k, 4, 0, 0, 0))
+    with pytest.raises(ValueError, match="fold count k must be at least 2"):
         rorrelation.load_instances(path)

@@ -60,7 +60,20 @@ def test_norm_preserved_and_state_valid():
     z = 2 * rng.integers(0, 2, size=(5, 16)) - 1
     run = simulate_circuit(u, z)
     assert run.max_norm_drift <= 1e-10
-    assert np.linalg.norm(run.final_state.amplitudes) == pytest.approx(1.0)
+
+
+def test_final_norm_guard_refuses_a_drifted_state(monkeypatch):
+    # One column stretched by 1 + 1e-11 passes the Gram check, but the
+    # final state's norm then drifts past a tightened tolerance.
+    u = ortho.sample_haar(16, seed=5)
+    entries = u.entries.copy()
+    entries[:, 0] *= 1.0 + 1e-11
+    skew = ortho.OrthogonalMatrix(n=16, entries=entries, seed=None)
+    z = 2 * np.random.default_rng(3).integers(0, 2, size=(3, 4, 16)) - 1
+    simulate_batch(skew, z)
+    monkeypatch.setattr(qsim, "NORM_TOL", 1e-13)
+    with pytest.raises(ValueError, match="state norm drifted"):
+        simulate_batch(skew, z)
 
 
 def test_query_counts():

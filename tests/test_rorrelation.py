@@ -63,10 +63,15 @@ def test_phi_bounded_on_sign_inputs():
 
 def test_phi_dimension_mismatch():
     u = ortho.sample_haar(8, seed=0)
-    with pytest.raises(ValueError):
-        phi(u, np.ones((2, 7)))
-    with pytest.raises(ValueError):
-        phi(u, np.ones((1, 8)))
+    for vectors in (
+        np.ones(8),  # one vector, not a (k, N) stack
+        np.ones((1, 8)),  # k = 1
+        np.ones((2, 7)),  # wrong N
+        np.ones((2, 2, 8)),  # a batch, not one instance
+        [],
+    ):
+        with pytest.raises(ValueError, match="shape"):
+            phi(u, vectors)
 
 
 def test_phi_multilinear_single_flip():
@@ -92,14 +97,13 @@ def test_phi_multilinear_single_flip():
 
 def test_classify_thresholds():
     eye = identity_matrix(8)
-    label = classify(eye, np.ones((2, 8)))
-    assert label.tag is Label.YES
+    assert classify(eye, np.ones((2, 8))) is Label.YES
 
-    assert classify_value(0.0, 3).tag is Label.NO
+    assert classify_value(0.0, 3) is Label.NO
     k = 3
-    assert classify_value(0.75 * 2.0**-k, k).tag is Label.AMBIGUOUS
-    assert classify_value(2.0**-k, k).tag is Label.YES
-    assert classify_value(-(2.0 ** -(k + 1)), k).tag is Label.NO
+    assert classify_value(0.75 * 2.0**-k, k) is Label.AMBIGUOUS
+    assert classify_value(2.0**-k, k) is Label.YES
+    assert classify_value(-(2.0 ** -(k + 1)), k) is Label.NO
 
 
 def test_sign_correlation_values():
