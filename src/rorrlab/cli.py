@@ -69,9 +69,11 @@ def cmd_check_good(args) -> int:
 def _per_instance(args, rows) -> int:
     """One sorted JSON line per instance of --instances; rows(u, batch) gives
     the fields of every instance of the (m, k, N) batch, with U read from
-    --matrix. The instance file is read first, so a malformed one is refused
-    before the matrix is loaded and Gram-checked."""
-    instances, _, _ = rorrelation.load_instances(args.instances)
+    --matrix. The instance file is read first, so a malformed one, or one that
+    stores another matrix file's sha256, is refused before U is Gram-checked."""
+    instances, _, matrix_hash = rorrelation.load_instances(args.instances)
+    if matrix_hash and ortho.file_sha256(args.matrix) != matrix_hash:
+        raise ValueError(f"{args.matrix}: not the matrix the instances were drawn for")
     u = ortho.load_matrix(args.matrix)
     fields = rows(u, np.array([inst.vectors for inst in instances])) if instances else []
     _emit("\n".join(json.dumps(row, sort_keys=True) for row in fields) + "\n", args.out)

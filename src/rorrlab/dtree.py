@@ -84,11 +84,13 @@ class Node:
 class DecisionTree:
     """Immutable arena-backed decision tree over n variables (1-based).
 
-    The constructor counts the root-to-leaf paths over the arena, each
-    node once, and refuses more than MAX_LEAVES leaves before its one
-    walk checks every path and records the depth, the Fourier work (sum
-    of 2^depth over the leaves) and each reachable node's subtree
-    acceptance.
+    The constructor refuses a malformed arena in time linear in it. A
+    depth-first pass on an explicit stack puts the nodes the root reaches
+    in post-order and refuses a cycle. One loop over that order then
+    checks each node and computes, from its children's values, its leaf
+    count (at most MAX_LEAVES), depth, Fourier work (sum of 2^depth over
+    the leaves below, saturated past MAX_FOURIER_WORK), acceptance and
+    the variables queried below it, which refuse a repeat along a path.
     """
 
     def __init__(self, n: int, nodes: Sequence[Node], root: int = 0):
@@ -100,76 +102,73 @@ class DecisionTree:
         self.depth, self._fourier_work, self._accept = self._validate()
 
     def _validate(self) -> tuple[int, int, dict[int, float]]:
-        if self.n < 0:
+        n, nodes, root = self.n, self.nodes, self.root
+        if n < 0:
             raise ValueError("variable count must be nonnegative")
-        if not self.nodes:
+        if not nodes:
             raise ValueError("empty node arena")
-        size = len(self.nodes)
-        if not 0 <= self.root < size:
-            raise ValueError(f"root {self.root} outside the arena of {size} nodes")
-        for idx, node in enumerate(self.nodes):
+        size = len(nodes)
+        if not 0 <= root < size:
+            raise ValueError(f"root {root} outside the arena of {size} nodes")
+        for idx, node in enumerate(nodes):
             for child in (node.child_minus, node.child_plus):
                 if child is not None and not 0 <= child < size:
                     raise ValueError(f"node {idx} has child {child} outside the arena "
                                      f"of {size} nodes")
-        self._check_leaf_count()
-        on_path: set[int] = set()
-        accept: dict[int, float] = {}  # uniform acceptance of the subtree below each node
-        work = depth = 0
-        for idx, node, path, leaving in _walk(self):
-            if node.is_leaf:
-                if node.output not in (0, 1):
-                    raise ValueError(f"leaf {idx} output must be a bit")
-                work += 1 << len(path)
-                depth = max(depth, len(path))
-                accept[idx] = float(node.output)
-            elif leaving:
-                on_path.remove(node.query_var)
-                accept[idx] = 0.5 * (accept[node.child_minus] + accept[node.child_plus])
-            else:
-                var = node.query_var
-                if not (1 <= var <= self.n):
-                    raise ValueError(f"node {idx} queries variable {var} outside [1,{self.n}]")
-                if var in on_path:
-                    raise ValueError(f"variable {var} repeats along a path")
-                if node.child_minus is None or node.child_plus is None:
-                    raise ValueError(f"internal node {idx} missing a child")
-                on_path.add(var)
-        return depth, work, accept
-
-    def _check_leaf_count(self) -> None:
-        """Refuse a root that unfolds to more than MAX_LEAVES leaves, or that
-        reaches a cycle, in time linear in the arena: a depth-first pass on
-        an explicit stack counts the leaves below each reachable node once,
-        from its children's counts. A missing child counts no leaves; the
-        walk refuses it."""
-        nodes = self.nodes
-        below: list[int | None] = [None] * len(nodes)  # leaves below a node; -1 while open
-        stack = [self.root]  # a node to open, or ~node once its children are counted
+        order: list[int] = []  # the reachable nodes, children before parents
+        parents = [0] * size  # reachable parents of each node, one per child slot
+        state = bytearray(size)  # 0 unseen, 1 open (on the stack's path), 2 done
+        stack = [root]  # a node to open, or ~node once its children are done
         pop, push = stack.pop, stack.append
         while stack:
             idx = pop()
             if idx < 0:
-                node = nodes[~idx]
-                lo, hi = node.child_minus, node.child_plus
-                count = (0 if lo is None else below[lo]) + (0 if hi is None else below[hi])
-                if count > MAX_LEAVES:  # the root unfolds to at least as many
-                    raise ValueError(f"tree unfolds to more than MAX_LEAVES = {MAX_LEAVES} "
-                                     f"leaves")
-                below[~idx] = count
-            elif below[idx] is None:  # a node pushed by several parents is opened once
-                node = nodes[idx]
-                if node.query_var is None:  # a leaf
-                    below[idx] = 1
-                    continue
-                below[idx] = -1
+                state[~idx] = 2
+                order.append(~idx)
+            elif not state[idx]:  # a node pushed by several parents is opened once
+                state[idx] = 1
                 push(~idx)
-                for child in (node.child_minus, node.child_plus):
+                node = nodes[idx]
+                for child in () if node.is_leaf else (node.child_minus, node.child_plus):
                     if child is not None:
-                        if below[child] == -1:  # open: on the path to this node
+                        if state[child] == 1:  # open: on the path to this node
                             raise ValueError(f"variable {nodes[child].query_var} repeats "
                                              f"along a path")
+                        parents[child] += 1
                         push(child)
+        # (leaves, depth, Fourier work, bitmask of the variables queried) below
+        # each node, dropped once its last parent has read them.
+        below: list[tuple[int, int, int, int] | None] = [None] * size
+        accept: dict[int, float] = {}  # uniform acceptance of the subtree below each node
+        for idx in order:
+            node = nodes[idx]
+            var, lo, hi = node.query_var, node.child_minus, node.child_plus
+            if var is None:
+                if node.output not in (0, 1):
+                    raise ValueError(f"leaf {idx} output must be a bit")
+                below[idx] = (1, 0, 1, 0)
+                accept[idx] = float(node.output)
+                continue
+            if not 1 <= var <= n:
+                raise ValueError(f"node {idx} queries variable {var} outside [1,{n}]")
+            if lo is None or hi is None:
+                raise ValueError(f"internal node {idx} missing a child")
+            (leaves0, depth0, work0, seen0), (leaves1, depth1, work1, seen1) = below[lo], below[hi]
+            leaves = leaves0 + leaves1
+            if leaves > MAX_LEAVES:  # the root unfolds to at least as many
+                raise ValueError(f"tree unfolds to more than MAX_LEAVES = {MAX_LEAVES} leaves")
+            seen = seen0 | seen1
+            if seen >> (var - 1) & 1:
+                raise ValueError(f"variable {var} repeats along a path")
+            work = min(2 * (work0 + work1), MAX_FOURIER_WORK + 1)
+            below[idx] = (leaves, 1 + max(depth0, depth1), work, seen | 1 << (var - 1))
+            accept[idx] = 0.5 * (accept[lo] + accept[hi])
+            for child in (lo, hi):
+                parents[child] -= 1
+                if not parents[child]:
+                    below[child] = None
+        _, depth, work, _ = below[root]
+        return depth, work, accept
 
     def truth_table(self) -> np.ndarray:
         """Dense 0/1 table in position order; guarded to n <= 20."""
@@ -182,12 +181,10 @@ def _walk(tree: DecisionTree):
     """Depth-first walk from the root on an explicit stack, minus child
     first, so no depth exhausts the interpreter's recursion limit.
 
-    Yields (idx, node, path, leaving): every reachable node once on the
-    way down (leaving False), and each internal node again on the way up
-    once both subtrees are done (leaving True). path lists the (variable,
-    sign) pairs above the node; it is one list, updated in place. A
-    node's children are read only after its way-down item is consumed,
-    so a consumer may refuse a malformed node there.
+    Yields (idx, node, path, leaving): every reachable node once per path
+    to it on the way down (leaving False), and each internal node again on
+    the way up once both subtrees are done (leaving True). path lists the
+    (variable, sign) pairs above the node; it is one list, updated in place.
     """
     nodes = tree.nodes
     path: list[tuple[int, int]] = []

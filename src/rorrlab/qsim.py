@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ortho import OrthogonalMatrix
+from .rorrelation import check_batch
 from .util import derive_rng
 
 __all__ = [
@@ -60,19 +61,6 @@ def query_count(k: int) -> int:
     return (k + 1) // 2
 
 
-def _check_inputs(u: OrthogonalMatrix, batch: np.ndarray) -> np.ndarray:
-    z = np.asarray(batch)
-    if z.ndim != 3 or z.shape[1] < 2:
-        raise ValueError("need (k, N) stacks of query vectors with k >= 2")
-    if z.shape[2] != u.n:
-        raise ValueError(f"vectors have length {z.shape[2]}, matrix is {u.n}")
-    if u.n & (u.n - 1) or u.n < 1:
-        raise ValueError("N must be a power of two")
-    if not np.all(np.abs(z) == 1):
-        raise ValueError("query vectors must be +-1 valued")
-    return z
-
-
 def simulate_circuit(u: OrthogonalMatrix, vectors: np.ndarray) -> CircuitRun:
     """Run the two-branch circuit on one (k, N) instance and return the full
     diagnostic record: the one-row case of simulate_batch."""
@@ -82,7 +70,12 @@ def simulate_circuit(u: OrthogonalMatrix, vectors: np.ndarray) -> CircuitRun:
 def simulate_batch(u: OrthogonalMatrix, batch: np.ndarray) -> list[CircuitRun]:
     """Run the circuit on every instance of an (m, k, N) batch; one
     CircuitRun per instance, in order."""
-    z = _check_inputs(u, batch)
+    z = np.asarray(batch)
+    check_batch(u, z)  # the (m, k, N) shape phi_batch takes
+    if u.n & (u.n - 1) or u.n < 1:
+        raise ValueError("N must be a power of two")
+    if not np.all(np.abs(z) == 1):
+        raise ValueError("query vectors must be +-1 valued")
     m, k, n = z.shape
     drift = np.zeros(m)
 

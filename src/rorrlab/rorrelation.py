@@ -27,6 +27,7 @@ __all__ = [
     "RorrelationInstance",
     "phi",
     "phi_batch",
+    "check_batch",
     "classify",
     "sign_correlation",
     "exact_expected_phi",
@@ -71,11 +72,16 @@ def phi(u: OrthogonalMatrix, vectors: Sequence[Sequence[float]] | np.ndarray) ->
     return float(phi_batch(u, np.asarray(vectors, dtype=float)[None])[0])
 
 
+def check_batch(u: OrthogonalMatrix, batch: np.ndarray) -> None:
+    """Refuse a batch that is not (m, k, N) with k >= 2 and N = u.n."""
+    if batch.ndim != 3 or batch.shape[1] < 2 or batch.shape[2] != u.n:
+        raise ValueError("batch must have shape (m, k, N) with k >= 2")
+
+
 def phi_batch(u: OrthogonalMatrix, batch: np.ndarray) -> np.ndarray:
     """phi for a batch of instances, shape (m, k, N) -> (m,), via k-1
     chained products of the (m, N) intermediate with U^T."""
-    if batch.ndim != 3 or batch.shape[1] < 2 or batch.shape[2] != u.n:
-        raise ValueError("batch must have shape (m, k, N) with k >= 2")
+    check_batch(u, batch)
     k = batch.shape[1]
     w = batch[:, k - 1, :].astype(float)
     for j in range(k - 2, 0, -1):

@@ -330,6 +330,16 @@ def _empty_one_fold_instances(tmp_path):
     return ["rorrelate", "--matrix", matrix, "--instances", str(path)]
 
 
+def _instances_for_another_matrix(tmp_path):
+    matrix, inst = _matrix_and_instances(tmp_path)
+    instances, _, _ = rorrelation.load_instances(inst)
+    rorrelation.save_instances(inst, instances, matrix_path=matrix,
+                               matrix_hash=ortho.file_sha256(matrix))
+    other = tmp_path / "other.mat"
+    ortho.save_matrix(other, ortho.sample_haar(4, seed=2))
+    return ["rorrelate", "--matrix", str(other), "--instances", inst]
+
+
 def _tree_file(doc):
     def build(tmp_path):
         path = tmp_path / "tree.json"
@@ -370,6 +380,7 @@ def _child(lo, hi):
     _truncated_matrix,
     _truncated_instances,
     _empty_one_fold_instances,
+    _instances_for_another_matrix,
     _tree_file(_child(-1, 1)),
     _tree_file(_child(1, 7)),
     _tree_file([1, 2, 3]),
@@ -388,7 +399,7 @@ def _child(lo, hi):
     lambda tmp_path: ["advantage", "--matrix", _one_by_one_matrix(tmp_path), "--k", "2",
                       "--samples", "10"],
 ], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "empty-one-fold-instances",
-        "negative-child",
+        "instances-for-another-matrix", "negative-child",
         "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
         "fourier-without-input", "config-count-is-text", "config-one-advantage-sample",
         "config-not-an-object", "moments-repeated-index", "advantage-one-fold",

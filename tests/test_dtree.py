@@ -3,9 +3,12 @@ import collections
 import hashlib
 import json
 import math
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import (convert_convention, cross_check_spectrum, depth_and_acceptance, evaluate,
                        leaf_paths)
@@ -537,6 +540,8 @@ def test_deep_decision_list_needs_no_recursion():
     # Layer i holds node 2i alone, visited in order.
     assert refined_level1_sum(tree, 0, depth) == sum(
         0.5 ** i * abs(expected[2 * i]) for i in range(depth))
+    # The Fourier work sum_leaf 2^depth saturates just past the budget.
+    assert tree._fourier_work == dtree.MAX_FOURIER_WORK + 1
     with pytest.raises(ValueError, match="too deep"):
         sparse_fourier(tree)
 
@@ -597,6 +602,62 @@ def test_leaf_budget_and_cycles_are_checked_before_any_walk(monkeypatch):
     doc["nodes"][30]["hi"] = 10  # a loop back up the chain
     with pytest.raises(ValueError, match="variable 11 repeats along a path"):
         tree_from_json(json.dumps(doc))
+    # 21 nodes that unfold to 2^20 leaves: checked, measured and relabeled
+    # without unfolding a path.
+    tree = tree_from_json(_shared_chain(20))
+    assert tree.depth == 20 and acceptance_probability(tree) == 1.0
+    assert relabel_nonnegative(tree).nodes == tree.nodes
+
+
+def test_a_repeat_seen_only_through_the_second_parent_is_refused():
+    # Node 3 queries x2 and has two parents, x1 and x2; the x2 parent repeats
+    # x2. In either order of the parents, the variables below node 3 must
+    # still be there when the second parent reads them.
+    for first, second in ((1, 2), (2, 1)):
+        nodes = [Node(query_var=3, child_minus=first, child_plus=second),
+                 Node(query_var=1, child_minus=3, child_plus=4),
+                 Node(query_var=2, child_minus=3, child_plus=5),
+                 Node(query_var=2, child_minus=4, child_plus=5),
+                 Node(output=0), Node(output=1)]
+        with pytest.raises(ValueError, match="variable 2 repeats along a path"):
+            DecisionTree(3, nodes)
+        nodes[2] = Node(query_var=4, child_minus=3, child_plus=5)
+        tree = DecisionTree(4, nodes)
+        assert (tree.depth, acceptance_probability(tree)) == depth_and_acceptance(tree)
+
+
+@st.composite
+def _acyclic_arenas(draw):
+    """(n, nodes) of an arena rooted at node 0 whose children all have
+    larger indices, so nodes are shared but no path loops. Three nodes in
+    four query, from a few variables, so repeats along a path are common."""
+    size, n = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+
+    def child(i):
+        return draw(st.integers(i + 1, size - 1))
+
+    nodes = [Node(query_var=draw(st.integers(1, n)), child_minus=child(i), child_plus=child(i))
+             if i < size - 1 and draw(st.integers(0, 3)) else Node(output=draw(st.integers(0, 1)))
+             for i in range(size)]
+    return n, nodes
+
+
+@settings(max_examples=400, deadline=None)
+@given(arena=_acyclic_arenas())
+def test_one_pass_matches_the_path_definitions(arena):
+    # Accepted exactly when no root-to-leaf path repeats a variable; then the
+    # depth, acceptance and Fourier work are their sums over the paths.
+    n, nodes = arena
+    paths = leaf_paths(types.SimpleNamespace(root=0, nodes=nodes))
+    repeats = any(len({var for var, _ in path}) < len(path) for path, _ in paths)
+    try:
+        tree = DecisionTree(n, nodes)
+    except ValueError as exc:
+        assert repeats and "repeats along a path" in str(exc)
+        return
+    assert not repeats
+    assert (tree.depth, acceptance_probability(tree)) == depth_and_acceptance(tree)
+    assert tree._fourier_work == sum(1 << len(path) for path, _ in paths)
 
 
 def test_deep_cycle_is_refused_not_walked_forever():

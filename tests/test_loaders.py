@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from reference import leaf_paths
 from rorrlab import boolfn, dtree, ortho, rorrelation, verify
+from rorrlab.cli import main
 
 FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -252,6 +253,33 @@ def test_instance_sign_bytes_must_be_bits(valid_files, tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="sign bytes"):
         rorrelation.load_instances(path)
+
+
+def test_instances_are_scored_only_against_the_matrix_they_were_drawn_for(
+        tmp_path, capsys, monkeypatch):
+    # Chain instances store the sha256 of their matrix file; uniform ones
+    # store none and are never hashed against --matrix.
+    a, b, copy = (str(tmp_path / name) for name in ("a.mat", "b.mat", "copy.mat"))
+    chain, flat = str(tmp_path / "chain.inst"), str(tmp_path / "flat.inst")
+    for argv in (["sample-matrix", "--n", "8", "--seed", "0", "--out", a],
+                 ["sample-matrix", "--n", "8", "--seed", "1", "--out", b],
+                 ["sample-dist", "--dist", "duk", "--matrix", a, "--k", "3", "--count", "4",
+                  "--out", chain],
+                 ["sample-dist", "--dist", "uniform", "--n", "8", "--k", "2", "--count", "4",
+                  "--out", flat]):
+        assert main(argv) == 0
+    (tmp_path / "copy.mat").write_bytes((tmp_path / "a.mat").read_bytes())
+    capsys.readouterr()
+    for command in ("rorrelate", "classify", "qsim"):
+        for matrix in (a, copy):  # the hash is of the bytes, not the path
+            assert main([command, "--matrix", matrix, "--instances", chain]) == 0
+            assert capsys.readouterr().out.count("\n") == 4
+        assert main([command, "--matrix", b, "--instances", chain]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {b}: not the matrix the instances were drawn for\n"
+    monkeypatch.setattr(ortho, "file_sha256", lambda path: pytest.fail("hashed --matrix"))
+    assert main(["rorrelate", "--matrix", b, "--instances", flat]) == 0
 
 
 @pytest.mark.parametrize("k", [0, 1])

@@ -1,5 +1,6 @@
 """Quantum circuit simulation: acceptance identity, queries, amplification."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,12 @@ def test_dimension_and_value_validation():
     bad[0, 0] = 0.5
     with pytest.raises(ValueError):
         run_rorrelation_circuit(u, bad)
+    # The circuit and phi share one shape check, so one message.
+    for vectors in (np.ones(8), np.ones((1, 8)), np.ones((2, 7)), np.ones((2, 2, 8))):
+        with pytest.raises(ValueError) as refused:
+            rorrelation.phi(u, vectors)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            run_rorrelation_circuit(u, vectors)
 
 
 def test_amplification_threshold():
