@@ -72,9 +72,7 @@ def _per_instance(args, rows) -> int:
     --matrix. The instance file is read first, so a malformed one, or one that
     stores another matrix file's sha256, is refused before U is Gram-checked."""
     instances, _, matrix_hash = rorrelation.load_instances(args.instances)
-    if matrix_hash and ortho.file_sha256(args.matrix) != matrix_hash:
-        raise ValueError(f"{args.matrix}: not the matrix the instances were drawn for")
-    u = ortho.load_matrix(args.matrix)
+    u = ortho.load_matrix(args.matrix, sha256=matrix_hash)
     fields = rows(u, np.array([inst.vectors for inst in instances])) if instances else []
     _emit("\n".join(json.dumps(row, sort_keys=True) for row in fields) + "\n", args.out)
     return 0

@@ -90,7 +90,10 @@ class DecisionTree:
     checks each node and computes, from its children's values, its leaf
     count (at most MAX_LEAVES), depth, Fourier work (sum of 2^depth over
     the leaves below, saturated past MAX_FOURIER_WORK), acceptance and
-    the variables queried below it, which refuse a repeat along a path.
+    the set of variables queried below it, which refuses a repeat along a
+    path. A node's values are held until its last parent has read them;
+    the leaves below the nodes held, which bound the sizes of their sets,
+    count against MAX_LEAVES too.
     """
 
     def __init__(self, n: int, nodes: Sequence[Node], root: int = 0):
@@ -136,9 +139,13 @@ class DecisionTree:
                                              f"along a path")
                         parents[child] += 1
                         push(child)
-        # (leaves, depth, Fourier work, bitmask of the variables queried) below
-        # each node, dropped once its last parent has read them.
-        below: list[tuple[int, int, int, int] | None] = [None] * size
+        # (leaves, depth, Fourier work, set of the variables queried) below each
+        # node, dropped once its last parent has read them. The nodes held (done,
+        # with a parent not yet done) root disjoint subtrees of the unfolded
+        # tree, so their leaves, and with them their sets' sizes, sum to at most
+        # the root's leaves.
+        below: list[tuple[int, int, int, set[int] | frozenset[int]] | None] = [None] * size
+        held = 0  # leaves below the nodes in `below`
         accept: dict[int, float] = {}  # uniform acceptance of the subtree below each node
         for idx in order:
             node = nodes[idx]
@@ -146,7 +153,8 @@ class DecisionTree:
             if var is None:
                 if node.output not in (0, 1):
                     raise ValueError(f"leaf {idx} output must be a bit")
-                below[idx] = (1, 0, 1, 0)
+                below[idx] = (1, 0, 1, frozenset())
+                held += 1
                 accept[idx] = float(node.output)
                 continue
             if not 1 <= var <= n:
@@ -155,18 +163,26 @@ class DecisionTree:
                 raise ValueError(f"internal node {idx} missing a child")
             (leaves0, depth0, work0, seen0), (leaves1, depth1, work1, seen1) = below[lo], below[hi]
             leaves = leaves0 + leaves1
-            if leaves > MAX_LEAVES:  # the root unfolds to at least as many
-                raise ValueError(f"tree unfolds to more than MAX_LEAVES = {MAX_LEAVES} leaves")
-            seen = seen0 | seen1
-            if seen >> (var - 1) & 1:
-                raise ValueError(f"variable {var} repeats along a path")
-            work = min(2 * (work0 + work1), MAX_FOURIER_WORK + 1)
-            below[idx] = (leaves, 1 + max(depth0, depth1), work, seen | 1 << (var - 1))
-            accept[idx] = 0.5 * (accept[lo] + accept[hi])
+            held += leaves
             for child in (lo, hi):
                 parents[child] -= 1
                 if not parents[child]:
+                    held -= below[child][0]
                     below[child] = None
+            if held > MAX_LEAVES:  # the root unfolds to at least as many
+                raise ValueError(f"tree unfolds to more than MAX_LEAVES = {MAX_LEAVES} leaves")
+            # Small into large: the larger set is extended in place when this
+            # node was its last reader, and copied otherwise.
+            if len(seen0) < len(seen1):
+                lo, hi, seen0, seen1 = hi, lo, seen1, seen0
+            seen = seen0 if not parents[lo] and isinstance(seen0, set) else set(seen0)
+            seen |= seen1
+            if var in seen:
+                raise ValueError(f"variable {var} repeats along a path")
+            seen.add(var)
+            below[idx] = (leaves, 1 + max(depth0, depth1),
+                          min(2 * (work0 + work1), MAX_FOURIER_WORK + 1), seen)
+            accept[idx] = 0.5 * (accept[lo] + accept[hi])
         _, depth, work, _ = below[root]
         return depth, work, accept
 

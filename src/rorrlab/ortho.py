@@ -370,8 +370,12 @@ def save_matrix(path: str | Path, u: OrthogonalMatrix) -> str:
     return file_sha256(path)
 
 
-def load_matrix(path: str | Path) -> OrthogonalMatrix:
+def load_matrix(path: str | Path, sha256: str = "") -> OrthogonalMatrix:
+    """Read a matrix file; a non-empty sha256 refuses other bytes before the
+    Gram check."""
     blob = Path(path).read_bytes()
+    if sha256 and hashlib.sha256(blob).hexdigest() != sha256:
+        raise ValueError(f"{path}: not the matrix file of sha256 {sha256}")
     if blob[:4] != MATRIX_MAGIC:
         raise ValueError(f"{path}: not a matrix file (bad magic)")
     if len(blob) < 20:

@@ -3,6 +3,7 @@ import collections
 import hashlib
 import json
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -621,9 +622,86 @@ def test_a_repeat_seen_only_through_the_second_parent_is_refused():
                  Node(output=0), Node(output=1)]
         with pytest.raises(ValueError, match="variable 2 repeats along a path"):
             DecisionTree(3, nodes)
-        nodes[2] = Node(query_var=4, child_minus=3, child_plus=5)
-        tree = DecisionTree(4, nodes)
-        assert (tree.depth, acceptance_probability(tree)) == depth_and_acceptance(tree)
+        # Both parents may query one variable: the first must not add it to
+        # the variables below node 3 that the second reads.
+        for var in (4, 1):
+            nodes[2] = Node(query_var=var, child_minus=3, child_plus=5)
+            tree = DecisionTree(4, nodes)
+            assert (tree.depth, acceptance_probability(tree)) == depth_and_acceptance(tree)
+
+
+def _shared_bottoms(half, n):
+    """Nodes of an arena whose root (x_{half+1}) has two complete subtrees of
+    depth `half`, over x_1..x_half and x_{half+2}..x_{2 half+1}, whose
+    2^(half+1) bottom slots hold the same nodes, each querying x_n above two
+    shared leaves. The plus subtree is done first, so every bottom node is
+    done and waits for its second parent at once."""
+    bottoms = range(3, 3 + (2 << half))
+    nodes = [None, Node(output=0), Node(output=1)]
+    nodes += [Node(query_var=n, child_minus=1, child_plus=2) for _ in bottoms]
+
+    def side(first):
+        level = list(bottoms)
+        for var in range(first + half - 1, first - 1, -1):
+            start = len(nodes)
+            nodes.extend(Node(query_var=var, child_minus=lo, child_plus=hi)
+                         for lo, hi in zip(level[::2], level[1::2]))
+            level = range(start, len(nodes))
+        return level[0]
+
+    plus = side(1)
+    nodes[0] = Node(query_var=half + 1, child_minus=side(half + 2), child_plus=plus)
+    return nodes
+
+
+def test_waiting_bottoms_over_a_high_variable_load_in_small_memory():
+    # 2^13 bottom nodes query x_65536 and wait together for their second
+    # parents. A bitmask of the variables below each would take 8 KB apiece,
+    # 67 MB in all; a set of one variable takes a few hundred bytes.
+    n = boolfn.MAX_FILE_VARS
+    nodes = _shared_bottoms(12, n)
+    tracemalloc.start()
+    try:
+        tree = DecisionTree(n, nodes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.depth == 14 and acceptance_probability(tree) == 0.5
+    assert peak < 8 << 20
+
+
+def _teeth_on_a_shared_list(teeth):
+    """(n, nodes): node j < teeth heads a spine, with spine node j + 1 (the
+    last: leaf 0) as its minus child and tooth j as its plus child; every
+    tooth has S, one decision list of seven queries over leaf 0 and leaf 1, as
+    its minus child and leaf 1 as its plus child. Plus children are opened first, so every tooth
+    (9 leaves) is done, and waits for its spine node, before any spine node."""
+    s, leaf0 = 2 * teeth, 2 * teeth + 7
+    nodes = [Node(query_var=8 + teeth + j, child_minus=j + 1 if j + 1 < teeth else leaf0,
+                  child_plus=teeth + j) for j in range(teeth)]
+    nodes += [Node(query_var=8 + j, child_minus=s, child_plus=leaf0 + 1) for j in range(teeth)]
+    nodes += [Node(query_var=i + 1, child_minus=leaf0 + i % 2, child_plus=s + i + 1 + (i == 6))
+              for i in range(7)]
+    nodes += [Node(output=0), Node(output=1)]
+    return 8 + 2 * teeth, nodes
+
+
+def test_waiting_subtrees_count_against_the_leaf_budget(monkeypatch):
+    # The done subtrees that wait for a parent are disjoint in the unfolded
+    # tree, so their leaves bound the root's from below, and with them the
+    # variable sets held. With a budget of 40, the fourth tooth passes it
+    # (S, both leaves and four teeth: 8 + 2 + 36 leaves), before the bad leaf
+    # under the sixth tooth and before any spine node.
+    n, nodes = _teeth_on_a_shared_list(12)
+    tree = DecisionTree(n, nodes)
+    assert (tree.depth, acceptance_probability(tree)) == depth_and_acceptance(tree)
+    nodes.append(Node(output=2))
+    nodes[12 + 5] = Node(query_var=8 + 5, child_minus=2 * 12, child_plus=len(nodes) - 1)
+    with pytest.raises(ValueError, match="must be a bit"):
+        DecisionTree(n, nodes)
+    monkeypatch.setattr(dtree, "MAX_LEAVES", 40)
+    with pytest.raises(ValueError, match="MAX_LEAVES = 40 "):
+        DecisionTree(n, nodes)
 
 
 @st.composite

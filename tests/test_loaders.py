@@ -269,6 +269,7 @@ def test_instances_are_scored_only_against_the_matrix_they_were_drawn_for(
                   "--out", flat]):
         assert main(argv) == 0
     (tmp_path / "copy.mat").write_bytes((tmp_path / "a.mat").read_bytes())
+    digest = ortho.file_sha256(a)
     capsys.readouterr()
     for command in ("rorrelate", "classify", "qsim"):
         for matrix in (a, copy):  # the hash is of the bytes, not the path
@@ -277,8 +278,8 @@ def test_instances_are_scored_only_against_the_matrix_they_were_drawn_for(
         assert main([command, "--matrix", b, "--instances", chain]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {b}: not the matrix the instances were drawn for\n"
-    monkeypatch.setattr(ortho, "file_sha256", lambda path: pytest.fail("hashed --matrix"))
+        assert captured.err == f"error: {b}: not the matrix file of sha256 {digest}\n"
+    monkeypatch.setattr(ortho.hashlib, "sha256", lambda blob: pytest.fail("hashed --matrix"))
     assert main(["rorrelate", "--matrix", b, "--instances", flat]) == 0
 
 

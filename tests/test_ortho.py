@@ -347,12 +347,16 @@ def test_matrix_file_round_trip(tmp_path):
 def test_matrix_file_corruption_detected(tmp_path):
     u = ortho.sample_haar(8, seed=1)
     path = tmp_path / "u.mat"
-    ortho.save_matrix(path, u)
+    digest = ortho.save_matrix(path, u)
+    assert ortho.load_matrix(path, sha256=digest).n == 8
     blob = bytearray(path.read_bytes())
     blob[40] ^= 0xFF  # flip a payload byte
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
         ortho.load_matrix(path)
+    # An expected sha256 refuses the changed bytes before the Gram check.
+    with pytest.raises(ValueError, match=f"not the matrix file of sha256 {digest}"):
+        ortho.load_matrix(path, sha256=digest)
 
     bad_magic = tmp_path / "bad.mat"
     bad_magic.write_bytes(b"NOPE" + bytes(16))
