@@ -210,17 +210,59 @@ def l1_level(spec: FourierSpectrum, ell: int) -> float:
 # Serialization. File formats use 0-based variable indices.
 # ---------------------------------------------------------------------------
 
+# Masks become bytes, and entries text, this many at a time.
+_SLICE = 1024
+
+
+def _bit_rows(masks: list[int], dtype) -> tuple[np.ndarray, int]:
+    """Row j holds 1 + the position of each set bit of masks[j], increasing,
+    then at least one zero; also the union of the masks."""
+    blocks, union = [], 0
+    for start in range(0, len(masks), _SLICE):
+        chunk = masks[start:start + _SLICE]
+        per_mask = max(chunk).bit_length() // 64 + 1
+        words = np.frombuffer(b"".join([m.to_bytes(8 * per_mask, "little") for m in chunk]), np.uint64)
+        union |= int.from_bytes(np.bitwise_or.reduce(words.reshape(-1, per_mask)).tobytes(), "little")
+        nonzero = np.flatnonzero(words != 0)
+        bits = np.flatnonzero(np.unpackbits(words[nonzero].view(np.uint8), bitorder="little").view(bool))
+        row, word = np.divmod(nonzero[bits >> 6], per_mask)
+        column = np.arange(row.size) - np.searchsorted(row, row)
+        blocks.append(np.zeros((len(chunk), column.max(initial=-1) + 2), dtype))
+        blocks[-1][row, column] = word * 64 + (bits & 63) + 1
+    width = max(block.shape[1] for block in blocks)
+    return np.concatenate([np.pad(block, ((0, 0), (0, width - block.shape[1]))) for block in blocks]), union
+
+
 def spectrum_to_json(spec: FourierSpectrum) -> str:
     """The text json.dumps(..., sort_keys=True) gives for {"n": n,
     "coefficients": [{"S": [0-based...], "coeff": c}, ...]}, entries in
     the order of their sorted 1-based tuples."""
-    subsets = list(map(_mask_subset, spec.masks))
-    numbers = json.dumps(list(spec.masks.values()))[1:-1].split(", ")
-    names = {i: str(i - 1) for i in set(itertools.chain.from_iterable(subsets))}
-    entries = ", ".join([
-        f'{{"S": [{", ".join(map(names.__getitem__, subsets[j]))}], "coeff": {numbers[j]}}}'
-        for j in sorted(range(len(subsets)), key=subsets.__getitem__)])
-    return f'{{"coefficients": [{entries}], "n": {json.dumps(spec.n)}}}'
+    masks, width = list(spec.masks), spec._width
+    if not masks:
+        return f'{{"coefficients": [], "n": {json.dumps(spec.n)}}}'
+    rows, union = _bit_rows(masks, np.min_scalar_type(width))
+    # A row sorts before the longer rows it is a prefix of: sorted-tuple order.
+    order = np.lexsort(rows.T[::-1])
+    values = list(spec.masks.values())
+    number = np.arange(len(masks))
+    if set(map(type, values)) == {float}:  # one text per distinct bit pattern
+        keys, number = np.unique(np.array(values).view(np.uint64), return_inverse=True)
+        values = keys.view(np.float64).tolist()
+    # Token p + 1 is ", p", and p + 1 + width is "p" first in an S list; token
+    # -1 - i closes an entry with the i-th number and opens the next.
+    present = _bit_rows([union], np.intp)[0][0, :-1].tolist()
+    tokens = {**{p: f", {p - 1}" for p in present}, **{p + width: str(p - 1) for p in present}}
+    tokens.update(zip(itertools.count(-1, -1), map(
+        '], "coeff": {}}}, {{"S": ['.format, json.dumps(values)[1:-1].split(", "))))
+    parts = ['{"coefficients": [{"S": [']
+    for start in range(0, len(masks), _SLICE):
+        block = rows[order[start:start + _SLICE]].astype(np.intp)
+        ends = np.count_nonzero(block, axis=1)
+        block[:, 0] += width
+        block[np.arange(len(block)), ends] = -1 - number[order[start:start + _SLICE]]
+        parts.append("".join(map(tokens.__getitem__, block[block != 0].tolist())))
+    parts[-1] = parts[-1].removesuffix(', {"S": [') + f'], "n": {json.dumps(spec.n)}}}'
+    return "".join(parts)
 
 
 def spectrum_from_json(text: str) -> FourierSpectrum:

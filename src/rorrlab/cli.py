@@ -37,10 +37,12 @@ from .verify import (
 
 def _emit(text: str, out: str | None) -> None:
     """Write `text` to --out (atomically) when given, and echo it to stdout
-    ending with one newline."""
+    ending with one newline, without copying it."""
     if out:
         atomic_write(out, text)
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    sys.stdout.write(text)
+    if not text.endswith("\n"):
+        sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,7 @@ def cmd_sample_dist(args) -> int:
         u = ortho.load_matrix(args.matrix)
         batch = dist.sample_duk_batch(u, args.k, args.count, args.seed)
         matrix_path = args.matrix
-        matrix_hash = ortho.file_sha256(args.matrix)
+        matrix_hash = ortho.matrix_sha256(u)
         n = u.n
     else:
         if not args.n:

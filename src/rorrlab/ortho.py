@@ -35,7 +35,7 @@ __all__ = [
     "save_matrix",
     "load_matrix",
     "save_matrix_csv",
-    "file_sha256",
+    "matrix_sha256",
 ]
 
 ORTHOGONALITY_TOL = 1e-10
@@ -359,15 +359,25 @@ def bilinear_tail_check(
 # Matrix files: magic | n u64 | seed u64 | row-major little-endian f64
 # ---------------------------------------------------------------------------
 
-def save_matrix(path: str | Path, u: OrthogonalMatrix) -> str:
-    """Write the binary matrix file; returns its sha256 hex digest."""
+def _matrix_header(u: OrthogonalMatrix) -> bytes:
     seed = u.seed if u.seed is not None else 0
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} does not fit the unsigned 64-bit header field")
-    payload = u.entries.astype("<f8").tobytes()
-    header = MATRIX_MAGIC + struct.pack("<QQ", u.n, seed)
-    atomic_write(path, header + payload)
-    return file_sha256(path)
+    return MATRIX_MAGIC + struct.pack("<QQ", u.n, seed)
+
+
+def save_matrix(path: str | Path, u: OrthogonalMatrix) -> str:
+    """Write the binary matrix file; returns its sha256 hex digest."""
+    atomic_write(path, _matrix_header(u) + u.entries.astype("<f8").tobytes())
+    return matrix_sha256(u)
+
+
+def matrix_sha256(u: OrthogonalMatrix) -> str:
+    """The sha256 of u's matrix file, hashed from memory: the file save_matrix
+    writes, and byte for byte any file load_matrix read u from."""
+    digest = hashlib.sha256(_matrix_header(u))
+    digest.update(np.ascontiguousarray(u.entries, dtype="<f8"))
+    return digest.hexdigest()
 
 
 def load_matrix(path: str | Path, sha256: str = "") -> OrthogonalMatrix:
@@ -392,9 +402,3 @@ def save_matrix_csv(path: str | Path, u: OrthogonalMatrix) -> None:
     text = io.StringIO()
     np.savetxt(text, u.entries, delimiter=",", fmt="%.17g")
     atomic_write(path, text.getvalue())
-
-
-def file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()

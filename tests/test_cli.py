@@ -1,4 +1,5 @@
 """End-to-end CLI flows on temporary files."""
+import hashlib
 import json
 import math
 import os
@@ -334,7 +335,7 @@ def _instances_for_another_matrix(tmp_path):
     matrix, inst = _matrix_and_instances(tmp_path)
     instances, _, _ = rorrelation.load_instances(inst)
     rorrelation.save_instances(inst, instances, matrix_path=matrix,
-                               matrix_hash=ortho.file_sha256(matrix))
+                               matrix_hash=hashlib.sha256(Path(matrix).read_bytes()).hexdigest())
     other = tmp_path / "other.mat"
     ortho.save_matrix(other, ortho.sample_haar(4, seed=2))
     return ["rorrelate", "--matrix", str(other), "--instances", inst]

@@ -1,4 +1,6 @@
 """Haar sampling, sub-matrix norms, goodness, Hadamard counterexample."""
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -332,11 +334,14 @@ def test_matrix_file_round_trip(tmp_path):
     u = ortho.sample_haar(24, seed=77)
     path = tmp_path / "u.mat"
     digest = ortho.save_matrix(path, u)
-    assert digest == ortho.file_sha256(path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     again = ortho.load_matrix(path)
     assert again.n == 24
     assert again.seed == 77
     assert np.array_equal(again.entries, u.entries)
+    # Hashed from memory, a loaded matrix or a column-major copy gives the file's digest.
+    assert ortho.matrix_sha256(again) == digest
+    assert ortho.matrix_sha256(ortho.OrthogonalMatrix(24, np.asfortranarray(u.entries), 77)) == digest
 
     csv_path = tmp_path / "u.csv"
     ortho.save_matrix_csv(csv_path, u)

@@ -6,9 +6,12 @@ a scan of every bit position, independent of the library's conversion.
 """
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rorrlab import boolfn, dtree
 from rorrlab.boolfn import FourierSpectrum, OutputConvention
@@ -16,7 +19,8 @@ from rorrlab.cli import main
 
 
 def subset_of(mask):
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    # One pass over the binary digits, lowest first: linear in the mask's width.
+    return tuple(i + 1 for i, digit in enumerate(reversed(f"{mask:b}")) if digit == "1")
 
 
 def reference_json(spec):
@@ -70,6 +74,39 @@ def test_wide_masks_reach_past_a_machine_word():
 ])
 def test_hand_made_values_encode_as_json_dumps_does(values):
     spec = FourierSpectrum(12, {mask: v for mask, v in zip((0, 5, 2048, 3, 7), values)})
+    assert boolfn.spectrum_to_json(spec) == reference_json(spec)
+
+
+# Plain floats take the encoder's path of one text per distinct bit pattern;
+# any other value sends every value through one json.dumps of the list.
+_SPECIAL = st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2e-308])
+_FLOATS = st.one_of(_SPECIAL, st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+_OTHERS = st.one_of(st.integers(-2**70, 2**70), st.booleans(), _FLOATS.map(np.float64))
+
+
+@st.composite
+def _spectra(draw):
+    width = draw(st.integers(0, 300))
+    # Positions below width, and some across the word boundaries near 65,536.
+    position = st.one_of(st.integers(0, max(width - 1, 0)), st.integers(65536 - 130, 65536 + 130))
+    mask = st.one_of(st.integers(0, (1 << width) - 1),
+                     st.sets(position, max_size=12).map(lambda bits: sum(1 << b for b in bits)))
+    masks = draw(st.lists(mask, unique=True, max_size=40))
+    pool = draw(st.lists(_SPECIAL, min_size=2, max_size=4)) + draw(st.lists(_FLOATS, max_size=3))
+    values = st.one_of(st.sampled_from(pool), _FLOATS)  # so that values repeat
+    if draw(st.booleans()):
+        values = st.one_of(values, _OTHERS)
+    coeffs = {m: draw(values) for m in masks}
+    n = max(masks, default=0).bit_length() + draw(st.integers(0, 3))
+    return FourierSpectrum(n, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_spectra(), st.integers(1, 5))
+def test_random_spectra_encode_as_the_tuple_encoder(spec, slice_size):
+    # Small slices put chunk and slice boundaries among few masks.
+    with mock.patch.object(boolfn, "_SLICE", slice_size):
+        assert boolfn.spectrum_to_json(spec) == reference_json(spec)
     assert boolfn.spectrum_to_json(spec) == reference_json(spec)
 
 
