@@ -62,8 +62,7 @@ __all__ = [
 # the number of nonzero coefficients (each lies on a subset of a leaf path).
 MAX_FOURIER_WORK = 1 << 26
 
-# Leaf budget of every tree, counted along every root-to-leaf path (a
-# node shared by several parents counts once per path through it).
+# Leaf budget of every tree, a count of its leaf nodes.
 MAX_LEAVES = 1 << 22
 
 
@@ -84,16 +83,16 @@ class Node:
 class DecisionTree:
     """Immutable arena-backed decision tree over n variables (1-based).
 
-    The constructor refuses a malformed arena in time linear in it. A
-    depth-first pass on an explicit stack puts the nodes the root reaches
-    in post-order and refuses a cycle. One loop over that order then
-    checks each node and computes, from its children's values, its leaf
-    count (at most MAX_LEAVES), depth, Fourier work (sum of 2^depth over
-    the leaves below, saturated past MAX_FOURIER_WORK), acceptance and
-    the set of variables queried below it, which refuses a repeat along a
-    path. A node's values are held until its last parent has read them;
-    the leaves below the nodes held, which bound the sizes of their sets,
-    count against MAX_LEAVES too.
+    The nodes the root reaches must form a tree: each has one parent, and
+    a node reached a second time (a shared subtree, a shared leaf or a
+    cycle) is refused. Nodes the root cannot reach are only range-checked.
+    The constructor walks the tree once in pre-order, minus child first,
+    on an explicit stack, holding the set of the variables on the current
+    path: it checks each node, refuses a variable repeated along a path
+    and counts the leaves (at most MAX_LEAVES). One pass over the reversed
+    order then computes the depth, the Fourier work (sum of 2^depth over
+    the leaves, saturated past MAX_FOURIER_WORK) and each node's
+    acceptance. Every later tree pass reads the same order.
     """
 
     def __init__(self, n: int, nodes: Sequence[Node], root: int = 0):
@@ -102,9 +101,9 @@ class DecisionTree:
         self.root = root
         self._spectra: dict[OutputConvention, FourierSpectrum] = {}
         self._visits: list[tuple[int, int, int, float]] | None = None
-        self.depth, self._fourier_work, self._accept = self._validate()
+        self._order, self.depth, self._fourier_work, self._accept = self._validate()
 
-    def _validate(self) -> tuple[int, int, dict[int, float]]:
+    def _validate(self) -> tuple[list[int], int, int, dict[int, float]]:
         n, nodes, root = self.n, self.nodes, self.root
         if n < 0:
             raise ValueError("variable count must be nonnegative")
@@ -118,111 +117,59 @@ class DecisionTree:
                 if child is not None and not 0 <= child < size:
                     raise ValueError(f"node {idx} has child {child} outside the arena "
                                      f"of {size} nodes")
-        order: list[int] = []  # the reachable nodes, children before parents
-        parents = [0] * size  # reachable parents of each node, one per child slot
-        state = bytearray(size)  # 0 unseen, 1 open (on the stack's path), 2 done
-        stack = [root]  # a node to open, or ~node once its children are done
+        order: list[int] = []  # the reachable nodes in pre-order, minus child first
+        reached = bytearray(size)
+        path: set[int] = set()  # the variables queried above the node entered
+        leaves = 0
+        stack = [root]  # a node to enter, or ~node to leave once its subtree is done
         pop, push = stack.pop, stack.append
         while stack:
             idx = pop()
             if idx < 0:
-                state[~idx] = 2
-                order.append(~idx)
-            elif not state[idx]:  # a node pushed by several parents is opened once
-                state[idx] = 1
-                push(~idx)
-                node = nodes[idx]
-                for child in () if node.is_leaf else (node.child_minus, node.child_plus):
-                    if child is not None:
-                        if state[child] == 1:  # open: on the path to this node
-                            raise ValueError(f"variable {nodes[child].query_var} repeats "
-                                             f"along a path")
-                        parents[child] += 1
-                        push(child)
-        # (leaves, depth, Fourier work, set of the variables queried) below each
-        # node, dropped once its last parent has read them. The nodes held (done,
-        # with a parent not yet done) root disjoint subtrees of the unfolded
-        # tree, so their leaves, and with them their sets' sizes, sum to at most
-        # the root's leaves.
-        below: list[tuple[int, int, int, set[int] | frozenset[int]] | None] = [None] * size
-        held = 0  # leaves below the nodes in `below`
-        accept: dict[int, float] = {}  # uniform acceptance of the subtree below each node
-        for idx in order:
+                path.remove(nodes[~idx].query_var)
+                continue
+            if reached[idx]:
+                raise ValueError(f"node {idx} is reached twice: the arena is not a tree")
+            reached[idx] = 1
+            order.append(idx)
             node = nodes[idx]
-            var, lo, hi = node.query_var, node.child_minus, node.child_plus
+            var = node.query_var
             if var is None:
                 if node.output not in (0, 1):
                     raise ValueError(f"leaf {idx} output must be a bit")
-                below[idx] = (1, 0, 1, frozenset())
-                held += 1
-                accept[idx] = float(node.output)
+                leaves += 1
+                if leaves > MAX_LEAVES:
+                    raise ValueError(f"tree has more than MAX_LEAVES = {MAX_LEAVES} leaves")
                 continue
             if not 1 <= var <= n:
                 raise ValueError(f"node {idx} queries variable {var} outside [1,{n}]")
-            if lo is None or hi is None:
+            if node.child_minus is None or node.child_plus is None:
                 raise ValueError(f"internal node {idx} missing a child")
-            (leaves0, depth0, work0, seen0), (leaves1, depth1, work1, seen1) = below[lo], below[hi]
-            leaves = leaves0 + leaves1
-            held += leaves
-            for child in (lo, hi):
-                parents[child] -= 1
-                if not parents[child]:
-                    held -= below[child][0]
-                    below[child] = None
-            if held > MAX_LEAVES:  # the root unfolds to at least as many
-                raise ValueError(f"tree unfolds to more than MAX_LEAVES = {MAX_LEAVES} leaves")
-            # Small into large: the larger set is extended in place when this
-            # node was its last reader, and copied otherwise.
-            if len(seen0) < len(seen1):
-                lo, hi, seen0, seen1 = hi, lo, seen1, seen0
-            seen = seen0 if not parents[lo] and isinstance(seen0, set) else set(seen0)
-            seen |= seen1
-            if var in seen:
+            if var in path:
                 raise ValueError(f"variable {var} repeats along a path")
-            seen.add(var)
-            below[idx] = (leaves, 1 + max(depth0, depth1),
-                          min(2 * (work0 + work1), MAX_FOURIER_WORK + 1), seen)
-            accept[idx] = 0.5 * (accept[lo] + accept[hi])
-        _, depth, work, _ = below[root]
-        return depth, work, accept
+            path.add(var)
+            push(~idx)
+            push(node.child_plus)
+            push(node.child_minus)
+        below: list[tuple[int, int]] = []  # (depth, Fourier work) of subtrees awaiting a parent
+        accept: dict[int, float] = {}  # uniform acceptance of the subtree below each node
+        for idx in reversed(order):  # children before parents, plus child first
+            node = nodes[idx]
+            if node.is_leaf:
+                below.append((0, 1))
+                accept[idx] = float(node.output)
+                continue
+            (depth0, work0), (depth1, work1) = below.pop(), below.pop()
+            below.append((1 + max(depth0, depth1), min(2 * (work0 + work1), MAX_FOURIER_WORK + 1)))
+            accept[idx] = 0.5 * (accept[node.child_minus] + accept[node.child_plus])
+        depth, work = below.pop()
+        return order, depth, work, accept
 
     def truth_table(self) -> np.ndarray:
         """Dense 0/1 table in position order; guarded to n <= 20."""
         if self.n > 20:
             raise ValueError("truth table limited to n <= 20")
         return evaluate_rows(self, point_from_index(np.arange(1 << self.n), self.n))
-
-
-def _walk(tree: DecisionTree):
-    """Depth-first walk from the root on an explicit stack, minus child
-    first, so no depth exhausts the interpreter's recursion limit.
-
-    Yields (idx, node, path, leaving): every reachable node once per path
-    to it on the way down (leaving False), and each internal node again on
-    the way up once both subtrees are done (leaving True). path lists the
-    (variable, sign) pairs above the node; it is one list, updated in place.
-    """
-    nodes = tree.nodes
-    path: list[tuple[int, int]] = []
-    stack = [(tree.root, 0)]  # (node, children done so far)
-    pop, push = stack.pop, stack.append
-    while stack:
-        idx, done = pop()
-        node = nodes[idx]
-        if not done:
-            yield idx, node, path, False
-            if node.query_var is None:  # a leaf
-                continue
-            path.append((node.query_var, -1))
-            push((idx, 1))
-            push((node.child_minus, 0))
-        elif done == 1:
-            path[-1] = (node.query_var, 1)
-            push((idx, 2))
-            push((node.child_plus, 0))
-        else:
-            path.pop()
-            yield idx, node, path, True
 
 
 def evaluate_rows(tree: DecisionTree, batch: np.ndarray) -> np.ndarray:
@@ -269,26 +216,28 @@ def sparse_fourier(
     if tree._fourier_work > MAX_FOURIER_WORK:
         raise ValueError("tree too deep for exact sparse Fourier budget")
     leaf_value = (0.0 if convention == OutputConvention.ZERO_ONE else -1.0, 1.0)
-    spectra: list[dict[int, float]] = []  # one per subtree whose parent is still open
-    for _, node, _, leaving in _walk(tree):
+    nodes = tree.nodes
+    spectra: list[dict[int, float]] = []  # one per subtree whose parent is still ahead
+    for idx in reversed(tree._order):  # children before parents, plus child first
+        node = nodes[idx]
         if node.is_leaf:
             value = leaf_value[node.output]
             spectra.append({0: value} if value else {})
-        elif leaving:
-            plus, minus = spectra.pop(), spectra.pop()
-            bit = 1 << (node.query_var - 1)
-            merged: dict[int, float] = {}
-            for mask, b in plus.items():
-                a = minus.pop(mask, 0.0)
-                if a + b:
-                    merged[mask] = 0.5 * (a + b)
-                if b - a:
-                    merged[mask | bit] = 0.5 * (b - a)
-            # What is left of minus has b = 0; spectra hold no zeros.
-            for mask, a in minus.items():
-                merged[mask] = 0.5 * a
-                merged[mask | bit] = -0.5 * a
-            spectra.append(merged)
+            continue
+        minus, plus = spectra.pop(), spectra.pop()
+        bit = 1 << (node.query_var - 1)
+        merged: dict[int, float] = {}
+        for mask, b in plus.items():
+            a = minus.pop(mask, 0.0)
+            if a + b:
+                merged[mask] = 0.5 * (a + b)
+            if b - a:
+                merged[mask | bit] = 0.5 * (b - a)
+        # What is left of minus has b = 0; spectra hold no zeros.
+        for mask, a in minus.items():
+            merged[mask] = 0.5 * a
+            merged[mask | bit] = -0.5 * a
+        spectra.append(merged)
     spec = FourierSpectrum(n=tree.n, masks=spectra.pop())
     tree._spectra[convention] = spec
     return spec
@@ -304,12 +253,32 @@ def next_var_coefficients(tree: DecisionTree) -> dict[int, float]:
             for idx in accept if not (node := nodes[idx]).is_leaf}
 
 
+def _visits(tree: DecisionTree) -> list[tuple[int, int, int, float]]:
+    """(bit of next(v), path variables, path variables set to -1,
+    2^-depth(v) * A_v_hat) for each internal node v in pre-order, with the
+    path masks carried top-down; depth(v) is the path variables' count."""
+    if tree._visits is None:
+        a_hat, nodes = next_var_coefficients(tree), tree.nodes
+        masks = {tree.root: (0, 0)}  # (fixed, minus) of each node still ahead
+        visits = []
+        for idx in tree._order:
+            fixed, minus = masks.pop(idx)
+            node = nodes[idx]
+            if not node.is_leaf:
+                bit = 1 << (node.query_var - 1)
+                masks[node.child_minus] = (fixed | bit, minus | bit)
+                masks[node.child_plus] = (fixed | bit, minus)
+                visits.append((bit, fixed, minus, 0.5 ** fixed.bit_count() * a_hat[idx]))
+        tree._visits = visits
+    return tree._visits
+
+
 def decomposition_sides(tree: DecisionTree, subset: Sequence[int]) -> tuple[float, float]:
     """Both sides of the coefficient decomposition identity for a set S,
     in the {0,1} convention.
 
-    Left: f_hat(S) read off the sparse spectrum. Right: sum over visits
-    of nodes v querying some j in S whose path has fixed S minus j, of
+    Left: f_hat(S) read off the sparse spectrum. Right: sum over internal
+    nodes v querying some j in S whose path has fixed S minus j, of
     B_v_hat(S \\ {j}) * A_v_hat({j}), where B_v_hat(S \\ {j}) is 2^-depth(v)
     times the path's signs on S minus j. The two agree exactly.
     """
@@ -317,24 +286,9 @@ def decomposition_sides(tree: DecisionTree, subset: Sequence[int]) -> tuple[floa
     if not s:
         raise ValueError("decomposition requires a non-empty subset")
     lhs = sparse_fourier(tree).coefficient(s)
-    if tree._visits is None:
-        # (bit of next(v), path variables, path variables set to -1,
-        # 2^-depth * A_v_hat) for each visit of an internal node, in pre-order.
-        a_hat = next_var_coefficients(tree)
-        visits = []
-        for idx, node, path, leaving in _walk(tree):
-            if not (node.is_leaf or leaving):
-                fixed = minus = 0
-                for var, sign in path:
-                    fixed |= 1 << (var - 1)
-                    if sign < 0:
-                        minus |= 1 << (var - 1)
-                visits.append((1 << (node.query_var - 1), fixed, minus,
-                               0.5 ** len(path) * a_hat[idx]))
-        tree._visits = visits
     smask = sum(1 << (i - 1) for i in s)
     rhs = 0.0
-    for bit, fixed, minus, term in tree._visits:
+    for bit, fixed, minus, term in _visits(tree):
         rest = smask ^ bit
         if smask & bit and not rest & ~fixed:
             rhs += -term if (rest & minus).bit_count() & 1 else term
@@ -345,9 +299,8 @@ def relabel_nonnegative(tree: DecisionTree) -> DecisionTree:
     """Swap children wherever the queried variable's subtree coefficient
     is negative, making every A_v_hat({next(v)}) >= 0.
 
-    Pure relabeling: same graph, same reach probabilities, same
-    acceptance probability. A node is swapped once however many paths
-    reach it; nodes the root cannot reach are copied.
+    Pure relabeling: same tree, same reach probabilities, same acceptance
+    probability. Nodes the root cannot reach are copied.
     """
     swap = {idx for idx, a_hat in next_var_coefficients(tree).items() if a_hat < 0}
     nodes = [Node(query_var=node.query_var, child_minus=node.child_plus,
@@ -357,13 +310,12 @@ def relabel_nonnegative(tree: DecisionTree) -> DecisionTree:
 
 
 def refined_level1_sum(tree: DecisionTree, d_lo: int, d_hi: int) -> float:
-    """Sum of p_v * |A_v_hat({next(v)})| over node visits in layers
-    [d_lo, d_hi), p_v = 2^-depth, in the {0,1} convention."""
+    """Sum of p_v * |A_v_hat({next(v)})| over the internal nodes v in layers
+    [d_lo, d_hi), p_v = 2^-depth(v), in the {0,1} convention."""
     if d_lo < 0 or d_hi <= d_lo or d_hi > max(1, tree.depth):
         raise ValueError(f"bad layer range [{d_lo}, {d_hi}) for depth {tree.depth}")
-    a_hat = next_var_coefficients(tree)
-    return sum(0.5 ** len(path) * abs(a_hat[idx]) for idx, node, path, leaving in _walk(tree)
-               if not (node.is_leaf or leaving) and d_lo <= len(path) < d_hi)
+    return sum(abs(term) for _, fixed, _, term in _visits(tree)
+               if d_lo <= fixed.bit_count() < d_hi)
 
 
 # ---------------------------------------------------------------------------

@@ -382,19 +382,25 @@ def matrix_sha256(u: OrthogonalMatrix) -> str:
 
 def load_matrix(path: str | Path, sha256: str = "") -> OrthogonalMatrix:
     """Read a matrix file; a non-empty sha256 refuses other bytes before the
-    Gram check."""
-    blob = Path(path).read_bytes()
-    if sha256 and hashlib.sha256(blob).hexdigest() != sha256:
-        raise ValueError(f"{path}: not the matrix file of sha256 {sha256}")
-    if blob[:4] != MATRIX_MAGIC:
+    Gram check. The entries are a read-only view of the bytes read."""
+    with open(path, "rb") as file:
+        # Read apart from the header, the payload starts 8-byte aligned, and
+        # BLAS reads it in place.
+        header, payload = file.read(20), file.read()
+    if sha256:
+        digest = hashlib.sha256(header)
+        digest.update(payload)
+        if digest.hexdigest() != sha256:
+            raise ValueError(f"{path}: not the matrix file of sha256 {sha256}")
+    if header[:4] != MATRIX_MAGIC:
         raise ValueError(f"{path}: not a matrix file (bad magic)")
-    if len(blob) < 20:
+    if len(header) < 20:
         raise ValueError(f"{path}: truncated header")
-    n, seed = struct.unpack("<QQ", blob[4:20])
-    if len(blob) != 20 + 8 * n * n:
+    n, seed = struct.unpack("<QQ", header[4:])
+    if len(payload) != 8 * n * n:
         raise ValueError(f"{path}: truncated or oversized payload")
-    entries = np.frombuffer(blob[20:], dtype="<f8").reshape(n, n).copy()
     # The constructor checks the shape and orthogonality; corrupt files fail there.
+    entries = np.frombuffer(payload, dtype="<f8").reshape(n, n)
     return OrthogonalMatrix(n=int(n), entries=entries, seed=int(seed))
 
 

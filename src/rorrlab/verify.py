@@ -447,7 +447,7 @@ def check_goodness(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
         haar_rows.append({"n": n, "checked_pairs": report.checked_pairs,
                           "worst_ratio": report.worst_ratio,
                           "violations": report.violation_count,
-                          "matrix_sha256": hashlib.sha256(u.entries.tobytes()).hexdigest()})
+                          "matrix_sha256": ortho.matrix_sha256(u)})
     norm, bound = ortho.hadamard_counterexample(26)
     hadamard_ok = norm == 1.0 and norm > bound and abs(bound - 0.663) < 0.01
     identity = ortho.OrthogonalMatrix(n=2048, entries=np.eye(2048), seed=None)

@@ -3,6 +3,7 @@
 Each one computes a quantity straight from its definition, slowly or only
 for tiny sizes; none of them is part of rorrlab.
 """
+import itertools
 import math
 
 import numpy as np
@@ -80,10 +81,27 @@ def evaluate(tree: DecisionTree, x) -> int:
     return node.output
 
 
+def reaches_a_tree(nodes, root: int) -> bool:
+    """Whether the nodes reachable from root form a tree: root has no parent
+    among them and every other one exactly one, each child slot counted as
+    an edge."""
+    parents = dict.fromkeys(range(len(nodes)), 0)
+    reached, todo = {root}, [root]
+    while todo:
+        node = nodes[todo.pop()]
+        if node.query_var is not None:
+            for child in (node.child_minus, node.child_plus):
+                parents[child] += 1
+                if child not in reached:
+                    reached.add(child)
+                    todo.append(child)
+    return all(parents[idx] == (idx != root) for idx in reached)
+
+
 def leaf_paths(tree: DecisionTree) -> list[tuple[tuple[tuple[int, int], ...], int]]:
     """(path, output bit) of every root-to-leaf path, minus child first;
-    path holds the (variable, sign) pairs from the root down. A node that
-    several parents share lies on one path per way of reaching it."""
+    path holds the (variable, sign) pairs from the root down. Only for
+    trees: a cycle would make it walk forever."""
     out = []
     stack = [(tree.root, ())]
     while stack:
@@ -103,6 +121,34 @@ def depth_and_acceptance(tree: DecisionTree) -> tuple[int, float]:
     leaves = leaf_paths(tree)
     return (max(len(path) for path, _ in leaves),
             sum(0.5 ** len(path) for path, bit in leaves if bit))
+
+
+def path_spectrum(tree: DecisionTree, convention: OutputConvention) -> dict[int, float]:
+    """Nonzero coefficients by bitmask, as a sum over leaf paths: a leaf of
+    value b at the end of path P is b * prod over (v, s) in P of
+    (1 + s x_v) / 2, which gives b 2^-|P| prod_{(v, s) in T} s to every
+    subset T of P."""
+    out: dict[int, float] = {}
+    for path, bit in leaf_paths(tree):
+        value = float(bit) if convention == OutputConvention.ZERO_ONE else 2.0 * bit - 1.0
+        for size in range(len(path) + 1):
+            for subset in itertools.combinations(path, size):
+                mask = sum(1 << (var - 1) for var, _ in subset)
+                term = value * 0.5 ** len(path) * math.prod(sign for _, sign in subset)
+                out[mask] = out.get(mask, 0.0) + term
+    return {mask: c for mask, c in out.items() if c}
+
+
+def next_var_visits(tree: DecisionTree) -> list[tuple[int, float]]:
+    """(depth(v), A_v_hat({next(v)})) of every internal node v, from the
+    leaf paths through it: a leaf of bit b at depth D, below the sign s
+    that its path takes at v, adds s b 2^-(D - depth(v))."""
+    coeff: dict[tuple, float] = {}  # keyed by the path to v
+    for path, bit in leaf_paths(tree):
+        for depth, (_, sign) in enumerate(path):
+            prefix = path[:depth]
+            coeff[prefix] = coeff.get(prefix, 0.0) + sign * bit * 0.5 ** (len(path) - depth)
+    return [(len(prefix), c) for prefix, c in coeff.items()]
 
 
 def truth_table_index(x: np.ndarray) -> int:

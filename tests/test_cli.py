@@ -399,12 +399,13 @@ def _child(lo, hi):
                       "--set", "1;2", "--method", "mc", "--mc-samples", "3"],
     lambda tmp_path: ["advantage", "--matrix", _one_by_one_matrix(tmp_path), "--k", "2",
                       "--samples", "10"],
+    _tree_file(_child(1, 1)),
 ], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "empty-one-fold-instances",
         "instances-for-another-matrix", "negative-child",
         "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
         "fourier-without-input", "config-count-is-text", "config-one-advantage-sample",
         "config-not-an-object", "moments-repeated-index", "advantage-one-fold",
-        "moments-one-antithetic-pair", "advantage-corpus-at-n-1"])
+        "moments-one-antithetic-pair", "advantage-corpus-at-n-1", "tree-shared-leaf"])
 def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys):
     argv = build(tmp_path)
     with warnings.catch_warnings():

@@ -82,12 +82,14 @@ HAND_ARENAS = (
     # Leaf root; node 1 is an unreachable internal node.
     DecisionTree(2, [Node(output=1), Node(query_var=1, child_minus=2, child_plus=3),
                      Node(output=0), Node(output=1)]),
-    # Root stored last, a subtree shared by two parents, node 4 unreachable.
+    # Root stored last; node 4 is unreachable and points into the tree.
     DecisionTree(3, [Node(output=0), Node(output=1),
                      Node(query_var=2, child_minus=0, child_plus=1),
-                     Node(query_var=1, child_minus=2, child_plus=5),
+                     Node(output=1),
                      Node(query_var=3, child_minus=1, child_plus=0),
-                     Node(query_var=3, child_minus=2, child_plus=1)], root=3),
+                     Node(output=0),
+                     Node(query_var=3, child_minus=3, child_plus=5),
+                     Node(query_var=1, child_minus=2, child_plus=6)], root=7),
 )
 
 

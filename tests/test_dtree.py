@@ -1,9 +1,9 @@
 """Decision trees: evaluation, sparse Fourier, decomposition, families."""
 import collections
+import dataclasses
 import hashlib
 import json
 import math
-import tracemalloc
 import types
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import (convert_convention, cross_check_spectrum, depth_and_acceptance, evaluate,
-                       leaf_paths)
+                       leaf_paths, next_var_visits, path_spectrum, reaches_a_tree)
 from rorrlab import boolfn, dtree, ortho
 from rorrlab.boolfn import OutputConvention, binomial, l1_level, point_from_index
 from rorrlab.cli import main
@@ -41,26 +41,6 @@ from rorrlab.dtree import (
 
 ZO = OutputConvention.ZERO_ONE
 PM = OutputConvention.PLUS_MINUS_ONE
-
-# Arenas in which a node is reached along more than one path.
-SHARED_ARENAS = (
-    # Node 2 is reached from both children of the root.
-    DecisionTree(4, [
-        Node(query_var=3, child_minus=1, child_plus=4),
-        Node(query_var=1, child_minus=2, child_plus=5),
-        Node(query_var=4, child_minus=5, child_plus=6),
-        Node(output=0),
-        Node(query_var=2, child_minus=2, child_plus=6),
-        Node(output=1),
-        Node(output=0),
-    ]),
-    # Node 2 is reached along two paths and needs a relabeling swap.
-    DecisionTree(3, [Node(output=0), Node(output=1),
-                     Node(query_var=2, child_minus=1, child_plus=0),
-                     Node(query_var=1, child_minus=2, child_plus=4),
-                     Node(query_var=3, child_minus=2, child_plus=1)], root=3),
-)
-
 
 def test_single_leaf_tree():
     tree = make_constant(3, 1)
@@ -154,10 +134,10 @@ def test_sparse_matches_dense_random_trees():
             assert cross_check_spectrum(tree, conv) <= 1e-9
 
 
-def test_sparse_equals_dense_exactly_with_shared_subtree():
+def test_sparse_equals_dense_exactly():
     # Coefficients are dyadic, so the merge must match the dense transform
     # bit for bit.
-    for tree in (SHARED_ARENAS[0], random_tree(10, 7, 3)):
+    for tree in (make_address(3), random_tree(10, 7, 3)):
         for conv in (ZO, PM):
             table = tree.truth_table().astype(float)
             if conv == PM:
@@ -197,15 +177,14 @@ def test_decomposition_empty_set_rejected():
 
 
 def test_decomposition_random_corpus():
-    # The identity is exact on every non-empty subset, also where a node
-    # is reached along several paths (one term per path).
+    # The identity is exact on every non-empty subset.
     rng = np.random.default_rng(0)
     trees = []
     for trial in range(25):
         n = int(rng.integers(4, 9))
         d = int(rng.integers(1, min(n, 6) + 1))
         trees.append(random_tree(n, d, seed=1000 + trial))
-    for tree in trees + list(SHARED_ARENAS):
+    for tree in trees:
         for bits in range(1, 1 << tree.n):
             subset = tuple(i + 1 for i in range(tree.n) if (bits >> i) & 1)
             lhs, rhs = decomposition_sides(tree, subset)
@@ -241,15 +220,6 @@ def test_relabel_copies_unreachable_nodes():
     assert out.nodes[4] == Node(query_var=2, child_minus=2, child_plus=3)
 
 
-def test_relabel_swaps_a_shared_node_once():
-    # The shared node 2 gets one swap, not one per path.
-    tree = SHARED_ARENAS[1]
-    out = relabel_nonnegative(tree)
-    assert out.nodes[2] == Node(query_var=2, child_minus=0, child_plus=1)
-    assert out.nodes[3:] == tree.nodes[3:]
-    assert all(a_hat >= 0 for a_hat in next_var_coefficients(out).values())
-
-
 def test_relabel_invariants_random_trees():
     for seed in range(6):
         tree = random_tree(8, 5, seed)
@@ -266,8 +236,8 @@ def test_relabel_invariants_random_trees():
 
 
 def _internal_visits(tree):
-    """(node, depth) of every visit of an internal node, one per distinct
-    proper prefix of a leaf path: a shared node once per path to it."""
+    """(node, depth) of every internal node, one per distinct proper prefix
+    of a leaf path."""
     visits = {}
     for path, _ in leaf_paths(tree):
         idx = tree.root
@@ -281,7 +251,7 @@ def _internal_visits(tree):
 def test_next_var_coefficients_match_each_subtree_spectrum():
     # A_v_hat({q_v}) is the coefficient of q_v in the spectrum of the
     # subtree rooted at v; only reachable internal nodes are listed.
-    for tree in [build(*args) for build, args, _ in _ARENAS] + list(SHARED_ARENAS):
+    for tree in [build(*args) for build, args, _ in _ARENAS]:
         coeffs = next_var_coefficients(tree)
         reachable, stack = set(), [tree.root]
         while stack:
@@ -316,13 +286,6 @@ def test_refined_level1_sum_majority3():
     assert len(visits) == 5
     expected = sum(0.5 ** depth * abs(coeffs[idx]) for idx, depth in visits)
     assert total == pytest.approx(expected)
-    # A node shared by two paths counts once per path.
-    shared = SHARED_ARENAS[0]
-    coeffs = next_var_coefficients(shared)
-    visits = _internal_visits(shared)
-    assert len(visits) == len(leaf_paths(shared)) - 1 > len(coeffs)
-    assert refined_level1_sum(shared, 0, shared.depth) == sum(
-        0.5 ** depth * abs(coeffs[idx]) for idx, depth in visits)
     # Full-range refined sum upper-bounds the relabeled tree's level-1 mass.
     relabeled = relabel_nonnegative(tree)
     spec = sparse_fourier(relabeled, ZO)
@@ -558,190 +521,113 @@ def test_deep_decision_list_fourier_cli_is_one_error_line(tmp_path, capsys):
 
 def _shared_chain(queries):
     """JSON arena whose node i queries x_{i+1} and has node i + 1 as both
-    children, ending in one leaf: queries + 1 nodes that unfold to
-    2^queries leaves."""
+    children, ending in one leaf: queries + 1 nodes on 2^queries paths."""
     nodes = [{"q": i, "lo": i + 1, "hi": i + 1, "out": None} for i in range(queries)]
     nodes.append({"q": None, "lo": None, "hi": None, "out": 1})
     return json.dumps({"n": queries, "root": 0, "nodes": nodes})
 
 
-def test_shared_chain_past_the_leaf_budget_is_refused_at_load(monkeypatch, tmp_path, capsys):
+def test_a_tree_past_the_leaf_budget_is_refused_at_load(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "tree.json"
+    path.write_text(tree_to_json(random_tree(12, 11, 0)))  # 2048 leaves
     monkeypatch.setattr(dtree, "MAX_LEAVES", 1024)
-    tree = tree_from_json(_shared_chain(10))  # 1024 leaves, at the limit
-    assert tree.depth == 10 and acceptance_probability(tree) == 1.0
+    tree = tree_from_json(tree_to_json(random_tree(12, 10, 0)))  # 1024 leaves, at the limit
+    assert tree.depth == 10
     with pytest.raises(ValueError, match="MAX_LEAVES = 1024"):
-        tree_from_json(_shared_chain(14))
-    path = tmp_path / "chain.json"
-    path.write_text(_shared_chain(14))
+        tree_from_json(path.read_text())
     assert main(["fourier", "--tree", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: tree unfolds to more than MAX_LEAVES = 1024 leaves\n"
+    assert captured.err == "error: tree has more than MAX_LEAVES = 1024 leaves\n"
 
 
 def test_leaf_budget_and_cycles_are_checked_before_any_walk(monkeypatch):
-    def no_walk(tree):
-        raise AssertionError("a path was walked")
-
-    # Each arena is accepted at exactly its leaf count and refused one below.
-    for tree in (SHARED_ARENAS + (make_majority(5), make_address_of_majority(3),
-                                  tree_from_json(_shared_chain(6)))):
+    # Each tree is accepted at exactly its leaf count and refused one below.
+    for tree in (make_majority(5), make_address_of_majority(3), random_tree(9, 7, 1)):
         leaves = len(leaf_paths(tree))
         monkeypatch.setattr(dtree, "MAX_LEAVES", leaves)
         DecisionTree(tree.n, tree.nodes, tree.root)
         monkeypatch.setattr(dtree, "MAX_LEAVES", leaves - 1)
-        with monkeypatch.context() as patch:
-            patch.setattr(dtree, "_walk", no_walk)
-            with pytest.raises(ValueError, match=f"MAX_LEAVES = {leaves - 1} "):
-                DecisionTree(tree.n, tree.nodes, tree.root)
+        with pytest.raises(ValueError, match=f"MAX_LEAVES = {leaves - 1} "):
+            DecisionTree(tree.n, tree.nodes, tree.root)
     monkeypatch.undo()
-    monkeypatch.setattr(dtree, "_walk", no_walk)
-    # 41 nodes that unfold to 2^40 leaves: refused without unfolding a path.
-    with pytest.raises(ValueError, match=f"MAX_LEAVES = {dtree.MAX_LEAVES} "):
+    # 41 nodes on 2^40 paths: refused when the walk first comes back to a node.
+    with pytest.raises(ValueError, match="node 40 is reached twice"):
         tree_from_json(_shared_chain(40))
-    doc = json.loads(_shared_chain(40))
-    doc["nodes"][30]["hi"] = 10  # a loop back up the chain
-    with pytest.raises(ValueError, match="variable 11 repeats along a path"):
+    doc = json.loads(_decision_list(40))
+    doc["nodes"][60]["hi"] = 20  # a loop back up the list
+    with pytest.raises(ValueError, match="node 20 is reached twice"):
         tree_from_json(json.dumps(doc))
-    # 21 nodes that unfold to 2^20 leaves: checked, measured and relabeled
-    # without unfolding a path.
-    tree = tree_from_json(_shared_chain(20))
-    assert tree.depth == 20 and acceptance_probability(tree) == 1.0
-    assert relabel_nonnegative(tree).nodes == tree.nodes
-
-
-def test_a_repeat_seen_only_through_the_second_parent_is_refused():
-    # Node 3 queries x2 and has two parents, x1 and x2; the x2 parent repeats
-    # x2. In either order of the parents, the variables below node 3 must
-    # still be there when the second parent reads them.
-    for first, second in ((1, 2), (2, 1)):
-        nodes = [Node(query_var=3, child_minus=first, child_plus=second),
-                 Node(query_var=1, child_minus=3, child_plus=4),
-                 Node(query_var=2, child_minus=3, child_plus=5),
-                 Node(query_var=2, child_minus=4, child_plus=5),
-                 Node(output=0), Node(output=1)]
-        with pytest.raises(ValueError, match="variable 2 repeats along a path"):
-            DecisionTree(3, nodes)
-        # Both parents may query one variable: the first must not add it to
-        # the variables below node 3 that the second reads.
-        for var in (4, 1):
-            nodes[2] = Node(query_var=var, child_minus=3, child_plus=5)
-            tree = DecisionTree(4, nodes)
-            assert (tree.depth, acceptance_probability(tree)) == depth_and_acceptance(tree)
-
-
-def _shared_bottoms(half, n):
-    """Nodes of an arena whose root (x_{half+1}) has two complete subtrees of
-    depth `half`, over x_1..x_half and x_{half+2}..x_{2 half+1}, whose
-    2^(half+1) bottom slots hold the same nodes, each querying x_n above two
-    shared leaves. The plus subtree is done first, so every bottom node is
-    done and waits for its second parent at once."""
-    bottoms = range(3, 3 + (2 << half))
-    nodes = [None, Node(output=0), Node(output=1)]
-    nodes += [Node(query_var=n, child_minus=1, child_plus=2) for _ in bottoms]
-
-    def side(first):
-        level = list(bottoms)
-        for var in range(first + half - 1, first - 1, -1):
-            start = len(nodes)
-            nodes.extend(Node(query_var=var, child_minus=lo, child_plus=hi)
-                         for lo, hi in zip(level[::2], level[1::2]))
-            level = range(start, len(nodes))
-        return level[0]
-
-    plus = side(1)
-    nodes[0] = Node(query_var=half + 1, child_minus=side(half + 2), child_plus=plus)
-    return nodes
-
-
-def test_waiting_bottoms_over_a_high_variable_load_in_small_memory():
-    # 2^13 bottom nodes query x_65536 and wait together for their second
-    # parents. A bitmask of the variables below each would take 8 KB apiece,
-    # 67 MB in all; a set of one variable takes a few hundred bytes.
-    n = boolfn.MAX_FILE_VARS
-    nodes = _shared_bottoms(12, n)
-    tracemalloc.start()
-    try:
-        tree = DecisionTree(n, nodes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert tree.depth == 14 and acceptance_probability(tree) == 0.5
-    assert peak < 8 << 20
-
-
-def _teeth_on_a_shared_list(teeth):
-    """(n, nodes): node j < teeth heads a spine, with spine node j + 1 (the
-    last: leaf 0) as its minus child and tooth j as its plus child; every
-    tooth has S, one decision list of seven queries over leaf 0 and leaf 1, as
-    its minus child and leaf 1 as its plus child. Plus children are opened first, so every tooth
-    (9 leaves) is done, and waits for its spine node, before any spine node."""
-    s, leaf0 = 2 * teeth, 2 * teeth + 7
-    nodes = [Node(query_var=8 + teeth + j, child_minus=j + 1 if j + 1 < teeth else leaf0,
-                  child_plus=teeth + j) for j in range(teeth)]
-    nodes += [Node(query_var=8 + j, child_minus=s, child_plus=leaf0 + 1) for j in range(teeth)]
-    nodes += [Node(query_var=i + 1, child_minus=leaf0 + i % 2, child_plus=s + i + 1 + (i == 6))
-              for i in range(7)]
-    nodes += [Node(output=0), Node(output=1)]
-    return 8 + 2 * teeth, nodes
-
-
-def test_waiting_subtrees_count_against_the_leaf_budget(monkeypatch):
-    # The done subtrees that wait for a parent are disjoint in the unfolded
-    # tree, so their leaves bound the root's from below, and with them the
-    # variable sets held. With a budget of 40, the fourth tooth passes it
-    # (S, both leaves and four teeth: 8 + 2 + 36 leaves), before the bad leaf
-    # under the sixth tooth and before any spine node.
-    n, nodes = _teeth_on_a_shared_list(12)
-    tree = DecisionTree(n, nodes)
-    assert (tree.depth, acceptance_probability(tree)) == depth_and_acceptance(tree)
-    nodes.append(Node(output=2))
-    nodes[12 + 5] = Node(query_var=8 + 5, child_minus=2 * 12, child_plus=len(nodes) - 1)
-    with pytest.raises(ValueError, match="must be a bit"):
-        DecisionTree(n, nodes)
-    monkeypatch.setattr(dtree, "MAX_LEAVES", 40)
-    with pytest.raises(ValueError, match="MAX_LEAVES = 40 "):
-        DecisionTree(n, nodes)
 
 
 @st.composite
-def _acyclic_arenas(draw):
-    """(n, nodes) of an arena rooted at node 0 whose children all have
-    larger indices, so nodes are shared but no path loops. Three nodes in
-    four query, from a few variables, so repeats along a path are common."""
-    size, n = draw(st.integers(1, 10)), draw(st.integers(1, 4))
-
-    def child(i):
-        return draw(st.integers(i + 1, size - 1))
-
-    nodes = [Node(query_var=draw(st.integers(1, n)), child_minus=child(i), child_plus=child(i))
-             if i < size - 1 and draw(st.integers(0, 3)) else Node(output=draw(st.integers(0, 1)))
-             for i in range(size)]
-    return n, nodes
+def _arenas(draw):
+    """(n, nodes, root): a random tree over a few variables, so repeats
+    along a path are common, stored in a random order among a few nodes the
+    root does not reach; then up to two child slots point anywhere, which
+    makes shared subtrees, shared leaves, back edges and self-loops."""
+    n = draw(st.integers(1, 6))
+    tree = [None]  # internal nodes as [var, minus, plus], leaves as None
+    for _ in range(draw(st.integers(0, 7))):
+        leaf = draw(st.sampled_from([i for i, node in enumerate(tree) if node is None]))
+        tree[leaf] = [draw(st.integers(1, n)), len(tree), len(tree) + 1]
+        tree += [None, None]
+    size = len(tree) + draw(st.integers(0, 2))
+    where = draw(st.permutations(range(size)))  # arena slot of each node
+    nodes = [Node(output=draw(st.integers(0, 1)))] * size
+    for i in range(len(tree), size):  # not reached from the root
+        nodes[where[i]] = Node(query_var=draw(st.integers(1, n)),
+                               child_minus=draw(st.integers(0, size - 1)),
+                               child_plus=draw(st.integers(0, size - 1)))
+    for i, node in enumerate(tree):
+        nodes[where[i]] = Node(output=draw(st.integers(0, 1))) if node is None else Node(
+            query_var=node[0], child_minus=where[node[1]], child_plus=where[node[2]])
+    internal = [i for i, node in enumerate(nodes) if not node.is_leaf]
+    for _ in range(draw(st.integers(0, 2)) if internal else 0):
+        i = draw(st.sampled_from(internal))
+        field = draw(st.sampled_from(["child_minus", "child_plus"]))
+        nodes[i] = dataclasses.replace(nodes[i], **{field: draw(st.integers(0, size - 1))})
+    return n, nodes, where[0]
 
 
 @settings(max_examples=400, deadline=None)
-@given(arena=_acyclic_arenas())
-def test_one_pass_matches_the_path_definitions(arena):
-    # Accepted exactly when no root-to-leaf path repeats a variable; then the
-    # depth, acceptance and Fourier work are their sums over the paths.
-    n, nodes = arena
-    paths = leaf_paths(types.SimpleNamespace(root=0, nodes=nodes))
+@given(arena=_arenas(), data=st.data())
+def test_one_pass_matches_the_path_definitions(arena, data):
+    # Accepted exactly when the root reaches a tree on which no path repeats
+    # a variable; then every measure and pass equals its sum over the paths.
+    n, nodes, root = arena
+    is_tree = reaches_a_tree(nodes, root)
+    paths = leaf_paths(types.SimpleNamespace(root=root, nodes=nodes)) if is_tree else []
     repeats = any(len({var for var, _ in path}) < len(path) for path, _ in paths)
     try:
-        tree = DecisionTree(n, nodes)
+        tree = DecisionTree(n, nodes, root)
     except ValueError as exc:
-        assert repeats and "repeats along a path" in str(exc)
+        # A tree is refused for its repeat; other arenas may show either fault first.
+        assert repeats or not is_tree
+        assert "repeats along a path" in str(exc) or (
+            not is_tree and "is reached twice: the arena is not a tree" in str(exc))
         return
-    assert not repeats
+    assert is_tree and not repeats
     assert (tree.depth, acceptance_probability(tree)) == depth_and_acceptance(tree)
     assert tree._fourier_work == sum(1 << len(path) for path, _ in paths)
+    for conv in (ZO, PM):
+        assert sparse_fourier(tree, conv).masks == path_spectrum(tree, conv)
+    visits = next_var_visits(tree)
+    top = max(1, tree.depth)
+    lo = data.draw(st.integers(0, top - 1))
+    hi = data.draw(st.integers(lo + 1, top))
+    assert refined_level1_sum(tree, lo, hi) == sum(
+        0.5 ** depth * abs(c) for depth, c in visits if lo <= depth < hi)
+    spectrum = path_spectrum(tree, ZO)
+    for mask in range(1, 1 << n):
+        subset = [i + 1 for i in range(n) if mask >> i & 1]
+        assert decomposition_sides(tree, subset) == (spectrum.get(mask, 0.0),) * 2
 
 
 def test_deep_cycle_is_refused_not_walked_forever():
     doc = json.loads(_decision_list(500))
     doc["nodes"][-3]["hi"] = 0  # the last query loops back to the root
-    with pytest.raises(ValueError, match="repeats along a path"):
+    with pytest.raises(ValueError, match="node 0 is reached twice"):
         tree_from_json(json.dumps(doc))
 
 
@@ -801,8 +687,8 @@ def test_builder_arenas_are_pinned(build, args, digest):
 
 
 def test_depth_and_acceptance_match_the_leaf_paths():
-    # Every builder's arena, the random trees among them, and the shared arenas.
-    for tree in [build(*args) for build, args, _ in _ARENAS] + list(SHARED_ARENAS):
+    # Every builder's arena, the random trees among them.
+    for tree in [build(*args) for build, args, _ in _ARENAS]:
         assert (tree.depth, acceptance_probability(tree)) == depth_and_acceptance(tree)
 
 

@@ -349,6 +349,17 @@ def test_matrix_file_round_trip(tmp_path):
     assert np.allclose(loaded, u.entries, atol=1e-15)
 
 
+def test_loaded_matrix_is_read_only(tmp_path):
+    # The entries are an aligned view of the bytes read, not a copy of them.
+    path = tmp_path / "u.mat"
+    ortho.save_matrix(path, ortho.sample_haar(8, seed=3))
+    u = ortho.load_matrix(path)
+    flags = u.entries.flags
+    assert flags.aligned and not flags.owndata and not flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        u.entries[0, 0] = 1.0
+
+
 def test_matrix_file_corruption_detected(tmp_path):
     u = ortho.sample_haar(8, seed=1)
     path = tmp_path / "u.mat"
