@@ -574,7 +574,7 @@ def _arenas(draw):
         tree += [None, None]
     size = len(tree) + draw(st.integers(0, 2))
     where = draw(st.permutations(range(size)))  # arena slot of each node
-    nodes = [Node(output=draw(st.integers(0, 1)))] * size
+    nodes = [None] * size
     for i in range(len(tree), size):  # not reached from the root
         nodes[where[i]] = Node(query_var=draw(st.integers(1, n)),
                                child_minus=draw(st.integers(0, size - 1)),
