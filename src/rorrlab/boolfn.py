@@ -18,15 +18,12 @@ import itertools
 import json
 import math
 import operator
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .util import json_int
 
 __all__ = [
     "DROP_THRESHOLD",
@@ -39,10 +36,7 @@ __all__ = [
     "walsh_hadamard_inplace",
     "point_from_index",
     "spectrum_to_json",
-    "spectrum_from_json",
-    "write_truth_table_bytes",
     "read_truth_table_bytes",
-    "write_truth_table_csv",
     "read_truth_table_csv",
 ]
 
@@ -53,8 +47,8 @@ DROP_THRESHOLD = 1e-12
 # Memory guard: a dense transform needs 2^n doubles.
 MAX_TRANSFORM_VARS = 24
 
-# Highest variable count a spectrum or tree file may address: a subset of
-# variable i is a bitmask of i bits, built before it is stored.
+# Highest variable count a tree file may declare: sparse_fourier builds a
+# bitmask of i bits for each variable i a tree queries.
 MAX_FILE_VARS = 1 << 16
 
 
@@ -265,42 +259,6 @@ def spectrum_to_json(spec: FourierSpectrum) -> str:
     return "".join(parts)
 
 
-def spectrum_from_json(text: str) -> FourierSpectrum:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or not isinstance(doc.get("coefficients"), list):
-        raise ValueError('spectrum JSON must be an object with a "coefficients" list')
-    n = json_int(doc.get("n"), "n")
-    limit = min(n, MAX_FILE_VARS)
-    masks = {}
-    for idx, entry in enumerate(doc["coefficients"]):
-        if not isinstance(entry, dict) or not isinstance(entry.get("S"), list):
-            raise ValueError(f'coefficient {idx} must be an object with an "S" list')
-        coeff = entry.get("coeff")
-        # A number a double holds: no booleans, NaN, infinities or huge integers.
-        if type(coeff) not in (int, float) or not abs(coeff) <= sys.float_info.max:
-            raise ValueError(f"coefficient {idx} must be a finite number")
-        mask = 0
-        for i in entry["S"]:
-            i = json_int(i, f"coefficient {idx} variable")
-            if not 0 <= i < limit:
-                raise ValueError(f"coefficient {idx} variable {i} outside [0, {limit})")
-            if mask >> i & 1:
-                raise ValueError(f"coefficient {idx} repeats variable {i}")
-            mask |= 1 << i
-        if mask in masks:
-            raise ValueError(f"coefficient {idx} repeats the subset {entry['S']}")
-        masks[mask] = float(coeff)
-    return FourierSpectrum(n=n, masks=masks)
-
-
-def write_truth_table_bytes(path: str | Path, values: Sequence[int]) -> None:
-    """Raw byte table: one byte per value, 0 or 1, position order."""
-    arr = np.asarray(values)
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("byte truth tables hold 0/1 values")
-    Path(path).write_bytes(arr.astype(np.uint8).tobytes())
-
-
 def read_truth_table_bytes(path: str | Path) -> np.ndarray:
     arr = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
     if arr.size == 0 or arr.size & (arr.size - 1):
@@ -308,17 +266,6 @@ def read_truth_table_bytes(path: str | Path) -> np.ndarray:
     if not np.all(arr <= 1):
         raise ValueError("byte truth tables hold 0/1 values")
     return arr.astype(np.int8)
-
-
-def write_truth_table_csv(path: str | Path, values: Sequence[int]) -> None:
-    """CSV table of +-1 values, one row per position."""
-    arr = np.asarray(values)
-    if not np.all(np.abs(arr) == 1):
-        raise ValueError("CSV truth tables hold +-1 values")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for v in arr:
-            writer.writerow([int(v)])
 
 
 def read_truth_table_csv(path: str | Path) -> np.ndarray:

@@ -6,8 +6,8 @@ Every command validates its inputs before any file is written and writes
 output files atomically; a command that writes several files writes them
 as one set (util.file_set), so a failure leaves every target as it was.
 Randomness is controlled by --seed everywhere.
-A refused input (a ValueError or OSError from any layer) ends in exit
-code 2 and one `error:` line on stderr, printed by `main` alone.
+A refused input or usage (a ValueError or OSError from any layer) ends
+in exit code 2 and one `error:` line on stderr, printed by `main` alone.
 """
 from __future__ import annotations
 
@@ -142,8 +142,7 @@ def cmd_moments(args) -> int:
     parts = _parse_parts(args.set)
     if len(parts) != args.k:
         raise ValueError(f"--set must list exactly k={args.k} blocks")
-    est = dist.d_hat_product(u, parts, method=args.method,
-                             samples=args.mc_samples, seed=args.seed)
+    est = dist.d_hat_product(u, parts, samples=args.mc_samples, seed=args.seed)
     size = sum(len(p) for p in parts)
     doc = {
         "parts": [list(p) for p in parts],
@@ -299,8 +298,13 @@ def cmd_report(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers inherit it; main prints one line
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rorrlab",
         description="Rorrelation laboratory: sample, simulate, verify, report.",
     )
@@ -348,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--set", help="block parts, e.g. '1,2;3' (k blocks, ';' separated)")
-    p.add_argument("--method", choices=["exact-when-1x1", "mc"],
-                   default="exact-when-1x1")
     p.add_argument("--audit", action="store_true")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--max-size", type=int, default=6)
@@ -411,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ __all__ = [
     "sgn",
     "sample_duk_batch",
     "sample_uniform_batch",
-    "u_tilde_exact_1x1",
     "u_tilde_mc",
     "d_hat_product",
     "split_global_set",
@@ -92,19 +91,6 @@ class MomentEstimate:
     stderr: float
     samples: int
     exact: bool
-
-
-def u_tilde_exact_1x1(u: OrthogonalMatrix, i: int, j: int) -> MomentEstimate:
-    """Closed form for singleton sets: E[sgn X_i sgn Y_j] with covariance
-    U_ij, which is 1 - 2 arccos(U_ij)/pi."""
-    if not (1 <= i <= u.n and 1 <= j <= u.n):
-        raise ValueError("index out of range")
-    return MomentEstimate(
-        value=sign_correlation(u.entries[i - 1, j - 1]),
-        stderr=0.0,
-        samples=0,
-        exact=True,
-    )
 
 
 def u_tilde_mc(
@@ -177,7 +163,6 @@ def split_global_set(global_set: Sequence[int], k: int, n: int) -> list[tuple[in
 def d_hat_product(
     u: OrthogonalMatrix,
     parts: Sequence[Sequence[int]],
-    method: str = "exact-when-1x1",
     samples: int = 20_000,
     seed: int = 0,
 ) -> MomentEstimate:
@@ -186,12 +171,11 @@ def d_hat_product(
 
     A link vanishes identically when its size-sum is odd, and also when
     exactly one side is empty (signs of disjoint independent Gaussians
-    are unbiased coins). Singleton-singleton links use the arcsine
-    closed form unless method="mc" forces Monte Carlo. Each part is a set
-    of 1-based indices; a repeated index is refused.
+    are unbiased coins). A singleton-singleton link {a}, {b} is exact: the
+    arcsine closed form 1 - 2 arccos(U_ab)/pi. Every other link is
+    estimated by u_tilde_mc from `samples` draws. Each part is a set of
+    1-based indices; a repeated index or one outside [1, N] is refused.
     """
-    if method not in ("exact-when-1x1", "mc"):
-        raise ValueError(f"unknown method {method!r}")
     parts = [tuple(sorted(p)) for p in parts]
     if len(parts) < 2:
         raise ValueError("need at least two blocks")
@@ -209,8 +193,9 @@ def d_hat_product(
             return MomentEstimate(value=0.0, stderr=0.0, samples=0, exact=True)
         if len(a) == 0 and len(b) == 0:
             continue
-        if len(a) == 1 and len(b) == 1 and method == "exact-when-1x1":
-            factors.append(u_tilde_exact_1x1(u, a[0], b[0]))
+        if len(a) == 1 and len(b) == 1:
+            factors.append(MomentEstimate(value=sign_correlation(u.entries[a[0] - 1, b[0] - 1]),
+                                          stderr=0.0, samples=0, exact=True))
         else:
             factors.append(u_tilde_mc(u, a, b, samples, sub_seed(seed, "link", j)))
     if not factors:

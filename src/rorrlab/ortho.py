@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .util import atomic_write, derive_rng
+from .util import atomic_write, derive_rng, file_set
 
 __all__ = [
     "OrthogonalMatrix",
@@ -367,8 +367,11 @@ def _matrix_header(u: OrthogonalMatrix) -> bytes:
 
 
 def save_matrix(path: str | Path, u: OrthogonalMatrix) -> str:
-    """Write the binary matrix file; returns its sha256 hex digest."""
-    atomic_write(path, _matrix_header(u) + u.entries.astype("<f8").tobytes())
+    """Write the binary matrix file; returns its sha256 hex digest. The
+    entries go to the file from u's own buffer, without a copy."""
+    with file_set() as stage, open(stage(path), "wb") as file:
+        file.write(_matrix_header(u))
+        file.write(np.ascontiguousarray(u.entries, dtype="<f8"))
     return matrix_sha256(u)
 
 

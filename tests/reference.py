@@ -4,6 +4,7 @@ Each one computes a quantity straight from its definition, slowly or only
 for tiny sizes; none of them is part of rorrlab.
 """
 import itertools
+import json
 import math
 
 import numpy as np
@@ -170,6 +171,21 @@ def evaluate_multilinear(spec: FourierSpectrum, x) -> float:
     # A monomial is -1 exactly when it holds an odd number of the -1 variables.
     minus = truth_table_index(point)
     return sum(-c if (mask & minus).bit_count() & 1 else c for mask, c in spec.masks.items())
+
+
+def subset_of(mask: int) -> tuple[int, ...]:
+    """The 1-based variables of a mask, from one pass over its binary
+    digits, lowest first: linear in the mask's width."""
+    return tuple(i + 1 for i, digit in enumerate(reversed(f"{mask:b}")) if digit == "1")
+
+
+def reference_json(spec: FourierSpectrum) -> str:
+    """The former spectrum_to_json: json.dumps of the coefficients sorted by
+    their 1-based tuples, with 0-based indices in the file."""
+    coeffs = {subset_of(mask): c for mask, c in spec.masks.items()}
+    entries = [{"S": [i - 1 for i in subset], "coeff": coeff}
+               for subset, coeff in sorted(coeffs.items())]
+    return json.dumps({"n": spec.n, "coefficients": entries}, sort_keys=True)
 
 
 def convert_convention(spec: FourierSpectrum, source: OutputConvention,

@@ -15,7 +15,6 @@ from rorrlab.boolfn import (
     fourier_from_truth_table,
     l1_level,
     point_from_index,
-    spectrum_from_json,
     spectrum_to_json,
 )
 
@@ -197,10 +196,12 @@ def test_truth_table_index_round_trip():
 
 
 def test_spectrum_json_round_trip():
+    # Files list 0-based indices; the API speaks 1-based tuples.
     spec = boolfn.FourierSpectrum(3, {0: 0.25, 0b101: -0.5})
-    again = spectrum_from_json(spectrum_to_json(spec))
-    assert again.n == 3
-    assert again.coeffs == spec.coeffs
+    doc = json.loads(spectrum_to_json(spec))
+    assert doc == {"n": 3, "coefficients": [{"S": [], "coeff": 0.25},
+                                            {"S": [0, 2], "coeff": -0.5}]}
+    assert {tuple(i + 1 for i in e["S"]): e["coeff"] for e in doc["coefficients"]} == spec.coeffs
 
 
 @pytest.mark.parametrize("subset, message", [
@@ -223,24 +224,8 @@ def test_spectrum_masks_are_validated():
     assert spec.coefficient([10**29]) == 0.0
 
 
-@pytest.mark.parametrize("doc, message", [
-    ({"n": 3, "coefficients": [{"S": [0, 0], "coeff": 1.0}]}, "repeats variable 0"),
-    ({"n": 3, "coefficients": [{"S": [-1], "coeff": 1.0}]}, "variable -1 outside"),
-    ({"n": 3, "coefficients": [{"S": [3], "coeff": 1.0}]}, "variable 3 outside"),
-    ({"n": 3, "coefficients": [{"S": [0, 2], "coeff": 1.0}, {"S": [2, 0], "coeff": 1.0}]},
-     "repeats the subset"),
-    ({"n": 10**30, "coefficients": [{"S": [10**29], "coeff": 1.0}]}, "outside"),
-    ({"n": -1, "coefficients": []}, "nonnegative"),
-])
-def test_spectrum_from_json_refusals(doc, message):
-    with pytest.raises(ValueError, match=message):
-        spectrum_from_json(json.dumps(doc))
-
-
-def test_spectrum_from_json_accepts_a_huge_variable_count():
-    doc = {"n": 10**30, "coefficients": [{"S": [boolfn.MAX_FILE_VARS - 1, 0], "coeff": 0.5}]}
-    spec = spectrum_from_json(json.dumps(doc))
-    assert spec.masks == {1 << (boolfn.MAX_FILE_VARS - 1) | 1: 0.5}
+def test_spectrum_json_of_a_huge_variable_count():
+    spec = boolfn.FourierSpectrum(10**30, {1 << (boolfn.MAX_FILE_VARS - 1) | 1: 0.5})
     assert json.loads(spectrum_to_json(spec)) == {
         "n": 10**30, "coefficients": [{"S": [0, boolfn.MAX_FILE_VARS - 1], "coeff": 0.5}]}
 
@@ -248,12 +233,12 @@ def test_spectrum_from_json_accepts_a_huge_variable_count():
 def test_truth_table_files(tmp_path):
     bits = np.array([0, 1, 1, 0], dtype=np.int8)
     p = tmp_path / "table.bin"
-    boolfn.write_truth_table_bytes(p, bits)
+    p.write_bytes(bits.astype(np.uint8).tobytes())
     assert np.array_equal(boolfn.read_truth_table_bytes(p), bits)
 
     signs = np.array([1, -1, -1, 1], dtype=np.int8)
     c = tmp_path / "table.csv"
-    boolfn.write_truth_table_csv(c, signs)
+    c.write_text("1\n-1\n-1\n1\n")
     assert np.array_equal(boolfn.read_truth_table_csv(c), signs)
 
 

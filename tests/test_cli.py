@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rorrlab import boolfn, dtree, ortho, rorrelation
+from rorrlab import dtree, ortho, rorrelation
 from rorrlab.cli import main
 from rorrlab.util import atomic_write, file_set
 from rorrlab.verify import VerifyConfig
@@ -152,20 +152,20 @@ def test_moments_audit_refuses_nonpositive_trials(tmp_path, capsys):
 
 
 def test_fourier_cli_table_and_tree(tmp_path, capsys):
+    # x_1 x_2 as a table of +-1 values; spectrum files list 0-based indices.
     table = tmp_path / "f.csv"
-    boolfn.write_truth_table_csv(table, [1, -1, -1, 1])
+    table.write_text("1\n-1\n-1\n1\n")
     code, stdout, _ = run(["fourier", "--table", str(table)], capsys)
     assert code == 0
-    spec = boolfn.spectrum_from_json(stdout)
-    assert spec.coefficient((1, 2)) == pytest.approx(1.0)
+    assert stdout == '{"coefficients": [{"S": [0, 1], "coeff": 1.0}], "n": 2}\n'
 
     tree_path = tmp_path / "tree.json"
     tree_path.write_text(dtree.tree_to_json(dtree.make_dictator(2, 1)))
     code, stdout, _ = run(["fourier", "--tree", str(tree_path),
                            "--convention", "01"], capsys)
-    spec = boolfn.spectrum_from_json(stdout)
-    assert spec.coefficient(()) == pytest.approx(0.5)
-    assert spec.coefficient((1,)) == pytest.approx(0.5)
+    assert code == 0
+    assert stdout == ('{"coefficients": [{"S": [], "coeff": 0.5}, {"S": [0], "coeff": 0.5}], '
+                      '"n": 2}\n')
 
 
 def test_tree_corpus_cli(tmp_path, capsys):
@@ -393,26 +393,37 @@ def _child(lo, hi):
     _config_file({"advantage_samples": 1}),
     _config_file([1]),
     lambda tmp_path: ["moments", "--matrix", _matrix_and_instances(tmp_path)[0], "--k", "2",
-                      "--set", "1,1;2,2", "--method", "mc"],
+                      "--set", "1,1;2,2"],
     lambda tmp_path: ["advantage", "--matrix", _matrix_and_instances(tmp_path)[0], "--k", "1"],
     lambda tmp_path: ["moments", "--matrix", _matrix_and_instances(tmp_path)[0], "--k", "2",
-                      "--set", "1;2", "--method", "mc", "--mc-samples", "3"],
+                      "--set", "1,2;3,4", "--mc-samples", "3"],
     lambda tmp_path: ["advantage", "--matrix", _one_by_one_matrix(tmp_path), "--k", "2",
                       "--samples", "10"],
     _tree_file(_child(1, 1)),
+    lambda tmp_path: ["sample-matrix", "--n", "4", "--out", "x.mat", "--bogus"],
+    lambda tmp_path: ["sample-matrix", "--n", "abc", "--out", "x.mat"],
+    lambda tmp_path: ["sample-dist", "--dist", "gauss", "--k", "2", "--out", "x.inst"],
+    lambda tmp_path: ["sample-matrix", "--n", "4"],
+    lambda tmp_path: [],
+    lambda tmp_path: ["moments", "--matrix", "u.mat", "--k", "2", "--set", "1;1",
+                      "--method", "mc"],
 ], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "empty-one-fold-instances",
         "instances-for-another-matrix", "negative-child",
         "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
         "fourier-without-input", "config-count-is-text", "config-one-advantage-sample",
         "config-not-an-object", "moments-repeated-index", "advantage-one-fold",
-        "moments-one-antithetic-pair", "advantage-corpus-at-n-1", "tree-shared-leaf"])
-def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys):
+        "moments-one-antithetic-pair", "advantage-corpus-at-n-1", "tree-shared-leaf",
+        "usage-unknown-flag", "usage-bad-int", "usage-bad-choice", "usage-missing-option",
+        "usage-no-subcommand", "usage-moments-method"])
+def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys, request):
     argv = build(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, stdout, err = run(argv, capsys)
     assert code == 2 and stdout == ""
     assert err.count("\n") == 1 and err.startswith("error:")
+    # Only a usage error names the program, and it prints no usage text.
+    assert err.startswith("error: rorrlab") == request.node.callspec.id.startswith("usage-")
     assert not (tmp_path / "m.json").exists()
 
 

@@ -15,7 +15,6 @@ from rorrlab.dist import (
     sample_duk_batch,
     sample_uniform_batch,
     split_global_set,
-    u_tilde_exact_1x1,
     u_tilde_mc,
 )
 from rorrlab.rorrelation import sign_correlation
@@ -127,13 +126,19 @@ def test_uniform_sampler():
 
 
 def test_u_tilde_exact_values():
+    # Singleton-singleton links take the arcsine closed form, without samples.
     eye = ortho.OrthogonalMatrix(n=4, entries=np.eye(4), seed=None)
-    assert u_tilde_exact_1x1(eye, 1, 2).value == pytest.approx(0.0)
-    assert u_tilde_exact_1x1(eye, 2, 2).value == pytest.approx(1.0)
-    est = u_tilde_exact_1x1(eye, 1, 1)
-    assert est.exact and est.stderr == 0.0
-    with pytest.raises(ValueError):
-        u_tilde_exact_1x1(eye, 0, 1)
+    assert d_hat_product(eye, [(1,), (2,)]).value == pytest.approx(0.0)
+    assert d_hat_product(eye, [(2,), (2,)]).value == pytest.approx(1.0)
+    est = d_hat_product(eye, [(1,), (1,)], samples=0)
+    assert est.exact and est.stderr == 0.0 and est.samples == 0
+    for parts in ([(0,), (1,)], [(1,), (5,)]):
+        with pytest.raises(ValueError, match="out of range"):
+            d_hat_product(eye, parts)
+    u = ortho.sample_haar(8, seed=5)
+    est = d_hat_product(u, [(3,), (7,), (2,)])
+    assert est.exact
+    assert est.value == sign_correlation(u.entries[2, 6]) * sign_correlation(u.entries[6, 1])
 
 
 def test_u_tilde_mc_odd_parity_literal_zero():
@@ -147,8 +152,7 @@ def test_u_tilde_mc_odd_parity_literal_zero():
 def test_u_tilde_mc_matches_closed_form():
     u = ortho.sample_haar(16, seed=19)
     est = u_tilde_mc(u, [2], [5], 60_000, seed=3)
-    exact = u_tilde_exact_1x1(u, 2, 5)
-    assert abs(est.value - exact.value) <= 4.0 * est.stderr
+    assert abs(est.value - sign_correlation(u.entries[1, 4])) <= 4.0 * est.stderr
 
 
 def test_u_tilde_mc_identity_squares():
@@ -278,24 +282,12 @@ def test_d_hat_k2_consistency_with_sampler():
     assert abs(emp.value - exact.value) <= 4.0 * emp.stderr
 
 
-def test_d_hat_mc_method_agrees():
-    u = ortho.sample_haar(16, seed=21)
-    parts = [(3,), (9,)]
-    exact = d_hat_product(u, parts, seed=0)
-    mc = d_hat_product(u, parts, method="mc", samples=60_000, seed=1)
-    assert not mc.exact
-    assert abs(mc.value - exact.value) <= 4.0 * mc.stderr
-    with pytest.raises(ValueError):
-        d_hat_product(u, parts, method="bogus")
-
-
 def test_d_hat_refuses_a_repeated_index_in_a_block():
     # A block part is a set: {1, 1} must not be read as {1}.
     u = ortho.sample_haar(8, seed=2)
     for parts in ([(1, 1), (2, 2)], [(3,), (5, 2, 5)]):
-        for method in ("exact-when-1x1", "mc"):
-            with pytest.raises(ValueError, match="repeats an index"):
-                d_hat_product(u, parts, method=method)
+        with pytest.raises(ValueError, match="repeats an index"):
+            d_hat_product(u, parts)
 
 
 def test_d_hat_empty_xor_link_vanishes():

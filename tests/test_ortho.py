@@ -1,5 +1,6 @@
 """Haar sampling, sub-matrix norms, goodness, Hadamard counterexample."""
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,12 +342,30 @@ def test_matrix_file_round_trip(tmp_path):
     assert np.array_equal(again.entries, u.entries)
     # Hashed from memory, a loaded matrix or a column-major copy gives the file's digest.
     assert ortho.matrix_sha256(again) == digest
-    assert ortho.matrix_sha256(ortho.OrthogonalMatrix(24, np.asfortranarray(u.entries), 77)) == digest
+    column_major = ortho.OrthogonalMatrix(24, np.asfortranarray(u.entries), 77)
+    assert ortho.matrix_sha256(column_major) == digest
+    # Saved, a column-major copy gives the same bytes too.
+    assert ortho.save_matrix(tmp_path / "f.mat", column_major) == digest
+    assert (tmp_path / "f.mat").read_bytes() == path.read_bytes()
 
     csv_path = tmp_path / "u.csv"
     ortho.save_matrix_csv(csv_path, u)
     loaded = np.loadtxt(csv_path, delimiter=",")
     assert np.allclose(loaded, u.entries, atol=1e-15)
+
+
+def test_save_matrix_writes_the_entries_without_a_copy(tmp_path):
+    u = ortho.sample_haar(512, seed=4)
+    path = tmp_path / "u.mat"
+    tracemalloc.start()
+    try:
+        digest = ortho.save_matrix(path, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The entries take 2 MB; one copy of them would dominate the traced peak.
+    assert peak < u.entries.nbytes / 20
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest() == ortho.matrix_sha256(u)
 
 
 def test_loaded_matrix_is_read_only(tmp_path):

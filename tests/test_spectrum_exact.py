@@ -1,8 +1,9 @@
 """The mask-keyed spectrum against the tuple-keyed one it replaced.
 
-The reference encoder below is the former spectrum_to_json: json.dumps of
-the coefficients sorted by their 1-based tuples. Subset tuples come from
-a scan of every bit position, independent of the library's conversion.
+The reference encoder, reference.reference_json, is the former
+spectrum_to_json: json.dumps of the coefficients sorted by their 1-based
+tuples. Subset tuples come from a scan of every bit position, independent
+of the library's conversion.
 """
 import json
 import math
@@ -13,21 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import reference_json, subset_of
 from rorrlab import boolfn, dtree
 from rorrlab.boolfn import FourierSpectrum, OutputConvention
 from rorrlab.cli import main
-
-
-def subset_of(mask):
-    # One pass over the binary digits, lowest first: linear in the mask's width.
-    return tuple(i + 1 for i, digit in enumerate(reversed(f"{mask:b}")) if digit == "1")
-
-
-def reference_json(spec):
-    coeffs = {subset_of(mask): c for mask, c in spec.masks.items()}
-    entries = [{"S": [i - 1 for i in subset], "coeff": coeff}
-               for subset, coeff in sorted(coeffs.items())]
-    return json.dumps({"n": spec.n, "coefficients": entries}, sort_keys=True)
 
 
 TREES = {
@@ -128,11 +118,12 @@ def test_l1_level_popcount_matches_tuple_length(name):
 
 @pytest.mark.parametrize("name", sorted(SPECTRA))
 def test_json_round_trip_is_exact(name):
+    # Any JSON reader recovers n and every coefficient bit for bit.
     spec = SPECTRA[name]
-    text = boolfn.spectrum_to_json(spec)
-    again = boolfn.spectrum_from_json(text)
-    assert again == spec
-    assert boolfn.spectrum_to_json(again) == text
+    doc = json.loads(boolfn.spectrum_to_json(spec))
+    masks = {sum(1 << i for i in entry["S"]): entry["coeff"] for entry in doc["coefficients"]}
+    assert doc["n"] == spec.n and len(masks) == len(doc["coefficients"])
+    assert masks == spec.masks
 
 
 def test_tuple_view_matches_the_masks():
@@ -155,28 +146,35 @@ def test_tuple_view_lookups_behave_as_a_dict_did():
 
 
 def test_files_hold_variables_below_the_file_limit_only():
-    # A tree may query any variable; a spectrum file read back may not name
-    # one at or above MAX_FILE_VARS, so such output is written but not loaded.
+    # A tree file declares at most MAX_FILE_VARS variables; a tree built in
+    # the library may query any variable, and its spectrum is written all the same.
     var = boolfn.MAX_FILE_VARS + 1
-    spec = dtree.sparse_fourier(dtree.make_dictator(var, var), OutputConvention.PLUS_MINUS_ONE)
-    text = boolfn.spectrum_to_json(spec)
-    assert text == reference_json(spec)
-    with pytest.raises(ValueError, match=f"variable {var - 1} outside"):
-        boolfn.spectrum_from_json(text)
+    tree = dtree.make_dictator(var, var)
+    with pytest.raises(ValueError, match="above the file limit"):
+        dtree.tree_from_json(dtree.tree_to_json(tree))
+    spec = dtree.sparse_fourier(tree, OutputConvention.PLUS_MINUS_ONE)
+    assert spec.masks == {1 << (var - 1): 1.0}
+    assert boolfn.spectrum_to_json(spec) == reference_json(spec)
+
+
+def _table_file(tmp_path, bits, form):
+    """The truth table of 0/1 bits as `fourier --table` reads it: one +-1
+    value per CSV line, or one 0/1 byte per position."""
+    if form == "csv":
+        path = tmp_path / "f.csv"
+        path.write_text("".join(f"{2 * int(b) - 1}\n" for b in bits))
+    else:
+        path = tmp_path / "f.bin"
+        path.write_bytes(bits.astype(np.uint8).tobytes())
+    return path
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 6])
 @pytest.mark.parametrize("form", ["csv", "bytes"])
 def test_fourier_table_output_matches_the_tuple_encoder(n, form, tmp_path, capsys):
     bits = np.random.default_rng(n).integers(0, 2, 1 << n)
-    if form == "csv":
-        path = tmp_path / "f.csv"
-        boolfn.write_truth_table_csv(path, 2 * bits - 1)
-        values = 2.0 * bits - 1.0
-    else:
-        path = tmp_path / "f.bin"
-        boolfn.write_truth_table_bytes(path, bits)
-        values = bits.astype(float)
+    path = _table_file(tmp_path, bits, form)
+    values = 2.0 * bits - 1.0 if form == "csv" else bits.astype(float)
     assert main(["fourier", "--table", str(path)]) == 0
     stdout = capsys.readouterr().out
     assert stdout.rstrip("\n") == reference_json(boolfn.fourier_from_truth_table(values, n))
@@ -187,11 +185,7 @@ def test_fourier_table_output_matches_the_tuple_encoder(n, form, tmp_path, capsy
 def test_fourier_table_honours_an_explicit_convention(form, convention, tmp_path, capsys):
     n = 4
     bits = np.random.default_rng(7).integers(0, 2, 1 << n)
-    path = tmp_path / ("f.csv" if form == "csv" else "f.bin")
-    if form == "csv":
-        boolfn.write_truth_table_csv(path, 2 * bits - 1)
-    else:
-        boolfn.write_truth_table_bytes(path, bits)
+    path = _table_file(tmp_path, bits, form)
     values = bits.astype(float) if convention == "01" else 2.0 * bits - 1.0
     assert main(["fourier", "--table", str(path), "--convention", convention]) == 0
     stdout = capsys.readouterr().out
