@@ -427,6 +427,16 @@ def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys, re
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["moments", "--help"]])
+def test_help_and_version_still_exit_0(argv, capsys):
+    # Only argparse's error() raises; its help and version actions exit as before.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+
+
 def _report_argv(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"checks": [{"name": "goodness", "passed": True,
