@@ -17,7 +17,6 @@ import hashlib
 import io
 import json
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -125,23 +124,28 @@ def cmd_sample_dist(args) -> int:
 
 def _parse_parts(text: str) -> list[tuple[int, ...]]:
     """Block parts like '1,2;;3' -> [(1,2), (), (3,)] (1-based, ; between blocks)."""
-    return [tuple(int(v) for v in chunk.split(",") if v.strip()) for chunk in text.split(";")]
+    try:
+        return [tuple(int(v) for v in chunk.split(",") if v.strip())
+                for chunk in text.split(";")]
+    except ValueError as exc:  # int() names the bad entry
+        raise ValueError(f"--set {text!r}: {exc}") from None
 
 
 def cmd_moments(args) -> int:
-    u = ortho.load_matrix(args.matrix)
     if args.audit:
         report = dist.moment_bound_audit(
-            u, args.k, trials=args.trials, max_size=args.max_size,
-            seed=args.seed, mc_samples=args.mc_samples,
+            ortho.load_matrix(args.matrix), args.k, trials=args.trials,
+            max_size=args.max_size, seed=args.seed, mc_samples=args.mc_samples,
         )
         _emit(report.to_json(), args.out)
         return 0 if not report.violations else 1
+    # --set is checked in full before the matrix file is read.
     if not args.set:
         raise ValueError("provide --set or --audit")
     parts = _parse_parts(args.set)
     if len(parts) != args.k:
         raise ValueError(f"--set must list exactly k={args.k} blocks")
+    u = ortho.load_matrix(args.matrix)
     est = dist.d_hat_product(u, parts, samples=args.mc_samples, seed=args.seed)
     size = sum(len(p) for p in parts)
     doc = {
@@ -240,7 +244,6 @@ def cmd_verify_paper(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     names = args.checks.split(",") if args.checks else None
-    started = time.perf_counter()
     results = run_all(cfg, names)
     manifest = build_manifest(cfg, results)
     text = manifest_to_json(manifest)
@@ -248,7 +251,7 @@ def cmd_verify_paper(args) -> int:
         atomic_write(args.out, text)
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name} ({r.runtime_seconds:.2f}s)")
-    print(f"total {time.perf_counter() - started:.2f}s; "
+    print(f"total {manifest['timing']['total_seconds']:.2f}s; "
           f"{'all passed' if manifest['all_passed'] else 'FAILURES PRESENT'}")
     return 0 if manifest["all_passed"] else 1
 
@@ -414,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise ValueError(f"rorrlab {args.command}: unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -171,10 +171,11 @@ def d_hat_product(
 
     A link vanishes identically when its size-sum is odd, and also when
     exactly one side is empty (signs of disjoint independent Gaussians
-    are unbiased coins). A singleton-singleton link {a}, {b} is exact: the
-    arcsine closed form 1 - 2 arccos(U_ab)/pi. Every other link is
-    estimated by u_tilde_mc from `samples` draws. Each part is a set of
-    1-based indices; a repeated index or one outside [1, N] is refused.
+    are unbiased coins); two empty sides give the factor 1. A singleton
+    link {a}, {b} is the arcsine closed form 1 - 2 arccos(U_ab)/pi; every
+    other link is estimated by u_tilde_mc from `samples` draws. Each part
+    is a set of 1-based indices; a repeated index or one outside [1, N] is
+    refused.
     """
     parts = [tuple(sorted(p)) for p in parts]
     if len(parts) < 2:
@@ -187,31 +188,20 @@ def d_hat_product(
     factors: list[MomentEstimate] = []
     for j in range(len(parts) - 1):
         a, b = parts[j], parts[j + 1]
-        if (len(a) + len(b)) % 2 == 1:
+        if (len(a) + len(b)) % 2 or (not a) != (not b):
             return MomentEstimate(value=0.0, stderr=0.0, samples=0, exact=True)
-        if (len(a) == 0) != (len(b) == 0):
-            return MomentEstimate(value=0.0, stderr=0.0, samples=0, exact=True)
-        if len(a) == 0 and len(b) == 0:
-            continue
-        if len(a) == 1 and len(b) == 1:
+        if len(a) == len(b) == 1:
             factors.append(MomentEstimate(value=sign_correlation(u.entries[a[0] - 1, b[0] - 1]),
                                           stderr=0.0, samples=0, exact=True))
-        else:
+        elif a:
             factors.append(u_tilde_mc(u, a, b, samples, sub_seed(seed, "link", j)))
-    if not factors:
-        return MomentEstimate(value=1.0, stderr=0.0, samples=0, exact=True)
-    value = 1.0
-    for f in factors:
-        value *= f.value
+    # Float starts keep an all-empty set's moment at the float 1.0.
     var = 0.0
     for i, f in enumerate(factors):
-        rest = 1.0
-        for jj, g in enumerate(factors):
-            if jj != i:
-                rest *= g.value
+        rest = math.prod((g.value for j, g in enumerate(factors) if j != i), start=1.0)
         var += (f.stderr * rest) ** 2
     return MomentEstimate(
-        value=value,
+        value=math.prod((f.value for f in factors), start=1.0),
         stderr=math.sqrt(var),
         samples=sum(f.samples for f in factors),
         exact=all(f.exact for f in factors),

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .dist import sample_duk_batch, sample_uniform_batch
-from .dtree import (DecisionTree, Node, evaluate_rows, grow, make_dictator, make_parity,
-                    random_tree)
+from .dtree import (DecisionTree, Node, evaluate_rows, grow, make_constant, make_dictator,
+                    make_parity, random_tree)
 from .ortho import OrthogonalMatrix
 from .util import sub_seed
 
@@ -30,9 +30,6 @@ __all__ = [
     "advantage",
     "advantage_corpus",
     "thm_main_bound",
-    "cross_block_parity_tree",
-    "within_block_parity_tree",
-    "dictator_tree",
     "greedy_pair_tree",
     "standard_corpus",
 ]
@@ -139,20 +136,6 @@ def thm_main_bound(d: int, k: int, n: int) -> float:
 # Corpus trees over the block-major layout
 # ---------------------------------------------------------------------------
 
-def dictator_tree(k: int, n: int, block: int, coord: int) -> DecisionTree:
-    return make_dictator(k * n, global_index(block, coord, n))
-
-
-def within_block_parity_tree(k: int, n: int, block: int, coord_a: int, coord_b: int) -> DecisionTree:
-    return make_parity(k * n, [global_index(block, coord_a, n), global_index(block, coord_b, n)])
-
-
-def cross_block_parity_tree(k: int, n: int, coord_a: int, coord_b: int) -> DecisionTree:
-    """Parity of z^(1)_a and z^(2)_b; its advantage has the arcsine closed
-    form -(1/2) sign_correlation(U_ab)."""
-    return make_parity(k * n, [global_index(1, coord_a, n), global_index(2, coord_b, n)])
-
-
 def greedy_pair_tree(u: OrthogonalMatrix, k: int, pairs: int) -> DecisionTree:
     """Checks the `pairs` largest |U_ab| entries (disjoint rows/columns):
     output 1 when more than half the pairs match the sign of U_ab."""
@@ -190,12 +173,14 @@ def standard_corpus(u: OrthogonalMatrix, k: int, seed: int) -> list[tuple[str, D
         raise ValueError(f"the standard corpus needs N >= 2 coordinates per block, got N = {n}")
     total = k * n
     corpus: list[tuple[str, DecisionTree]] = [
-        ("const0", DecisionTree(total, [Node(output=0)])),
-        ("const1", DecisionTree(total, [Node(output=1)])),
-        ("dictator-b1", dictator_tree(k, n, 1, 1)),
-        ("dictator-b2", dictator_tree(k, n, 2, 2)),
-        ("parity-within", within_block_parity_tree(k, n, 1, 1, 2)),
-        ("parity-cross", cross_block_parity_tree(k, n, 1, 1)),
+        ("const0", make_constant(total, 0)),
+        ("const1", make_constant(total, 1)),
+        ("dictator-b1", make_dictator(total, global_index(1, 1, n))),
+        ("dictator-b2", make_dictator(total, global_index(2, 2, n))),
+        ("parity-within", make_parity(total, [global_index(1, 1, n), global_index(1, 2, n)])),
+        # Parity of z^(1)_1 and z^(2)_1: its advantage has the arcsine
+        # closed form -(1/2) sign_correlation(U_11).
+        ("parity-cross", make_parity(total, [global_index(1, 1, n), global_index(2, 1, n)])),
         ("greedy-1", greedy_pair_tree(u, k, 1)),
         ("greedy-3", greedy_pair_tree(u, k, 3)),
     ]

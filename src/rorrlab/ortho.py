@@ -15,7 +15,6 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .util import atomic_write, derive_rng, file_set
 __all__ = [
     "OrthogonalMatrix",
     "GoodnessReport",
-    "TailCheckReport",
     "sample_haar",
     "haar_corner_samples",
     "spectral_norm",
@@ -325,34 +323,26 @@ def hadamard_counterexample(log2n: int) -> tuple[float, float]:
 # Bilinear tail check (Haar concentration of x^T U y for fixed unit x, y)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TailCheckReport:
-    n: int
-    trials: int
-    rows: list[dict]  # t, frequency, stderr, subgaussian_bound, gaussian_tail
-
-
-def bilinear_tail_check(
-    n: int, trials: int, seed: int, thresholds: Sequence[float] = (1.0, 2.0, 3.0)
-) -> TailCheckReport:
-    """Exceedance frequencies of e_1^T U e_1 >= t / sqrt(n) over fresh Haar
-    samples, against the sub-Gaussian budget 2 e^{-t^2/8} and the
+def bilinear_tail_check(n: int, trials: int, seed: int) -> list[dict]:
+    """One row per t in (1, 2, 3): the exceedance frequency of
+    e_1^T U e_1 >= t / sqrt(n) over `trials` fresh Haar samples, with its
+    standard error, the sub-Gaussian budget 2 e^{-t^2/8} and the
     Gaussian-limit tail."""
     samples = haar_corner_samples(n, trials, seed)
     rows = []
-    for t in thresholds:
+    for t in (1.0, 2.0, 3.0):
         freq = float(np.mean(samples >= t / np.sqrt(n)))
         stderr = float(np.sqrt(max(freq * (1.0 - freq), 1e-12) / trials))
         rows.append(
             {
-                "t": float(t),
+                "t": t,
                 "frequency": freq,
                 "stderr": stderr,
                 "subgaussian_bound": float(2.0 * np.exp(-(t**2) / 8.0)),
                 "gaussian_tail": 0.5 * math.erfc(t / math.sqrt(2.0)),
             }
         )
-    return TailCheckReport(n=n, trials=trials, rows=rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ first N amplitudes evolve under the branch conditioned on control 0,
 the last N under control 1. Acceptance is the probability of measuring
 the control in the |+> state, which equals (1 + phi_U(z)) / 2.
 
-A "query round" applies the oracle on whichever branches are still
-consuming inputs; rounds, not per-branch oracle calls, are what the
-query model counts, so a full run costs ceil(k/2) queries.
+The branches query in parallel: query t reads z^(t) on the control-0
+branch and, while t <= k/2, z^(k+1-t) on the control-1 branch, so a
+full run costs ceil(k/2) queries.
 
 `simulate_batch` runs a batch of m instances at once: each branch is an
 (m, N) block of real amplitudes, so every layer of U or U^T is one GEMM
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ortho import OrthogonalMatrix
-from .rorrelation import check_batch
+from .rorrelation import check_batch, no_threshold, yes_threshold
 from .util import derive_rng
 
 __all__ = [
@@ -84,23 +84,16 @@ def simulate_batch(u: OrthogonalMatrix, batch: np.ndarray) -> list[CircuitRun]:
         return block
 
     # Both branches start at the Hadamard layer applied to |0..0>.
-    half0 = track(np.full((m, n), 1.0 / math.sqrt(n)))
-    half1 = half0.copy()
-
-    rounds = query_count(k)
-    lower = k // 2  # rounds in which the control-1 branch still queries
-    queries = 0
+    half0 = half1 = track(np.full((m, n), 1.0 / math.sqrt(n)))
+    queries = query_count(k)
     # Rows are amplitude vectors h, so h @ U is U^T h and h @ U^T is U h.
-    for t in range(1, rounds + 1):
-        if t >= 2:
-            half0 = track(half0 @ u.entries)
-            if t <= lower:
-                half1 = track(half1 @ u.entries.T)
-        half0 = track(half0 * z[:, t - 1])
-        if t <= lower:
-            half1 = track(half1 * z[:, k - t])
-        queries += 1
-    half0 = track(half0 @ u.entries)
+    # Control 0 queries z^(1), ..., z^(ceil(k/2)), each query followed by U^T.
+    for t in range(queries):
+        half0 = track(track(half0 * z[:, t]) @ u.entries)
+    # Control 1 queries z^(k), ..., z^(ceil(k/2)+1), with U between queries.
+    half1 = track(half1 * z[:, k - 1])
+    for t in range(k - 2, queries - 1, -1):
+        half1 = track(track(half1 @ u.entries.T) * z[:, t])
 
     inner = np.einsum("mi,mi->m", half0, half1)
     prob = 0.25 * np.sum((half0 + half1) ** 2, axis=1)
@@ -110,17 +103,9 @@ def simulate_batch(u: OrthogonalMatrix, batch: np.ndarray) -> list[CircuitRun]:
     drifted = final_drift[final_drift > NORM_TOL]
     if drifted.size:
         raise ValueError(f"state norm drifted by {drifted[0]:.3e}")
-    return [
-        CircuitRun(
-            n=n,
-            k=k,
-            acceptance_probability=float(prob[i]),
-            branch_inner_product=float(inner[i]),
-            queries=queries,
-            max_norm_drift=float(drift[i]),
-        )
-        for i in range(m)
-    ]
+    return [CircuitRun(n=n, k=k, acceptance_probability=float(p), branch_inner_product=float(c),
+                       queries=queries, max_norm_drift=float(d))
+            for p, c, d in zip(prob, inner, drift)]
 
 
 def run_rorrelation_circuit(u: OrthogonalMatrix, vectors: np.ndarray) -> float:
@@ -129,9 +114,9 @@ def run_rorrelation_circuit(u: OrthogonalMatrix, vectors: np.ndarray) -> float:
 
 
 def amplification_threshold(k: int) -> float:
-    """Midpoint of the YES and NO acceptance probabilities."""
-    hi = (1.0 + 2.0**-k) / 2.0
-    lo = (1.0 + 2.0 ** -(k + 1)) / 2.0
+    """Midpoint of the YES and NO acceptance probabilities (1 + phi) / 2."""
+    hi = (1.0 + yes_threshold(k)) / 2.0
+    lo = (1.0 + no_threshold(k)) / 2.0
     return 0.5 * (hi + lo)
 
 

@@ -40,12 +40,9 @@ def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
     """Sample mean with its CLT standard error (ddof=1)."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    if n == 0:
-        raise ValueError("no samples")
-    mean = float(values.mean())
     if n < 2:
-        return mean, float("inf")
-    return mean, float(values.std(ddof=1) / np.sqrt(n))
+        raise ValueError("need at least two samples")
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n))
 
 
 def variance_and_stderr(values: np.ndarray) -> tuple[float, float]:

@@ -32,7 +32,8 @@ __all__ = ["VerifyConfig", "CheckResult", "run_check", "run_all", "build_manifes
 
 # Counts behind a standard error need two samples (moment_mc_samples two
 # antithetic pairs, so four); every other count one.
-_MIN_COUNTS = {"uniform_var_samples": 2, "moment_mc_samples": 4, "advantage_samples": 2}
+_MIN_COUNTS = {"sign_corr_samples": 2, "mc_mean_samples": 2, "uniform_var_samples": 2,
+               "moment_mc_samples": 4, "advantage_samples": 2}
 
 
 @dataclass(frozen=True)
@@ -465,10 +466,9 @@ def check_goodness(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
 # ---------------------------------------------------------------------------
 
 def check_tail_bounds(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
-    report = ortho.bilinear_tail_check(256, cfg.tail_trials, sub_seed(cfg.seed, "tails"))
     ok = True
     rows = []
-    for row in report.rows:
+    for row in ortho.bilinear_tail_check(256, cfg.tail_trials, sub_seed(cfg.seed, "tails")):
         oracle = row["gaussian_tail"]
         sigma = math.sqrt(max(oracle * (1.0 - oracle), 1e-12) / cfg.tail_trials)
         passed = abs(row["frequency"] - oracle) <= 4.0 * sigma

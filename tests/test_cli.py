@@ -12,7 +12,7 @@ import pytest
 
 from rorrlab import dtree, ortho, rorrelation
 from rorrlab.cli import main
-from rorrlab.util import atomic_write, file_set
+from rorrlab.util import atomic_write, file_set, mean_and_stderr
 from rorrlab.verify import VerifyConfig
 
 
@@ -407,6 +407,10 @@ def _child(lo, hi):
     lambda tmp_path: [],
     lambda tmp_path: ["moments", "--matrix", "u.mat", "--k", "2", "--set", "1;1",
                       "--method", "mc"],
+    _config_file({"sign_corr_samples": 1}),
+    _config_file({"mc_mean_samples": 1}),
+    lambda tmp_path: ["moments", "--matrix", str(tmp_path / "absent.mat"), "--k", "2",
+                      "--set", "1;x"],
 ], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "empty-one-fold-instances",
         "instances-for-another-matrix", "negative-child",
         "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
@@ -414,7 +418,8 @@ def _child(lo, hi):
         "config-not-an-object", "moments-repeated-index", "advantage-one-fold",
         "moments-one-antithetic-pair", "advantage-corpus-at-n-1", "tree-shared-leaf",
         "usage-unknown-flag", "usage-bad-int", "usage-bad-choice", "usage-missing-option",
-        "usage-no-subcommand", "usage-moments-method"])
+        "usage-no-subcommand", "usage-moments-method", "config-one-sign-corr-sample",
+        "config-one-mc-mean-sample", "moments-set-not-an-integer"])
 def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys, request):
     argv = build(tmp_path)
     with warnings.catch_warnings():
@@ -425,6 +430,25 @@ def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys, re
     # Only a usage error names the program, and it prints no usage text.
     assert err.startswith("error: rorrlab") == request.node.callspec.id.startswith("usage-")
     assert not (tmp_path / "m.json").exists()
+
+
+def test_moments_set_is_parsed_before_the_matrix_is_read(tmp_path, capsys):
+    # The matrix path does not exist, yet the one error line is about --set.
+    code, _, err = run(["moments", "--matrix", str(tmp_path / "absent.mat"), "--k", "2",
+                        "--set", "1;x"], capsys)
+    assert code == 2
+    assert err.startswith("error: --set '1;x': ") and "'x'" in err
+    assert "absent.mat" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--matrix", "u.mat", "--k", "2", "--set", "1;1", "--bogus"],
+    ["--bogus", "moments", "--matrix", "u.mat", "--k", "2", "--set", "1;1"],
+], ids=["after", "before"])
+def test_unknown_flag_names_its_subcommand(argv, capsys):
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "error: rorrlab moments: unrecognized arguments: --bogus\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["moments", "--help"]])
@@ -644,7 +668,17 @@ def test_tree_corpus_refuses_depth_over_leaf_budget(tmp_path, capsys):
     ({"seed": "7"}, "seed"),
     ({"nope": 1}, "nope"),
     ({"moment_mc_samples": 3}, "moment_mc_samples"),
+    ({"sign_corr_samples": 1}, "sign_corr_samples"),
+    ({"mc_mean_samples": 1}, "mc_mean_samples"),
 ])
 def test_verify_config_refuses_bad_fields(overrides, key):
     with pytest.raises(ValueError, match=key):
         VerifyConfig.reduced().with_overrides(overrides)
+
+
+def test_mean_and_stderr_needs_two_samples():
+    # One sample has no standard error; an infinite one would pass any 4-sigma test.
+    for values in ([], [0.5]):
+        with pytest.raises(ValueError, match="at least two samples"):
+            mean_and_stderr(np.array(values))
+    assert mean_and_stderr(np.array([1.0, 3.0])) == (2.0, 1.0)

@@ -11,16 +11,17 @@ from rorrlab import dist, distinguish, dtree, ortho, rorrelation
 from rorrlab.distinguish import (
     advantage,
     advantage_corpus,
-    cross_block_parity_tree,
-    dictator_tree,
     evaluate_batch,
     global_index,
     greedy_pair_tree,
     standard_corpus,
     thm_main_bound,
-    within_block_parity_tree,
 )
-from rorrlab.dtree import DecisionTree, Node
+from rorrlab.dtree import DecisionTree, Node, make_dictator, make_parity
+
+
+def corpus_tree(u, name, k=2):
+    return dict(standard_corpus(u, k, seed=0))[name]
 
 
 def test_global_index_layout():
@@ -40,39 +41,44 @@ def test_constant_tree_zero_advantage():
 
 def test_single_query_tree_null_advantage():
     u = ortho.sample_haar(32, seed=1)
-    tree = dictator_tree(2, 32, 1, 5)
+    tree = make_dictator(2 * 32, global_index(1, 5, 32))
     report = advantage(tree, u, 2, samples=20_000, seed=2)
     assert abs(report.estimate) <= 4.0 * report.stderr
 
 
 def test_variable_count_mismatch():
     u = ortho.sample_haar(16, seed=0)
-    tree = dictator_tree(2, 16, 1, 1)
+    tree = corpus_tree(u, "dictator-b1")
     with pytest.raises(ValueError):
         advantage(tree, u, 3, samples=100, seed=0)
 
 
 def test_cross_block_parity_closed_form():
-    # Advantage of the (z1_a, z2_b) parity tree is -(1/2) sign_correlation(U_ab).
+    # Advantage of the (z1_a, z2_b) parity tree is -(1/2) sign_correlation(U_ab);
+    # the corpus's parity-cross tree is the one at a = b = 1.
     u = ortho.sample_haar(64, seed=3)
-    tree = cross_block_parity_tree(2, 64, 1, 1)
+    tree = corpus_tree(u, "parity-cross")
     report = advantage(tree, u, 2, samples=60_000, seed=4)
     closed = -0.5 * rorrelation.sign_correlation(u.entries[0, 0])
     assert abs(report.estimate - closed) <= 4.0 * report.stderr
 
 
 def test_cross_block_parity_tree_semantics():
-    tree = cross_block_parity_tree(2, 4, 2, 3)
+    tree = make_parity(2 * 4, [global_index(1, 2, 4), global_index(2, 3, 4)])
     x = np.ones(8, dtype=np.int8)
     assert evaluate(tree, x) == 1
     x[1] = -1  # z1_2
     assert evaluate(tree, x) == 0
     x[6] = -1  # z2_3
     assert evaluate(tree, x) == 1
+    # The corpus's parity-cross tree reads z1_1 and z2_1.
+    cross = corpus_tree(ortho.sample_haar(4, seed=0), "parity-cross")
+    assert cross.nodes == make_parity(2 * 4, [1, 5]).nodes
 
 
 def test_within_block_parity_uniform_mean():
-    tree = within_block_parity_tree(2, 8, 1, 1, 2)
+    tree = corpus_tree(ortho.sample_haar(8, seed=0), "parity-within")
+    assert tree.nodes == make_parity(2 * 8, [1, 2]).nodes
     batch = dist.sample_uniform_batch(2, 8, 10_000, seed=5).reshape(10_000, -1)
     mean = evaluate_batch(tree, batch).mean()
     assert abs(mean - 0.5) <= 4.0 * math.sqrt(0.25 / 10_000)
@@ -134,7 +140,7 @@ def test_standard_corpus_needs_two_folds():
 
 def test_advantage_needs_two_samples():
     u = ortho.sample_haar(16, seed=0)
-    tree = dictator_tree(2, 16, 1, 1)
+    tree = corpus_tree(u, "dictator-b1")
     with pytest.raises(ValueError):
         advantage(tree, u, 2, samples=1, seed=0)
     with pytest.raises(ValueError):
@@ -198,7 +204,7 @@ def test_middle_block_sign_flip_symmetry():
 
 def test_advantage_report_json():
     u = ortho.sample_haar(16, seed=19)
-    tree = dictator_tree(2, 16, 1, 1)
+    tree = corpus_tree(u, "dictator-b1")
     report = advantage(tree, u, 2, samples=200, seed=20, tree_id="dict")
     doc = report.to_json()
     assert '"tree": "dict"' in doc

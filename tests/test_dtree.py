@@ -16,7 +16,7 @@ from reference import (convert_convention, cross_check_spectrum, depth_and_accep
 from rorrlab import boolfn, dtree, ortho
 from rorrlab.boolfn import OutputConvention, binomial, l1_level, point_from_index
 from rorrlab.cli import main
-from rorrlab.distinguish import dictator_tree, greedy_pair_tree
+from rorrlab.distinguish import global_index, greedy_pair_tree
 from rorrlab.dtree import (
     DecisionTree,
     Node,
@@ -635,6 +635,11 @@ def _greedy(n, k, pairs):
     return greedy_pair_tree(ortho.sample_haar(n, 7), k, pairs)
 
 
+def _dictator_tree(k, n, block, coord):
+    # A corpus dictator: z^(block)_coord over the kN block-major variables.
+    return make_dictator(k * n, global_index(block, coord, n))
+
+
 # sha256 of tree_to_json for each builder: pins each arena, its pre-order
 # node numbering and the random-tree stream.
 _ARENAS = [
@@ -673,9 +678,9 @@ _ARENAS = [
     (_greedy, (256, 2, 2), "bfffe894613888a7caedc58456c451388d0a9370f65424c9bcdbcc0148ca92df"),
     (_greedy, (256, 2, 3), "41768c3126068a91f0310a721371ef4ff55f14bdd44281c66774d161acfbc57b"),
     (_greedy, (256, 3, 3), "fb5db44d8c7ff6f6e58a4237dbaf49ed38578794fee35f1fc0fdd1851b5708d5"),
-    (dictator_tree, (2, 16, 1, 1),
+    (_dictator_tree, (2, 16, 1, 1),
      "2d4a405186c6fa30ae280a7caff5ec09849bdfc5aeb9cd52abc35c2dbfdce5c5"),
-    (dictator_tree, (3, 8, 2, 2),
+    (_dictator_tree, (3, 8, 2, 2),
      "42c0f6a5e8e3bc48529fdb92b8c35694296e04b6626e7f52f6d0a3e14ee55baa"),
 ]
 
