@@ -132,14 +132,22 @@ def _parse_parts(text: str) -> list[tuple[int, ...]]:
 
 
 def cmd_moments(args) -> int:
+    # Options of the mode that does not run are refused, and --set is
+    # checked in full, before the matrix file is read.
     if args.audit:
+        if args.set is not None:
+            raise ValueError("--set cannot be used with --audit")
         report = dist.moment_bound_audit(
-            ortho.load_matrix(args.matrix), args.k, trials=args.trials,
-            max_size=args.max_size, seed=args.seed, mc_samples=args.mc_samples,
+            ortho.load_matrix(args.matrix), args.k,
+            trials=200 if args.trials is None else args.trials,
+            max_size=6 if args.max_size is None else args.max_size,
+            seed=args.seed, mc_samples=args.mc_samples,
         )
         _emit(report.to_json(), args.out)
         return 0 if not report.violations else 1
-    # --set is checked in full before the matrix file is read.
+    for flag, value in (("--trials", args.trials), ("--max-size", args.max_size)):
+        if value is not None:
+            raise ValueError(f"{flag} needs --audit")
     if not args.set:
         raise ValueError("provide --set or --audit")
     parts = _parse_parts(args.set)
@@ -356,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--set", help="block parts, e.g. '1,2;3' (k blocks, ';' separated)")
     p.add_argument("--audit", action="store_true")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-size", type=int, default=6)
+    p.add_argument("--trials", type=int, help="audit only (default 200)")
+    p.add_argument("--max-size", type=int, help="audit only (default 6)")
     p.add_argument("--mc-samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,8 @@ __all__ = [
     "MomentEstimate",
     "MomentAuditReport",
     "sgn",
+    "duk_chunks",
+    "uniform_chunks",
     "sample_duk_batch",
     "sample_uniform_batch",
     "u_tilde_mc",
@@ -37,7 +39,9 @@ __all__ = [
     "moment_bound_audit",
 ]
 
-MC_CHUNK = 8192
+# Entries per Monte-Carlo chunk (4 MB of floats); no sampler array grows
+# with the sample count.
+MC_CHUNK = 1 << 19
 
 # The universal constant of the good-matrix moment budget.
 MOMENT_CONSTANT = 100.0
@@ -53,32 +57,67 @@ def sgn(values: np.ndarray) -> np.ndarray:
     return signs
 
 
-def sample_duk_batch(u: OrthogonalMatrix, k: int, count: int, seed: int) -> np.ndarray:
-    """Signs of `count` chain draws, shape (count, k, N), int8."""
+def _chunk_spans(count: int, row_width: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) spans over `count` rows, max(1, MC_CHUNK // row_width)
+    rows each, so one chunk holds about MC_CHUNK entries whatever the count.
+    Rows of width 0 (a moment over empty S and T) take MC_CHUNK rows."""
+    rows = max(1, MC_CHUNK // max(row_width, 1))
+    for start in range(0, count, rows):
+        yield start, min(start + rows, count)
+
+
+def _gather(chunks: Iterator[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    out = np.empty(shape, dtype=np.int8)
+    done = 0
+    for chunk in chunks:
+        out[done : done + len(chunk)] = chunk
+        done += len(chunk)
+    return out
+
+
+def duk_chunks(u: OrthogonalMatrix, k: int, count: int, seed: int) -> Iterator[np.ndarray]:
+    """Signs of `count` chain draws as int8 (m, k, N) blocks in stream order;
+    each block is drawn from about MC_CHUNK Gaussian entries."""
     if k < 2:
         raise ValueError("fold count k must be at least 2")
     rng = derive_rng(seed, "duk-batch", u.n, k, count)
-    out = np.empty((count, k, u.n), dtype=np.int8)
-    done = 0
-    while done < count:
-        m = min(MC_CHUNK, count - done)
-        x = rng.standard_normal((m, k - 1, u.n))
+    for start, stop in _chunk_spans(count, (k - 1) * u.n):
+        x = rng.standard_normal((stop - start, k - 1, u.n))
         # One GEMM over all m(k-1) rows; row i of a draw becomes U^T x_i.
         y = (x.reshape(-1, u.n) @ u.entries).reshape(x.shape)
-        z = out[done : done + m]
+        z = np.empty((stop - start, k, u.n), dtype=np.int8)
         z[:, 0] = sgn(x[:, 0])
         for i in range(1, k - 1):
             z[:, i] = sgn(y[:, i - 1] * x[:, i])
         z[:, k - 1] = sgn(y[:, k - 2])
-        done += m
-    return out
+        yield z
 
 
-def sample_uniform_batch(k: int, n: int, count: int, seed: int) -> np.ndarray:
+def sample_duk_batch(u: OrthogonalMatrix, k: int, count: int, seed: int) -> np.ndarray:
+    """Signs of `count` chain draws, shape (count, k, N), int8: the blocks
+    of `duk_chunks` end to end."""
+    return _gather(duk_chunks(u, k, count, seed), (count, k, u.n))
+
+
+def uniform_chunks(k: int, n: int, count: int, seed: int) -> Iterator[np.ndarray]:
+    """`count` uniform +-1 draws as int8 (m, k, N) blocks of about MC_CHUNK
+    entries, in stream order."""
     if k < 2:
         raise ValueError("fold count k must be at least 2")
     rng = derive_rng(seed, "uniform-batch", n, k, count)
-    return (2 * rng.integers(0, 2, size=(count, k, n)) - 1).astype(np.int8)
+    for start, stop in _chunk_spans(count, k * n):
+        # int64 draws take one 32-bit word each, so the stream does not
+        # depend on where the chunks split it.
+        signs = rng.integers(0, 2, size=(stop - start, k, n)).astype(np.int8)
+        signs *= 2
+        signs -= 1
+        yield signs
+
+
+def sample_uniform_batch(k: int, n: int, count: int, seed: int) -> np.ndarray:
+    """`count` uniform +-1 draws, shape (count, k, N), int8: the blocks of
+    `uniform_chunks` end to end."""
+    return _gather(uniform_chunks(k, n, count, seed), (count, k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +169,9 @@ def u_tilde_mc(
     cross = u.entries[np.ix_(s_idx, t_idx)]
     r = np.linalg.qr(u.entries[np.ix_(outside, t_idx)], mode="r")
     total = 0.0
-    done = 0
-    while done < pairs:
-        m = min(MC_CHUNK, pairs - done)
-        w = rng.standard_normal((m, s_idx.size + r.shape[0]))
+    width = s_idx.size + r.shape[0]
+    for start, stop in _chunk_spans(pairs, width):
+        w = rng.standard_normal((stop - start, width))
         x_s, g = w[:, : s_idx.size], w[:, s_idx.size :]
         prod = np.prod(x_s, axis=1)
         if t_idx.size:
@@ -141,7 +179,6 @@ def u_tilde_mc(
         # Even parity: the antithetic partner contributes the same sign,
         # so the pair mean equals the sign itself.
         total += float(sgn(prod).sum(dtype=np.int64))
-        done += m
     mean = total / pairs
     # Every pair mean is +-1, so its mean square is exactly 1.
     var = max(1.0 - mean**2, 0.0) * pairs / max(pairs - 1, 1)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dist import sample_duk_batch, sample_uniform_batch
+from .dist import duk_chunks, uniform_chunks
 from .dtree import (DecisionTree, Node, evaluate_rows, grow, make_constant, make_dictator,
                     make_parity, random_tree)
 from .ortho import OrthogonalMatrix
@@ -96,21 +96,27 @@ def advantage_corpus(
     """Advantage of every (tree_id, tree) pair on one draw of each arm.
 
     The arms' seeds do not depend on the tree, so each report equals the
-    one `advantage` gives for that tree alone.
+    one `advantage` gives for that tree alone. Each arm is walked in the
+    chunks of its sampler, and only the tree outputs are kept: one float
+    row per tree and arm, 16 bytes per sample per tree.
     """
     if samples < 2:
         raise ValueError(f"advantage needs at least 2 samples per arm, got {samples}")
     for _, tree in pairs:
         if tree.n != k * u.n:
             raise ValueError(f"tree has {tree.n} variables, expected k*N = {k * u.n}")
-    uniform = sample_uniform_batch(k, u.n, samples, sub_seed(seed, "adv-uniform"))
-    chained = sample_duk_batch(u, k, samples, sub_seed(seed, "adv-duk"))
-    uniform = uniform.reshape(samples, -1)
-    chained = chained.reshape(samples, -1)
+    outputs = np.empty((2, len(pairs), samples))
+    arms = (uniform_chunks(k, u.n, samples, sub_seed(seed, "adv-uniform")),
+            duk_chunks(u, k, samples, sub_seed(seed, "adv-duk")))
+    for arm, chunks in zip(outputs, arms):
+        done = 0
+        for chunk in chunks:
+            rows = chunk.reshape(len(chunk), -1)
+            for row, (_, tree) in zip(arm, pairs):
+                row[done : done + len(chunk)] = evaluate_batch(tree, rows)
+            done += len(chunk)
     reports = []
-    for tree_id, tree in pairs:
-        f_uniform = evaluate_batch(tree, uniform)
-        f_chained = evaluate_batch(tree, chained)
+    for (tree_id, tree), f_uniform, f_chained in zip(pairs, *outputs):
         reports.append(AdvantageReport(
             tree_id=tree_id,
             estimate=float(f_uniform.mean() - f_chained.mean()),

@@ -202,8 +202,9 @@ def check_expected_phi(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
     for k in (2, 3):
         u = ortho.sample_haar(64, sub_seed(cfg.seed, "ephi-mc", k))
         exact = rorrelation.exact_expected_phi(u, k)
-        batch = dist.sample_duk_batch(u, k, cfg.mc_mean_samples, sub_seed(cfg.seed, "ephi-mc-b", k))
-        values = rorrelation.phi_batch(u, batch)
+        values = np.concatenate([
+            rorrelation.phi_batch(u, chunk) for chunk in
+            dist.duk_chunks(u, k, cfg.mc_mean_samples, sub_seed(cfg.seed, "ephi-mc-b", k))])
         mean, stderr = mean_and_stderr(values)
         passed = abs(mean - exact) <= 4.0 * stderr
         mc_ok &= passed
@@ -229,9 +230,9 @@ def check_uniform_variance(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]
             if err > 1e-9:
                 exact_ok = False
     u = ortho.sample_haar(64, sub_seed(cfg.seed, "uvar-mc"))
-    batch = dist.sample_uniform_batch(2, 64, cfg.uniform_var_samples,
-                                      sub_seed(cfg.seed, "uvar-mc-b"))
-    values = rorrelation.phi_batch(u, batch)
+    values = np.concatenate([
+        rorrelation.phi_batch(u, chunk) for chunk in
+        dist.uniform_chunks(2, 64, cfg.uniform_var_samples, sub_seed(cfg.seed, "uvar-mc-b"))])
     var, var_stderr = variance_and_stderr(values)
     empirical_ok = abs(var - 1.0 / 64) <= 4.0 * var_stderr
     return exact_ok and empirical_ok, dict(

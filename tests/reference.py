@@ -13,20 +13,22 @@ from rorrlab import dist
 from rorrlab.boolfn import (DROP_THRESHOLD, FourierSpectrum, OutputConvention,
                             fourier_from_truth_table)
 from rorrlab.dist import MomentEstimate
+from rorrlab.distinguish import evaluate_batch
 from rorrlab.dtree import DecisionTree, sparse_fourier
 from rorrlab.ortho import OrthogonalMatrix
-from rorrlab.util import derive_rng
+from rorrlab.util import derive_rng, sub_seed
 
 
 def gaussian_chain(u: OrthogonalMatrix, k: int, count: int, seed: int):
     """The Gaussian chain G_k behind dist.sample_duk_batch(u, k, count, seed).
 
     Reads X^(1)..X^(k-1) of every draw again from the `duk-batch` stream
-    (one chunk, so count <= MC_CHUNK), forms Y = U^T X with the same
+    (one chunk: count rows of (k-1)N Gaussian entries, as many as
+    dist.duk_chunks puts in its first chunk), forms Y = U^T X with the same
     batched product, and interleaves Z as the dist docstring defines it.
     Returns x, y of shape (count, k-1, N) and z of shape (count, k, N).
     """
-    if count > dist.MC_CHUNK:
+    if count > max(1, dist.MC_CHUNK // ((k - 1) * u.n)):
         raise ValueError("the chain oracle reads one chunk of the stream")
     x = derive_rng(seed, "duk-batch", u.n, k, count).standard_normal((count, k - 1, u.n))
     y = (x.reshape(-1, u.n) @ u.entries).reshape(x.shape)
@@ -36,6 +38,22 @@ def gaussian_chain(u: OrthogonalMatrix, k: int, count: int, seed: int):
         z[:, i] = y[:, i - 1] * x[:, i]
     z[:, k - 1] = y[:, k - 2]
     return x, y, z
+
+
+def advantage_whole_batch(pairs, u: OrthogonalMatrix, k: int, samples: int, seed: int):
+    """(estimate, stderr) per tree of distinguish.advantage_corpus, with each
+    arm drawn whole by dist.sample_*_batch, every tree evaluated on the whole
+    arm, and the mean and var(ddof=1) of each output array."""
+    uniform = dist.sample_uniform_batch(k, u.n, samples, sub_seed(seed, "adv-uniform"))
+    chained = dist.sample_duk_batch(u, k, samples, sub_seed(seed, "adv-duk"))
+    rows = []
+    for _, tree in pairs:
+        f_uniform = evaluate_batch(tree, uniform.reshape(samples, -1))
+        f_chained = evaluate_batch(tree, chained.reshape(samples, -1))
+        rows.append((float(f_uniform.mean() - f_chained.mean()),
+                     float(math.sqrt(f_uniform.var(ddof=1) / samples
+                                     + f_chained.var(ddof=1) / samples))))
+    return rows
 
 
 def phi_brute_force(u: OrthogonalMatrix, vectors: np.ndarray) -> float:

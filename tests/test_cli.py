@@ -411,6 +411,12 @@ def _child(lo, hi):
     _config_file({"mc_mean_samples": 1}),
     lambda tmp_path: ["moments", "--matrix", str(tmp_path / "absent.mat"), "--k", "2",
                       "--set", "1;x"],
+    lambda tmp_path: ["moments", "--matrix", str(tmp_path / "absent.mat"), "--k", "2",
+                      "--audit", "--set", "1;x"],
+    lambda tmp_path: ["moments", "--matrix", str(tmp_path / "absent.mat"), "--k", "2",
+                      "--set", "1;2", "--trials", "0"],
+    lambda tmp_path: ["moments", "--matrix", str(tmp_path / "absent.mat"), "--k", "2",
+                      "--set", "1;2", "--max-size", "6"],
 ], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "empty-one-fold-instances",
         "instances-for-another-matrix", "negative-child",
         "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
@@ -419,7 +425,8 @@ def _child(lo, hi):
         "moments-one-antithetic-pair", "advantage-corpus-at-n-1", "tree-shared-leaf",
         "usage-unknown-flag", "usage-bad-int", "usage-bad-choice", "usage-missing-option",
         "usage-no-subcommand", "usage-moments-method", "config-one-sign-corr-sample",
-        "config-one-mc-mean-sample", "moments-set-not-an-integer"])
+        "config-one-mc-mean-sample", "moments-set-not-an-integer", "moments-set-with-audit",
+        "moments-trials-without-audit", "moments-max-size-without-audit"])
 def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys, request):
     argv = build(tmp_path)
     with warnings.catch_warnings():

@@ -112,9 +112,27 @@ def test_duk_batch_matches_single():
 ])
 def test_duk_batch_stream_is_pinned(n, k, count, seed, matrix_seed, digest):
     # Digests of the stacked (m, k-1, N) @ U sampler; the N=256 draws span
-    # two MC_CHUNK chunks. Any change to the stream or the signs shows here.
-    assert n < 256 or count > dist.MC_CHUNK
+    # more than one chunk of MC_CHUNK Gaussian entries. Any change to the
+    # stream or the signs shows here.
+    assert n < 256 or count * (k - 1) * n > dist.MC_CHUNK
     batch = sample_duk_batch(ortho.sample_haar(n, matrix_seed), k, count, seed)
+    assert batch.dtype == np.int8 and batch.shape == (count, k, n)
+    assert hashlib.sha256(batch.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, k, count, seed, digest", [
+    (16, 3, 50, 1, "e555c179c0946b85db7f7af4e9b61e523dd95a801d88780cce150508b30c117f"),
+    (256, 2, 3000, 7, "365050dae619d699eb494fafd1ca202ed4212973116a18b5d27f094fca519e1a"),
+    (256, 2, 1025, 7, "f4150f2219b26f8847f0cee7989ad683c71e6239c3a656263942e7d00ecf8ffa"),
+    (256, 3, 683, 7, "ecf3ded9102a0a41b1e63a2b3f1b3212dcfd3fe0428bded386eaf5d40a60ed8f"),
+])
+def test_uniform_batch_stream_is_pinned(n, k, count, seed, digest):
+    # Digests of the uniform stream as one whole-batch draw wrote it. At N=256
+    # the draws span three chunks of MC_CHUNK entries, or end one row past
+    # the first chunk.
+    rows = dist.MC_CHUNK // (k * n)
+    assert n < 256 or count > 2 * rows or count == rows + 1
+    batch = sample_uniform_batch(k, n, count, seed)
     assert batch.dtype == np.int8 and batch.shape == (count, k, n)
     assert hashlib.sha256(batch.tobytes()).hexdigest() == digest
 
@@ -160,6 +178,8 @@ def test_u_tilde_mc_identity_squares():
     # S = T = {1,2}: sgn(X_1^2 X_2^2) = 1 always.
     est = u_tilde_mc(eye, [1, 2], [1, 2], 2000, seed=1)
     assert est.value == pytest.approx(1.0)
+    # Empty S and T: the empty product is 1, drawn from rows of no entries.
+    assert u_tilde_mc(eye, [], [], 2000, seed=1) == dist.MomentEstimate(1.0, 0.0, 2000, False)
 
 
 def test_u_tilde_mc_sample_guard():

@@ -1,12 +1,13 @@
 """Distinguishing experiments, bound evaluators, corpus trees."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import depth_and_acceptance, evaluate
+from reference import advantage_whole_batch, depth_and_acceptance, evaluate
 from rorrlab import dist, distinguish, dtree, ortho, rorrelation
 from rorrlab.distinguish import (
     advantage,
@@ -131,6 +132,40 @@ def test_advantage_corpus_matches_per_tree_advantage():
     reports = advantage_corpus(corpus, u, 2, samples=500, seed=25)
     assert reports == [advantage(tree, u, 2, samples=500, seed=25, tree_id=name)
                        for name, tree in corpus]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("samples", [
+    lambda k, n: 2,
+    lambda k, n: dist.MC_CHUNK // (k * n) + 1,  # one row past the first uniform chunk
+    lambda k, n: dist.MC_CHUNK // ((k - 1) * n) + 1,  # one row past the first chain chunk
+    lambda k, n: 20_000,
+], ids=["two", "uniform-chunk-plus-one", "chain-chunk-plus-one", "20000"])
+def test_streamed_advantage_equals_the_whole_batch_reduction(k, samples):
+    # The arms are reduced chunk by chunk; every report keeps the bits of
+    # the whole-batch mean and variance.
+    u = ortho.sample_haar(256, seed=6)
+    count = samples(k, u.n)
+    pairs = standard_corpus(u, k, seed=2)
+    reports = advantage_corpus(pairs, u, k, count, seed=9)
+    expected = advantage_whole_batch(pairs, u, k, count, seed=9)
+    assert [(r.estimate.hex(), r.stderr.hex()) for r in reports] == \
+        [(estimate.hex(), stderr.hex()) for estimate, stderr in expected]
+    assert all(r.samples == count for r in reports)
+
+
+def test_advantage_memory_does_not_grow_with_whole_arms():
+    # At N=256, k=2 and 20,000 samples a whole uniform arm drawn as int64
+    # takes 82 MB. Streamed, the peak is one chunk plus the output rows.
+    u = ortho.sample_haar(256, seed=6)
+    pairs = standard_corpus(u, 2, seed=2)
+    tracemalloc.start()
+    try:
+        advantage_corpus(pairs, u, 2, 20_000, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_standard_corpus_needs_two_folds():
