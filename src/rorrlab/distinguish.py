@@ -111,9 +111,9 @@ def advantage_corpus(
     for arm, chunks in zip(outputs, arms):
         done = 0
         for chunk in chunks:
-            rows = chunk.reshape(len(chunk), -1)
+            flat = chunk.reshape(len(chunk), -1)
             for row, (_, tree) in zip(arm, pairs):
-                row[done : done + len(chunk)] = evaluate_batch(tree, rows)
+                row[done : done + len(chunk)] = evaluate_batch(tree, flat)
             done += len(chunk)
     reports = []
     for (tree_id, tree), f_uniform, f_chained in zip(pairs, *outputs):
