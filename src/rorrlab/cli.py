@@ -112,11 +112,8 @@ def cmd_sample_dist(args) -> int:
         matrix_path = ""
         matrix_hash = ""
         n = args.n
-    instances = [
-        rorrelation.RorrelationInstance(k=args.k, vectors=batch[i]) for i in range(args.count)
-    ]
-    rorrelation.save_instances(args.out, instances, matrix_path=matrix_path,
-                               matrix_hash=matrix_hash)
+    rorrelation.save_instance_batch(args.out, batch, matrix_path=matrix_path,
+                                    matrix_hash=matrix_hash)
     print(json.dumps({"dist": args.dist, "k": args.k, "N": n,
                       "count": args.count, "path": args.out}))
     return 0

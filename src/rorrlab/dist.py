@@ -22,7 +22,7 @@ import numpy as np
 
 from .ortho import OrthogonalMatrix
 from .rorrelation import sign_correlation
-from .util import derive_rng, sub_seed
+from .util import MC_CHUNK, derive_rng, sub_seed
 
 __all__ = [
     "MomentEstimate",
@@ -38,10 +38,6 @@ __all__ = [
     "duk_moment_bound",
     "moment_bound_audit",
 ]
-
-# Entries per Monte-Carlo chunk (4 MB of floats); no sampler array grows
-# with the sample count.
-MC_CHUNK = 1 << 19
 
 # The universal constant of the good-matrix moment budget.
 MOMENT_CONSTANT = 100.0

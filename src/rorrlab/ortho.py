@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import atomic_write, derive_rng, file_set
+from .util import MC_CHUNK, atomic_write, derive_rng, file_set
 
 __all__ = [
     "OrthogonalMatrix",
@@ -37,6 +37,10 @@ __all__ = [
 ]
 
 ORTHOGONALITY_TOL = 1e-10
+
+# Columns per panel of the Gram check: at N = 4096, 128-column panels were
+# slower, and at N <= 256 the check is one SYRK.
+GRAM_PANEL = 256
 
 MATRIX_MAGIC = b"RORU"
 
@@ -60,11 +64,28 @@ class OrthogonalMatrix:
             raise ValueError(f"matrix is not orthogonal: max |U^T U - I| = {err:.3e}")
 
     def orthogonality_error(self) -> float:
-        # Huge or non-finite entries give inf or NaN here, without warnings.
+        """max |U^T U - I|, in panels of GRAM_PANEL columns: one SYRK of each
+        panel with itself, then one GEMM of the panel with every column to
+        its right, so no temporary is N x N."""
+        a = self.entries
+        maxima = []
+        # Huge or non-finite entries give inf or NaN here, without warnings;
+        # np.max over the block maxima keeps a NaN, where max() would not.
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = self.entries.T @ self.entries
-            gram.flat[:: self.n + 1] -= 1.0
-            return float(np.max(np.abs(gram, out=gram)))
+            for start in range(0, self.n, GRAM_PANEL):
+                stop = min(start + GRAM_PANEL, self.n)
+                panel = a[:, start:stop]
+                gram = panel.T @ panel
+                gram.flat[:: stop - start + 1] -= 1.0
+                maxima.append(_abs_max(gram))
+                if stop < self.n:
+                    maxima.append(_abs_max(panel.T @ a[:, stop:]))
+            return float(np.max(maxima))
+
+
+def _abs_max(block: np.ndarray) -> np.floating:
+    """max |block|, taken in place, so the block is the one temporary."""
+    return np.max(np.abs(block, out=block))
 
 
 def _qr_haar(gaussians: np.ndarray) -> np.ndarray:
@@ -96,8 +117,14 @@ def haar_corner_samples(n: int, count: int, seed: int) -> np.ndarray:
     against the full sampler.
     """
     rng = derive_rng(seed, "haar-corner", n, count)
-    g = rng.standard_normal((count, n))
-    return g[:, 0] / np.linalg.norm(g, axis=1)
+    corners = np.empty(count)
+    # Drawn in row chunks of about MC_CHUNK entries; each row's norm is
+    # its own, so the samples do not depend on the split.
+    rows = max(1, MC_CHUNK // n)
+    for start in range(0, count, rows):
+        g = rng.standard_normal((min(rows, count - start), n))
+        corners[start : start + len(g)] = g[:, 0] / np.linalg.norm(g, axis=1)
+    return corners
 
 
 def spectral_norm(blocks: np.ndarray) -> np.ndarray | float:
@@ -165,8 +192,13 @@ class GoodnessReport:
 
 
 def _check_singletons(u: OrthogonalMatrix, report: GoodnessReport) -> None:
-    report.record(np.abs(u.entries), goodness_bound(1, 1, u.n),
-                  lambda ij: ((int(ij[0]) + 1,), (int(ij[1]) + 1,)))
+    """All 1 x 1 blocks, in row chunks of about MC_CHUNK entries; record
+    keeps the first strict maximum, so the chunks change no result."""
+    bound = goodness_bound(1, 1, u.n)
+    rows = max(1, MC_CHUNK // u.n)
+    for start in range(0, u.n, rows):
+        report.record(np.abs(u.entries[start : start + rows]), bound,
+                      lambda ij, start=start: ((int(ij[0]) + start + 1,), (int(ij[1]) + 1,)))
 
 
 def _two_by_two_norms(a, b, c, d):
@@ -196,7 +228,7 @@ def _check_small_blocks(u: OrthogonalMatrix, report: GoodnessReport) -> None:
 
     # 2 x 2 blocks, chunked over row pairs to bound memory.
     bound_22 = goodness_bound(2, 2, n)
-    chunk = 256
+    chunk = 64
     for start in range(0, len(pairs), chunk):
         rp = pairs[start : start + chunk]
         a = ent[rp[:, 0]][:, ci]

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .ortho import OrthogonalMatrix
-from .util import atomic_write
+from .util import MC_CHUNK, file_set
 
 __all__ = [
     "Label",
@@ -35,6 +35,7 @@ __all__ = [
     "yes_threshold",
     "no_threshold",
     "save_instances",
+    "save_instance_batch",
     "load_instances",
 ]
 
@@ -167,13 +168,28 @@ def save_instances(
     k, n = instances[0].k, instances[0].n
     if any(inst.k != k or inst.n != n for inst in instances):
         raise ValueError("instances must share (k, N)")
+    save_instance_batch(path, np.stack([inst.vectors for inst in instances]),
+                        matrix_path=matrix_path, matrix_hash=matrix_hash)
+
+
+def save_instance_batch(
+    path: str | Path,
+    batch: np.ndarray,
+    matrix_path: str = "",
+    matrix_hash: str = "",
+) -> None:
+    """Write a +-1 batch of shape (m, k, N) as an instance file: the header,
+    then the sign bytes straight to the staged file, converted in blocks of
+    about MC_CHUNK entries, so the only copy is one block."""
+    count, k, n = batch.shape
     hash_bytes = matrix_hash.encode()
     path_bytes = matrix_path.encode()
-    header = INSTANCE_MAGIC + struct.pack("<IIHH", k, n, len(hash_bytes), len(path_bytes))
-    body = bytearray(header + hash_bytes + path_bytes + struct.pack("<I", len(instances)))
-    for inst in instances:
-        body += ((inst.vectors.reshape(-1) + 1) // 2).astype(np.uint8).tobytes()
-    atomic_write(path, bytes(body))
+    rows = max(1, MC_CHUNK // (k * n))
+    with file_set() as stage, open(stage(path), "wb") as file:
+        file.write(INSTANCE_MAGIC + struct.pack("<IIHH", k, n, len(hash_bytes), len(path_bytes)))
+        file.write(hash_bytes + path_bytes + struct.pack("<I", count))
+        for start in range(0, count, rows):
+            file.write(np.greater(batch[start : start + rows], 0).view(np.uint8))
 
 
 def load_instances(path: str | Path) -> tuple[list[RorrelationInstance], str, str]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "MC_CHUNK",
     "derive_rng",
     "sub_seed",
     "mean_and_stderr",
@@ -19,6 +20,10 @@ __all__ = [
     "atomic_write",
     "file_set",
 ]
+
+# Entries per chunk of a Monte-Carlo sampler or a whole-matrix pass (4 MB
+# of floats), so that no temporary grows with a sample count or with N^2.
+MC_CHUNK = 1 << 19
 
 
 def sub_seed(seed: int, *tags) -> int:

@@ -15,8 +15,9 @@ from rorrlab.boolfn import (DROP_THRESHOLD, FourierSpectrum, OutputConvention,
 from rorrlab.dist import MomentEstimate
 from rorrlab.distinguish import evaluate_batch
 from rorrlab.dtree import DecisionTree, sparse_fourier
-from rorrlab.ortho import OrthogonalMatrix
-from rorrlab.util import derive_rng, sub_seed
+from rorrlab.ortho import (GoodnessReport, OrthogonalMatrix, _goodness_draws, _record_sampled,
+                           _two_by_two_norms, goodness_bound)
+from rorrlab.util import derive_rng, mean_and_stderr, sub_seed
 
 
 def gaussian_chain(u: OrthogonalMatrix, k: int, count: int, seed: int):
@@ -270,3 +271,54 @@ def hadamard_implicit_block(log2n: int) -> np.ndarray:
     rows = np.arange(half)
     cols = np.arange(half) * half
     return np.array([[hadamard_entry(i, j, log2n) for j in cols] for i in rows])
+
+
+def dense_orthogonality_error(a: np.ndarray) -> float:
+    """max |a^T a - I| from one whole Gram product."""
+    return float(np.max(np.abs(a.T @ a - np.eye(len(a)))))
+
+
+def goodness_whole_array(u: OrthogonalMatrix, sampled_pairs: int, max_block: int,
+                         seed: int) -> GoodnessReport:
+    """ortho.check_goodness with each exhaustive pass recorded as one array:
+    every singleton in one record, and at n <= 64 every 2 x 2 block in one
+    (pairs, pairs) norm array, filled a row pair at a time. The sampled
+    pairs are drawn and recorded as check_goodness does."""
+    n, ent = u.n, u.entries
+    report = GoodnessReport(n)
+    report.record(np.abs(ent), goodness_bound(1, 1, n),
+                  lambda ij: ((int(ij[0]) + 1,), (int(ij[1]) + 1,)))
+    if n <= 64:
+        ci, cj = np.triu_indices(n, 1)  # the pairs i < j in row-major order
+
+        def pair(p):
+            return int(ci[p]) + 1, int(cj[p]) + 1
+
+        bound_12 = goodness_bound(1, 2, n)
+        report.record(np.sqrt(ent[:, ci] ** 2 + ent[:, cj] ** 2), bound_12,
+                      lambda rp: ((int(rp[0]) + 1,), pair(rp[1])))
+        report.record(np.sqrt(ent.T[:, ci] ** 2 + ent.T[:, cj] ** 2), bound_12,
+                      lambda rp: (pair(rp[1]), (int(rp[0]) + 1,)))
+        norms = np.empty((len(ci), len(ci)))
+        for p, (i, j) in enumerate(zip(ci, cj)):
+            norms[p] = _two_by_two_norms(ent[i, ci], ent[i, cj], ent[j, ci], ent[j, cj])
+        report.record(norms, goodness_bound(2, 2, n), lambda xy: (pair(xy[0]), pair(xy[1])))
+    for sizes, rows, cols in _goodness_draws(n, sampled_pairs, max_block, seed):
+        _record_sampled(u, sizes, rows, cols, report)
+    return report
+
+
+def haar_corners_whole(n: int, count: int, seed: int) -> np.ndarray:
+    """ortho.haar_corner_samples with all count x n Gaussians drawn at once."""
+    g = derive_rng(seed, "haar-corner", n, count).standard_normal((count, n))
+    return g[:, 0] / np.linalg.norm(g, axis=1)
+
+
+def sign_correlation_whole(seed: int, samples: int, i: int, rho: float) -> tuple[float, float]:
+    """(estimate, stderr) of row i of verify.check_sign_correlation, with z1
+    and z2 drawn whole and sgn(x) sgn(y) formed in one pass."""
+    rng = derive_rng(seed, "accept-signcorr", i)
+    z1 = rng.standard_normal(samples)
+    z2 = rng.standard_normal(samples)
+    y = rho * z1 + math.sqrt(1.0 - rho * rho) * z2
+    return mean_and_stderr(dist.sgn(z1) * dist.sgn(y))

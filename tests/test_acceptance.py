@@ -10,7 +10,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from reference import sign_correlation_whole
 from rorrlab import dtree, ortho, verify
+from rorrlab.util import MC_CHUNK
 from rorrlab.verify import (
     CheckResult,
     VerifyConfig,
@@ -45,6 +47,13 @@ def test_criterion_02_sign_correlation():
     assert len(result.details["rows"]) == 7
     assert result.runtime_seconds < 30.0
     assert result.passed
+
+
+@pytest.mark.parametrize("samples", [2, MC_CHUNK + 3], ids=["two", "one-chunk-and-three"])
+def test_sign_correlation_in_chunks_equals_one_whole_draw(samples):
+    result = run_check("sign_correlation", VerifyConfig(seed=4, sign_corr_samples=samples))
+    for i, row in enumerate(result.details["rows"]):
+        assert (row["estimate"], row["stderr"]) == sign_correlation_whole(4, samples, i, row["rho"])
 
 
 def test_criterion_03_expected_phi():

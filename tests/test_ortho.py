@@ -6,9 +6,22 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from reference import hadamard_implicit_block
+from reference import (dense_orthogonality_error, goodness_whole_array, hadamard_implicit_block,
+                       haar_corners_whole)
 from rorrlab import ortho
-from rorrlab.util import derive_rng
+from rorrlab.util import MC_CHUNK, derive_rng
+
+MB = 1 << 20
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes traced while call() runs, from a fresh trace."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_haar_n1_is_sign():
@@ -20,6 +33,53 @@ def test_haar_n1_is_sign():
 def test_haar_orthogonality():
     u = ortho.sample_haar(64, seed=123)
     assert u.orthogonality_error() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [300, 513])
+@pytest.mark.parametrize("col", [3, 263, -1], ids=["first", "middle", "last"])
+def test_panel_gram_check_sees_a_perturbation_in_any_panel(n, col):
+    # Columns 3, 263 and n - 1 sit in the first 256-column panel, the
+    # second, and the last, partial one.
+    # The entry moves after construction, which would refuse the matrix.
+    a = ortho.sample_haar(n, seed=n).entries.copy()
+    u = ortho.OrthogonalMatrix(n, a)
+    a[n // 3, col] += 1e-9
+    assert abs(u.orthogonality_error() - dense_orthogonality_error(a)) <= 1e-15
+    assert u.orthogonality_error() > 1e-12
+
+
+@pytest.mark.parametrize("n, i, j", [(300, 3, 299), (513, 100, 300), (513, 260, 512)])
+def test_panel_gram_check_sees_a_skew_between_panels(n, i, j):
+    # Column j leans towards column i of an earlier panel and keeps its
+    # unit norm: only the cross-panel entry (i, j) of U^T U moves.
+    a = ortho.sample_haar(n, seed=n).entries.copy()
+    u = ortho.OrthogonalMatrix(n, a)
+    a[:, j] += 1e-9 * a[:, i]
+    a[:, j] /= np.linalg.norm(a[:, j])
+    assert abs(u.orthogonality_error() - dense_orthogonality_error(a)) <= 1e-15
+    assert u.orthogonality_error() > 0.9e-9
+
+
+@pytest.mark.parametrize("n", [64, 300, 2048])
+def test_panel_gram_check_agrees_with_the_dense_one_on_haar_samples(n):
+    u = ortho.sample_haar(n, seed=2)
+    assert abs(u.orthogonality_error() - dense_orthogonality_error(u.entries)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("col", [0, 300, 512])
+def test_panel_gram_check_refuses_non_finite_entries(bad, col):
+    a = ortho.sample_haar(513, seed=1).entries.copy()
+    a[7, col] = bad
+    with pytest.raises(ValueError, match="not orthogonal"):
+        ortho.OrthogonalMatrix(513, a)
+
+
+def test_panel_gram_check_of_the_identity_is_zero_in_bounded_memory():
+    entries = np.eye(2048)
+    assert ortho.OrthogonalMatrix(2048, entries).orthogonality_error() == 0.0
+    # One 2048 x 2048 Gram temporary alone would be 32 MB.
+    assert _traced_peak(lambda: ortho.OrthogonalMatrix(2048, entries)) < 12 * MB
 
 
 def test_haar_deterministic_per_seed():
@@ -50,6 +110,18 @@ def test_corner_distribution_standard_normal():
     values = ortho.haar_corner_samples(n, 1000, seed=0)
     _, p = stats.kstest(np.sqrt(n) * values, "norm")
     assert p > 0.01
+
+
+@pytest.mark.parametrize("count", [1, MC_CHUNK // 256 + 1, 3 * (MC_CHUNK // 256) + 5],
+                         ids=["one", "one-past-a-chunk", "three-chunks"])
+def test_corner_samples_in_chunks_equal_one_whole_draw(count):
+    samples = ortho.haar_corner_samples(256, count, seed=9)
+    assert samples.tobytes() == haar_corners_whole(256, count, seed=9).tobytes()
+
+
+def test_corner_samples_in_bounded_memory():
+    # The whole (10,000, 256) Gaussian block would be 20 MB.
+    assert _traced_peak(lambda: ortho.haar_corner_samples(256, 10_000, seed=0)) < 12 * MB
 
 
 def test_haar_rotation_invariance_smoke():
@@ -133,6 +205,42 @@ def test_goodness_flags_identity_at_2048():
     assert report.violation_count > 0
     assert report.worst_ratio > 1.0
     assert ortho.goodness_bound(1, 1, 2048) < 1.0
+
+
+def _rotations_then_identity(n: int, rows: int) -> ortho.OrthogonalMatrix:
+    """2 x 2 rotations by entries 0.8 and 0.6 on the first `rows` rows (no
+    singleton violates at n = 2048) and the identity after them."""
+    a = np.eye(n)
+    for i in range(0, rows, 2):
+        a[i : i + 2, i : i + 2] = [[0.8, -0.6], [0.6, 0.8]]
+    return ortho.OrthogonalMatrix(n, a)
+
+
+@pytest.mark.parametrize("make, pairs, max_block", [
+    (lambda: ortho.OrthogonalMatrix(2048, np.eye(2048)), 100, 4),
+    (lambda: _rotations_then_identity(2048, 300), 100, 4),
+    (lambda: ortho.sample_haar(2048, seed=12), 100, 4),
+    (lambda: ortho.sample_haar(64, seed=12), 10_000, 8),
+], ids=["identity-2048", "rotations-then-identity-2048", "haar-2048", "haar-64"])
+def test_chunked_goodness_passes_equal_whole_array_records(make, pairs, max_block):
+    # On the identity all 2,048 singletons tie at the worst ratio and
+    # violate: the first stays worst_pair, and the stored violations keep
+    # their row-major order. After 300 rows of rotations the first
+    # violation and the worst pair lie past the first row chunk.
+    u = make()
+    report = ortho.check_goodness(u, pairs, max_block, seed=5)
+    assert report.to_json() == goodness_whole_array(u, pairs, max_block, seed=5).to_json()
+
+
+@pytest.mark.parametrize("make, pairs, max_block", [
+    (lambda: ortho.OrthogonalMatrix(2048, np.eye(2048)), 100, 4),
+    (lambda: ortho.sample_haar(64, seed=12), 10_000, 8),
+], ids=["identity-2048", "haar-64"])
+def test_goodness_in_bounded_memory(make, pairs, max_block):
+    # np.abs of the whole 2048 matrix alone would be 32 MB, and 256 row
+    # pairs of 2 x 2 blocks at n = 64 took 36 MB.
+    u = make()
+    assert _traced_peak(lambda: ortho.check_goodness(u, pairs, max_block, seed=0)) < 12 * MB
 
 
 def test_goodness_requires_n_at_least_two():

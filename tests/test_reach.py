@@ -20,6 +20,7 @@ OUTSIDE_ENTRY_POINTS = {
     ("qsim", "run_rorrelation_circuit"),
     ("rorrelation", "classify"),
     ("rorrelation", "phi"),
+    ("rorrelation", "save_instances"),
     # CI's comparison of two manifests.
     ("verify", "strip_timing"),
     # perfbench/tests compares it with the benchmark's oracle.

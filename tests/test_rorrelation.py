@@ -1,11 +1,13 @@
 """phi functional, classification, exact moments, instance files."""
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from reference import phi_brute_force
 from rorrlab import dist, ortho, rorrelation
+from rorrlab.util import MC_CHUNK
 from rorrlab.rorrelation import (
     Label,
     RorrelationInstance,
@@ -16,6 +18,7 @@ from rorrlab.rorrelation import (
     load_instances,
     phi,
     phi_batch,
+    save_instance_batch,
     save_instances,
     sign_correlation,
 )
@@ -207,6 +210,22 @@ def test_instance_file_round_trip(tmp_path):
     assert len(loaded) == 5
     for a, b in zip(instances, loaded):
         assert np.array_equal(a.vectors, b.vectors)
+
+
+def test_instance_files_are_written_in_blocks_with_the_format_bytes(tmp_path):
+    # 2 x 64 entries a row: the batch runs one row past two blocks of
+    # MC_CHUNK entries, and the list form writes the same bytes.
+    k, n = 2, 64
+    count = 2 * MC_CHUNK // (k * n) + 1
+    batch = dist.sample_uniform_batch(k, n, count, seed=3)
+    header = b"RORI" + struct.pack("<IIHH", k, n, 3, 5) + b"abcu.mat" + struct.pack("<I", count)
+    expect = header + ((batch.astype(int) + 1) // 2).astype(np.uint8).tobytes()
+    save_instance_batch(tmp_path / "batch.inst", batch, matrix_path="u.mat", matrix_hash="abc")
+    assert (tmp_path / "batch.inst").read_bytes() == expect
+    save_instances(tmp_path / "list.inst", [RorrelationInstance(k, z) for z in batch[:5]],
+                   matrix_path="u.mat", matrix_hash="abc")
+    assert (tmp_path / "list.inst").read_bytes() == (
+        header[:-4] + struct.pack("<I", 5) + expect[len(header):][: 5 * k * n])
 
 
 def test_instance_file_truncation_detected(tmp_path):
