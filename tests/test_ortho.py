@@ -39,8 +39,8 @@ def test_haar_orthogonality():
 @pytest.mark.parametrize("col", [3, 263, -1], ids=["first", "middle", "last"])
 def test_panel_gram_check_sees_a_perturbation_in_any_panel(n, col):
     # Columns 3, 263 and n - 1 sit in the first 256-column panel, the
-    # second, and the last, partial one.
-    # The entry moves after construction, which would refuse the matrix.
+    # second, and the last, partial one. The entry moves after
+    # construction, which would refuse the matrix.
     a = ortho.sample_haar(n, seed=n).entries.copy()
     u = ortho.OrthogonalMatrix(n, a)
     a[n // 3, col] += 1e-9
@@ -219,9 +219,8 @@ def _rotations_then_identity(n: int, rows: int) -> ortho.OrthogonalMatrix:
 @pytest.mark.parametrize("make, pairs, max_block", [
     (lambda: ortho.OrthogonalMatrix(2048, np.eye(2048)), 100, 4),
     (lambda: _rotations_then_identity(2048, 300), 100, 4),
-    (lambda: ortho.sample_haar(2048, seed=12), 100, 4),
     (lambda: ortho.sample_haar(64, seed=12), 10_000, 8),
-], ids=["identity-2048", "rotations-then-identity-2048", "haar-2048", "haar-64"])
+], ids=["identity-2048", "rotations-then-identity-2048", "haar-64"])
 def test_chunked_goodness_passes_equal_whole_array_records(make, pairs, max_block):
     # On the identity all 2,048 singletons tie at the worst ratio and
     # violate: the first stays worst_pair, and the stored violations keep

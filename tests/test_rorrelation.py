@@ -7,7 +7,6 @@ import pytest
 
 from reference import phi_brute_force
 from rorrlab import dist, ortho, rorrelation
-from rorrlab.util import MC_CHUNK
 from rorrlab.rorrelation import (
     Label,
     RorrelationInstance,
@@ -22,6 +21,7 @@ from rorrlab.rorrelation import (
     save_instances,
     sign_correlation,
 )
+from rorrlab.util import MC_CHUNK
 
 
 def identity_matrix(n):
