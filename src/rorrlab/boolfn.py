@@ -31,6 +31,7 @@ __all__ = [
     "MAX_FILE_VARS",
     "OutputConvention",
     "FourierSpectrum",
+    "convert_spectrum",
     "fourier_from_truth_table",
     "l1_level",
     "walsh_hadamard_inplace",
@@ -57,7 +58,7 @@ class OutputConvention(enum.Enum):
 
     The two are related by v = 2b - 1 (bit 1 maps to +1), which scales
     every non-empty coefficient by exactly 2 and sends the empty
-    coefficient through the same affine map.
+    coefficient through the same affine map; `convert_spectrum` applies it.
     """
 
     PLUS_MINUS_ONE = "pm1"
@@ -135,6 +136,18 @@ class _SubsetView(Mapping):
 
     def __len__(self) -> int:
         return len(self._spec.masks)
+
+
+def convert_spectrum(spec: FourierSpectrum, target: OutputConvention) -> FourierSpectrum:
+    """`spec`, given in the other convention, in `target`: +-1 doubles every
+    coefficient and sends the empty-set one c to 2c - 1, {0,1} halves them and
+    sends c to (c + 1)/2, exactly on dyadic values. An empty-set 0 is dropped."""
+    scale = 2.0 if target == OutputConvention.PLUS_MINUS_ONE else 0.5
+    masks = {mask: scale * c for mask, c in spec.masks.items()}
+    masks[0] = scale * spec.masks.get(0, 0.0) + (1.0 - scale)
+    if not masks[0]:
+        del masks[0]
+    return FourierSpectrum(n=spec.n, masks=masks)
 
 
 def _mask_subset(mask: int) -> tuple[int, ...]:

@@ -183,17 +183,18 @@ def cmd_qsim(args) -> int:
 
 def cmd_fourier(args) -> int:
     if args.tree:
-        tree = dtree.tree_from_json(Path(args.tree).read_text())
-        spec = dtree.sparse_fourier(tree, boolfn.OutputConvention(args.convention or "01"))
+        # No name holds the tree, so it and its cached spectrum go before encoding.
+        spec = dtree.sparse_fourier(dtree.tree_from_json(Path(args.tree).read_text()),
+                                    boolfn.OutputConvention(args.convention or "01"))
     elif args.table:
         if args.table.endswith(".csv"):
-            values, native = boolfn.read_truth_table_csv(args.table).astype(float), "pm1"
+            values, native = boolfn.read_truth_table_csv(args.table), "pm1"
         else:
-            values, native = boolfn.read_truth_table_bytes(args.table).astype(float), "01"
-        if args.convention and args.convention != native:  # v = 2b - 1
-            values = 2.0 * values - 1.0 if native == "01" else 0.5 * (values + 1.0)
+            values, native = boolfn.read_truth_table_bytes(args.table), "01"
         # Both readers refuse tables whose length is not a power of two.
         spec = boolfn.fourier_from_truth_table(values, values.size.bit_length() - 1)
+        if args.convention and args.convention != native:
+            spec = boolfn.convert_spectrum(spec, boolfn.OutputConvention(args.convention))
     else:
         raise ValueError("provide --table or --tree")
     _emit(boolfn.spectrum_to_json(spec), args.out)
@@ -429,7 +430,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ortho import OrthogonalMatrix
 from .rorrelation import sign_correlation
-from .util import MC_CHUNK, derive_rng, sub_seed
+from .util import MC_CHUNK, chunk_spans, derive_rng, sub_seed  # noqa: F401 (read as dist.MC_CHUNK)
 
 __all__ = [
     "MomentEstimate",
@@ -53,15 +53,6 @@ def sgn(values: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _chunk_spans(count: int, row_width: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) spans over `count` rows, max(1, MC_CHUNK // row_width)
-    rows each, so one chunk holds about MC_CHUNK entries whatever the count.
-    Rows of width 0 (a moment over empty S and T) take MC_CHUNK rows."""
-    rows = max(1, MC_CHUNK // max(row_width, 1))
-    for start in range(0, count, rows):
-        yield start, min(start + rows, count)
-
-
 def _gather(chunks: Iterator[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     out = np.empty(shape, dtype=np.int8)
     done = 0
@@ -77,7 +68,7 @@ def duk_chunks(u: OrthogonalMatrix, k: int, count: int, seed: int) -> Iterator[n
     if k < 2:
         raise ValueError("fold count k must be at least 2")
     rng = derive_rng(seed, "duk-batch", u.n, k, count)
-    for start, stop in _chunk_spans(count, (k - 1) * u.n):
+    for start, stop in chunk_spans(count, (k - 1) * u.n):
         x = rng.standard_normal((stop - start, k - 1, u.n))
         # One GEMM over all m(k-1) rows; row i of a draw becomes U^T x_i.
         y = (x.reshape(-1, u.n) @ u.entries).reshape(x.shape)
@@ -101,7 +92,7 @@ def uniform_chunks(k: int, n: int, count: int, seed: int) -> Iterator[np.ndarray
     if k < 2:
         raise ValueError("fold count k must be at least 2")
     rng = derive_rng(seed, "uniform-batch", n, k, count)
-    for start, stop in _chunk_spans(count, k * n):
+    for start, stop in chunk_spans(count, k * n):
         # int64 draws take one 32-bit word each, so the stream does not
         # depend on where the chunks split it.
         signs = rng.integers(0, 2, size=(stop - start, k, n)).astype(np.int8)
@@ -166,7 +157,7 @@ def u_tilde_mc(
     r = np.linalg.qr(u.entries[np.ix_(outside, t_idx)], mode="r")
     total = 0.0
     width = s_idx.size + r.shape[0]
-    for start, stop in _chunk_spans(pairs, width):
+    for start, stop in chunk_spans(pairs, width):
         w = rng.standard_normal((stop - start, width))
         x_s, g = w[:, : s_idx.size], w[:, s_idx.size :]
         prod = np.prod(x_s, axis=1)

@@ -10,9 +10,9 @@ handled here.
 Every family and random tree here is grown by `grow` from a rule that
 maps the path to a node onto that node's query or leaf bit.
 
-Coefficients and acceptance probabilities default to the {0,1} output
-convention (leaf value = leaf bit); the {-1,+1} convention maps a leaf
-bit b to 2b - 1.
+Spectra are merged in the {0,1} output convention (leaf value = leaf
+bit), as are acceptance probabilities; a {-1,+1} spectrum is that one
+under `boolfn.convert_spectrum`.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .boolfn import (
     OutputConvention,
     MAX_FILE_VARS,
     binomial,
+    convert_spectrum,
     point_from_index,
 )
 from .util import derive_rng, json_int
@@ -99,7 +100,7 @@ class DecisionTree:
         self.n = n
         self.nodes = tuple(nodes)
         self.root = root
-        self._spectra: dict[OutputConvention, FourierSpectrum] = {}
+        self._spectrum: FourierSpectrum | None = None  # {0,1}, built on first use
         self._visits: list[tuple[int, int, int, float]] | None = None
         self._order, self.depth, self._fourier_work, self._accept = self._validate()
 
@@ -206,41 +207,37 @@ def sparse_fourier(
     tree: DecisionTree,
     convention: OutputConvention = OutputConvention.ZERO_ONE,
 ) -> FourierSpectrum:
-    """Exact spectrum merged bottom-up on bitmask subsets: at a node querying
-    x_i, f = (f_minus + f_plus)/2 + x_i (f_plus - f_minus)/2. All terms are
-    dyadic, so the result is exact and agrees with the dense transform
-    whenever that fits."""
-    cached = tree._spectra.get(convention)
-    if cached is not None:
-        return cached
-    if tree._fourier_work > MAX_FOURIER_WORK:
-        raise ValueError("tree too deep for exact sparse Fourier budget")
-    leaf_value = (0.0 if convention == OutputConvention.ZERO_ONE else -1.0, 1.0)
-    nodes = tree.nodes
-    spectra: list[dict[int, float]] = []  # one per subtree whose parent is still ahead
-    for idx in reversed(tree._order):  # children before parents, plus child first
-        node = nodes[idx]
-        if node.is_leaf:
-            value = leaf_value[node.output]
-            spectra.append({0: value} if value else {})
-            continue
-        minus, plus = spectra.pop(), spectra.pop()
-        bit = 1 << (node.query_var - 1)
-        merged: dict[int, float] = {}
-        for mask, b in plus.items():
-            a = minus.pop(mask, 0.0)
-            if a + b:
-                merged[mask] = 0.5 * (a + b)
-            if b - a:
-                merged[mask | bit] = 0.5 * (b - a)
-        # What is left of minus has b = 0; spectra hold no zeros.
-        for mask, a in minus.items():
-            merged[mask] = 0.5 * a
-            merged[mask | bit] = -0.5 * a
-        spectra.append(merged)
-    spec = FourierSpectrum(n=tree.n, masks=spectra.pop())
-    tree._spectra[convention] = spec
-    return spec
+    """Exact spectrum merged once per tree, in {0,1}, bottom-up on bitmask
+    subsets: at a node querying x_i, f = (f_minus + f_plus)/2 + x_i (f_plus
+    - f_minus)/2. All terms are dyadic, so the result and its +-1 image are
+    exact and agree with the dense transform whenever that fits."""
+    if tree._spectrum is None:
+        if tree._fourier_work > MAX_FOURIER_WORK:
+            raise ValueError("tree too deep for exact sparse Fourier budget")
+        nodes = tree.nodes
+        spectra: list[dict[int, float]] = []  # one per subtree whose parent is still ahead
+        for idx in reversed(tree._order):  # children before parents, plus child first
+            node = nodes[idx]
+            if node.is_leaf:
+                spectra.append({0: 1.0} if node.output else {})
+                continue
+            minus, plus = spectra.pop(), spectra.pop()
+            bit = 1 << (node.query_var - 1)
+            merged: dict[int, float] = {}
+            for mask, b in plus.items():
+                a = minus.pop(mask, 0.0)
+                if a + b:
+                    merged[mask] = 0.5 * (a + b)
+                if b - a:
+                    merged[mask | bit] = 0.5 * (b - a)
+            # What is left of minus has b = 0; spectra hold no zeros.
+            for mask, a in minus.items():
+                merged[mask] = 0.5 * a
+                merged[mask | bit] = -0.5 * a
+            spectra.append(merged)
+        tree._spectrum = FourierSpectrum(n=tree.n, masks=spectra.pop())
+    spec = tree._spectrum
+    return spec if convention == OutputConvention.ZERO_ONE else convert_spectrum(spec, convention)
 
 
 def next_var_coefficients(tree: DecisionTree) -> dict[int, float]:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import MC_CHUNK, atomic_write, derive_rng, file_set
+from .util import atomic_write, chunk_spans, derive_rng, file_set
 
 __all__ = [
     "OrthogonalMatrix",
@@ -120,10 +120,9 @@ def haar_corner_samples(n: int, count: int, seed: int) -> np.ndarray:
     corners = np.empty(count)
     # Drawn in row chunks of about MC_CHUNK entries; each row's norm is
     # its own, so the samples do not depend on the split.
-    rows = max(1, MC_CHUNK // n)
-    for start in range(0, count, rows):
-        g = rng.standard_normal((min(rows, count - start), n))
-        corners[start : start + len(g)] = g[:, 0] / np.linalg.norm(g, axis=1)
+    for start, stop in chunk_spans(count, n):
+        g = rng.standard_normal((stop - start, n))
+        corners[start:stop] = g[:, 0] / np.linalg.norm(g, axis=1)
     return corners
 
 
@@ -195,9 +194,8 @@ def _check_singletons(u: OrthogonalMatrix, report: GoodnessReport) -> None:
     """All 1 x 1 blocks, in row chunks of about MC_CHUNK entries; record
     keeps the first strict maximum, so the chunks change no result."""
     bound = goodness_bound(1, 1, u.n)
-    rows = max(1, MC_CHUNK // u.n)
-    for start in range(0, u.n, rows):
-        report.record(np.abs(u.entries[start : start + rows]), bound,
+    for start, stop in chunk_spans(u.n, u.n):
+        report.record(np.abs(u.entries[start:stop]), bound,
                       lambda ij, start=start: ((int(ij[0]) + start + 1,), (int(ij[1]) + 1,)))
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .ortho import OrthogonalMatrix
-from .util import MC_CHUNK, file_set
+from .util import chunk_spans, file_set
 
 __all__ = [
     "Label",
@@ -184,12 +184,11 @@ def save_instance_batch(
     count, k, n = batch.shape
     hash_bytes = matrix_hash.encode()
     path_bytes = matrix_path.encode()
-    rows = max(1, MC_CHUNK // (k * n))
     with file_set() as stage, open(stage(path), "wb") as file:
         file.write(INSTANCE_MAGIC + struct.pack("<IIHH", k, n, len(hash_bytes), len(path_bytes)))
         file.write(hash_bytes + path_bytes + struct.pack("<I", count))
-        for start in range(0, count, rows):
-            file.write(np.greater(batch[start : start + rows], 0).view(np.uint8))
+        for start, stop in chunk_spans(count, k * n):
+            file.write(np.greater(batch[start:stop], 0).view(np.uint8))
 
 
 def load_instances(path: str | Path) -> tuple[list[RorrelationInstance], str, str]:

@@ -7,11 +7,13 @@ import hashlib
 import os
 import shutil
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "MC_CHUNK",
+    "chunk_spans",
     "derive_rng",
     "sub_seed",
     "mean_and_stderr",
@@ -24,6 +26,14 @@ __all__ = [
 # Entries per chunk of a Monte-Carlo sampler or a whole-matrix pass (4 MB
 # of floats), so that no temporary grows with a sample count or with N^2.
 MC_CHUNK = 1 << 19
+
+
+def chunk_spans(count: int, row_width: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) spans over `count` rows of `row_width` entries, each of
+    max(1, MC_CHUNK // row_width) rows; rows of width 0 take MC_CHUNK rows."""
+    rows = max(1, MC_CHUNK // max(row_width, 1))
+    for start in range(0, count, rows):
+        yield start, min(start + rows, count)
 
 
 def sub_seed(seed: int, *tags) -> int:

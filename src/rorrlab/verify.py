@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, boolfn, dist, distinguish, dtree, ortho, qsim, rorrelation
 from .boolfn import OutputConvention, binomial
-from .util import MC_CHUNK, derive_rng, json_int, mean_and_stderr, sub_seed, variance_and_stderr
+from .util import chunk_spans, derive_rng, json_int, mean_and_stderr, sub_seed, variance_and_stderr
 
 __all__ = ["VerifyConfig", "CheckResult", "run_check", "run_all", "build_manifest",
            "manifest_to_json", "manifest_from_json", "report_rows", "strip_timing",
@@ -152,10 +152,10 @@ def check_sign_correlation(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]
         # chunks, and sgn(x) sgn(y) is built up in int8.
         z1 = rng.standard_normal(cfg.sign_corr_samples)
         prods = dist.sgn(z1)
-        for start in range(0, cfg.sign_corr_samples, MC_CHUNK):
-            x = z1[start : start + MC_CHUNK]
+        for start, stop in chunk_spans(cfg.sign_corr_samples, 1):
+            x = z1[start:stop]
             y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(len(x))
-            prods[start : start + MC_CHUNK] *= dist.sgn(y)
+            prods[start:stop] *= dist.sgn(y)
         del z1, x, y  # mean_and_stderr takes its own float copy of prods
         mean, stderr = mean_and_stderr(prods)
         target = rorrelation.sign_correlation(rho)

@@ -4,12 +4,15 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rorrlab
 from rorrlab import dtree, ortho, rorrelation
 from rorrlab.cli import main
 from rorrlab.util import atomic_write, file_set, mean_and_stderr
@@ -466,6 +469,18 @@ def test_help_and_version_still_exit_0(argv, capsys):
     assert exc.value.code == 0
     captured = capsys.readouterr()
     assert captured.out and captured.err == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(rorrlab.__file__).parents[1]))
+    version = subprocess.run([sys.executable, "-m", "rorrlab", "--version"], env=env,
+                             capture_output=True, text=True, timeout=60)
+    assert (version.returncode, version.stdout, version.stderr) == (0, rorrlab.__version__ + "\n", "")
+    usage = subprocess.run([sys.executable, "-m", "rorrlab", "sample-matrix", "--n", "abc"],
+                           env=env, capture_output=True, text=True, timeout=60)
+    lines = usage.stderr.splitlines()
+    assert (usage.returncode, usage.stdout, len(lines)) == (2, "", 1)
+    assert lines[0].startswith("error:")
 
 
 def _report_argv(tmp_path):

@@ -156,6 +156,47 @@ def test_pm1_spectrum_is_the_converted_01_spectrum():
         assert sparse_fourier(tree, PM).masks == converted.masks
 
 
+def test_pm1_spectrum_is_mapped_from_the_cached_01_merge():
+    tree = random_tree(12, 8, 5)
+    zero_one = sparse_fourier(tree, ZO)
+    # A second merge would now refuse the tree; the map needs none.
+    tree._fourier_work = dtree.MAX_FOURIER_WORK + 1
+    assert sparse_fourier(tree, ZO) is zero_one
+    assert sparse_fourier(tree, PM).masks == convert_convention(zero_one, ZO, PM).masks
+
+
+def test_an_empty_set_coefficient_mapped_to_zero_is_dropped():
+    # The dictator on x_2 is (1 + x_2)/2 in {0,1} and x_2 in +-1.
+    tree = make_dictator(3, 2)
+    assert sparse_fourier(tree, ZO).masks == {0: 0.5, 0b10: 0.5}
+    assert sparse_fourier(tree, PM).masks == {0b10: 1.0}
+    assert boolfn.convert_spectrum(sparse_fourier(tree, PM), ZO).masks == {0b10: 0.5, 0: 0.5}
+
+
+# The trees on which the convention map was first checked bit for bit.
+MAP_TREES = {
+    **{f"random-16-{d}-{s}": (random_tree, 16, d, s) for d in range(8, 12) for s in (0, 1)},
+    "majority-9": (make_majority, 9),
+    "address-4": (make_address, 4),
+    "address-of-majority-3": (make_address_of_majority, 3),
+    "random-4096-10-4": (random_tree, 4096, 10, 4),
+    "constant-0": (make_constant, 3, 0),
+    "constant-1": (make_constant, 3, 1),
+}
+
+
+@pytest.mark.parametrize("name", MAP_TREES)
+def test_convention_map_round_trips_bit_for_bit(name):
+    def bits(spec):
+        return {mask: c.hex() for mask, c in spec.masks.items()}
+
+    build, *args = MAP_TREES[name]
+    tree = build(*args)
+    zero_one, pm = sparse_fourier(tree, ZO), sparse_fourier(tree, PM)
+    assert bits(pm) == bits(convert_convention(zero_one, ZO, PM))
+    assert bits(boolfn.convert_spectrum(pm, ZO)) == bits(zero_one)
+
+
 def test_decomposition_depth_one():
     tree = make_dictator(1, 1)
     lhs, rhs = decomposition_sides(tree, (1,))

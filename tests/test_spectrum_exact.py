@@ -183,10 +183,14 @@ def test_fourier_table_output_matches_the_tuple_encoder(n, form, tmp_path, capsy
 @pytest.mark.parametrize("form", ["csv", "bytes"])
 @pytest.mark.parametrize("convention", ["01", "pm1"])
 def test_fourier_table_honours_an_explicit_convention(form, convention, tmp_path, capsys):
-    n = 4
-    bits = np.random.default_rng(7).integers(0, 2, 1 << n)
-    path = _table_file(tmp_path, bits, form)
-    values = bits.astype(float) if convention == "01" else 2.0 * bits - 1.0
-    assert main(["fourier", "--table", str(path), "--convention", convention]) == 0
-    stdout = capsys.readouterr().out
-    assert stdout.rstrip("\n") == reference_json(boolfn.fourier_from_truth_table(values, n))
+    # A random table at n = 4, then constant tables at n = 3 and n = 0.
+    for bits in (np.random.default_rng(7).integers(0, 2, 16), np.zeros(8, int),
+                 np.ones(8, int), np.zeros(1, int), np.ones(1, int)):
+        n = bits.size.bit_length() - 1
+        path = _table_file(tmp_path, bits, form)
+        values = bits.astype(float) if convention == "01" else 2.0 * bits - 1.0
+        assert main(["fourier", "--table", str(path), "--convention", convention]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.rstrip("\n") == reference_json(boolfn.fourier_from_truth_table(values, n))
+        if convention == "01" and not bits.any():  # the mapped empty-set coefficient 0 is dropped
+            assert json.loads(stdout)["coefficients"] == []
