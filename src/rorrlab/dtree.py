@@ -207,10 +207,10 @@ def sparse_fourier(
     tree: DecisionTree,
     convention: OutputConvention = OutputConvention.ZERO_ONE,
 ) -> FourierSpectrum:
-    """Exact spectrum merged once per tree, in {0,1}, bottom-up on bitmask
-    subsets: at a node querying x_i, f = (f_minus + f_plus)/2 + x_i (f_plus
-    - f_minus)/2. All terms are dyadic, so the result and its +-1 image are
-    exact and agree with the dense transform whenever that fits."""
+    """Exact spectrum, merged once per tree in {0,1} on bitmask subsets from
+    the leaves up: at a node querying x_i, f = (f_minus + f_plus)/2 + x_i
+    (f_plus - f_minus)/2. All terms are dyadic, so the result and its +-1
+    image are exact and agree with the dense transform whenever that fits."""
     if tree._spectrum is None:
         if tree._fourier_work > MAX_FOURIER_WORK:
             raise ValueError("tree too deep for exact sparse Fourier budget")
