@@ -20,10 +20,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, boolfn, dist, distinguish, dtree, ortho, qsim, rorrelation
-from .util import atomic_write, file_set
+from .util import atomic_write, chunk_spans, file_set
 from .verify import (
     VerifyConfig,
     build_manifest,
@@ -68,25 +66,34 @@ def cmd_check_good(args) -> int:
 
 
 def _per_instance(args, rows) -> int:
-    """One sorted JSON line per instance of --instances; rows(u, batch) gives
-    the fields of every instance of the (m, k, N) batch, with U read from
-    --matrix. The instance file is read first, so a malformed one, or one that
-    stores another matrix file's sha256, is refused before U is Gram-checked."""
-    instances, _, matrix_hash = rorrelation.load_instances(args.instances)
+    """One sorted JSON line per instance of --instances; rows(u, block, start)
+    gives the fields of every instance of an (m, k, N) block of the batch
+    whose first instance has index `start`, with U read from --matrix. The
+    instance file is read first, so a malformed one, or one that stores
+    another matrix file's sha256, is refused before U is Gram-checked.
+    Blocks hold at most MC_CHUNK entries, and the lines are written once
+    all blocks are scored, so a refused block prints nothing."""
+    batch, _, matrix_hash = rorrelation.load_instance_batch(args.instances)
     u = ortho.load_matrix(args.matrix, sha256=matrix_hash)
-    fields = rows(u, np.array([inst.vectors for inst in instances])) if instances else []
-    _emit("\n".join(json.dumps(row, sort_keys=True) for row in fields) + "\n", args.out)
+    count, k, n = batch.shape
+    # As many blocks as chunk_spans cuts, but of equal size: BLAS scores a
+    # short last block of a few rows on another path, whose last bits differ.
+    blocks = sum(1 for _ in chunk_spans(count, k * n))
+    bounds = [count * i // blocks for i in range(blocks + 1)]
+    lines = [json.dumps(row, sort_keys=True) for start, stop in zip(bounds, bounds[1:])
+             for row in rows(u, batch[start:stop], start)]
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_rorrelate(args) -> int:
-    return _per_instance(args, lambda u, batch: [
+    return _per_instance(args, lambda u, batch, start: [
         {"k": batch.shape[1], "N": u.n, "phi": float(value)}
         for value in rorrelation.phi_batch(u, batch)])
 
 
 def cmd_classify(args) -> int:
-    def rows(u, batch):
+    def rows(u, batch, start):
         k = batch.shape[1]
         return [{"k": k, "N": u.n, "phi": float(value),
                  "label": rorrelation.classify_value(float(value), k).value}
@@ -165,10 +172,10 @@ def cmd_moments(args) -> int:
 
 
 def cmd_qsim(args) -> int:
-    def rows(u, batch):
+    def rows(u, batch, start):
         reps = args.repetitions or qsim.default_repetitions(batch.shape[1])
         out = []
-        for i, run in enumerate(qsim.simulate_batch(u, batch)):
+        for i, run in enumerate(qsim.simulate_batch(u, batch), start):
             decision = qsim.amplify(run, reps, seed=args.seed + i)
             out.append({
                 "phi": run.branch_inner_product,

@@ -93,9 +93,11 @@ def uniform_chunks(k: int, n: int, count: int, seed: int) -> Iterator[np.ndarray
         raise ValueError("fold count k must be at least 2")
     rng = derive_rng(seed, "uniform-batch", n, k, count)
     for start, stop in chunk_spans(count, k * n):
+        signs = np.empty((stop - start, k, n), dtype=np.int8)
         # int64 draws take one 32-bit word each, so the stream does not
-        # depend on where the chunks split it.
-        signs = rng.integers(0, 2, size=(stop - start, k, n)).astype(np.int8)
+        # depend on where the sub-blocks of about MC_CHUNK // 8 split it.
+        for lo, hi in chunk_spans(stop - start, 8 * k * n):
+            signs[lo:hi] = rng.integers(0, 2, size=(hi - lo, k, n))
         signs *= 2
         signs -= 1
         yield signs

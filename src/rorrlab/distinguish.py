@@ -97,15 +97,17 @@ def advantage_corpus(
 
     The arms' seeds do not depend on the tree, so each report equals the
     one `advantage` gives for that tree alone. Each arm is walked in the
-    chunks of its sampler, and only the tree outputs are kept: one float
-    row per tree and arm, 16 bytes per sample per tree.
+    chunks of its sampler, and only the tree outputs are kept: one int8
+    row per tree and arm, 2 bytes per sample per tree. Sums of 0/1 values
+    are exact, so their mean and variance are the floats that float rows
+    would give.
     """
     if samples < 2:
         raise ValueError(f"advantage needs at least 2 samples per arm, got {samples}")
     for _, tree in pairs:
         if tree.n != k * u.n:
             raise ValueError(f"tree has {tree.n} variables, expected k*N = {k * u.n}")
-    outputs = np.empty((2, len(pairs), samples))
+    outputs = np.empty((2, len(pairs), samples), dtype=np.int8)
     arms = (uniform_chunks(k, u.n, samples, sub_seed(seed, "adv-uniform")),
             duk_chunks(u, k, samples, sub_seed(seed, "adv-duk")))
     for arm, chunks in zip(outputs, arms):

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,7 +97,8 @@ def _qr_haar(gaussians: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(gaussians)
     diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
     diag[diag == 0] = 1.0
-    return q * np.sign(diag)[..., None, :]
+    q *= np.sign(diag)[..., None, :]
+    return q
 
 
 def sample_haar(n: int, seed: int) -> OrthogonalMatrix:
@@ -405,26 +407,35 @@ def matrix_sha256(u: OrthogonalMatrix) -> str:
 
 def load_matrix(path: str | Path, sha256: str = "") -> OrthogonalMatrix:
     """Read a matrix file; a non-empty sha256 refuses other bytes before the
-    Gram check. The entries are a read-only view of the bytes read."""
+    Gram check. The payload is read once, into an aligned buffer, and only
+    after the header's n has been checked against the file's size; the
+    entries are a read-only view of that buffer."""
     with open(path, "rb") as file:
-        # Read apart from the header, the payload starts 8-byte aligned, and
-        # BLAS reads it in place.
-        header, payload = file.read(20), file.read()
-    if sha256:
-        digest = hashlib.sha256(header)
-        digest.update(payload)
-        if digest.hexdigest() != sha256:
-            raise ValueError(f"{path}: not the matrix file of sha256 {sha256}")
+        header = file.read(20)
+        n = int.from_bytes(header[4:12], "little")
+        fits = (header[:4] == MATRIX_MAGIC and len(header) == 20
+                and os.fstat(file.fileno()).st_size == 20 + 8 * n * n)
+        payload = np.empty(8 * n * n if fits else 0, dtype=np.uint8)
+        fits = fits and file.readinto(payload) == payload.size
+        if sha256:
+            digest = hashlib.sha256(header)
+            if fits:
+                digest.update(payload)
+            else:  # hashed as it is read, so nothing is sized by the header
+                for block in iter(lambda: file.read(1 << 16), b""):
+                    digest.update(block)
+            if digest.hexdigest() != sha256:
+                raise ValueError(f"{path}: not the matrix file of sha256 {sha256}")
     if header[:4] != MATRIX_MAGIC:
         raise ValueError(f"{path}: not a matrix file (bad magic)")
     if len(header) < 20:
         raise ValueError(f"{path}: truncated header")
-    n, seed = struct.unpack("<QQ", header[4:])
-    if len(payload) != 8 * n * n:
+    if not fits:
         raise ValueError(f"{path}: truncated or oversized payload")
     # The constructor checks the shape and orthogonality; corrupt files fail there.
-    entries = np.frombuffer(payload, dtype="<f8").reshape(n, n)
-    return OrthogonalMatrix(n=int(n), entries=entries, seed=int(seed))
+    entries = payload.view("<f8").reshape(n, n)
+    entries.flags.writeable = False
+    return OrthogonalMatrix(n=n, entries=entries, seed=int.from_bytes(header[12:], "little"))
 
 
 def save_matrix_csv(path: str | Path, u: OrthogonalMatrix) -> None:

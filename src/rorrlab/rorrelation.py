@@ -12,6 +12,7 @@ its value lies in [-1, 1]; YES instances have phi >= 2^-k, NO instances
 from __future__ import annotations
 
 import enum
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +37,7 @@ __all__ = [
     "no_threshold",
     "save_instances",
     "save_instance_batch",
+    "load_instance_batch",
     "load_instances",
 ]
 
@@ -191,31 +193,43 @@ def save_instance_batch(
             file.write(np.greater(batch[start:stop], 0).view(np.uint8))
 
 
-def load_instances(path: str | Path) -> tuple[list[RorrelationInstance], str, str]:
-    blob = Path(path).read_bytes()
-    if blob[:4] != INSTANCE_MAGIC:
-        raise ValueError(f"{path}: not an instance file (bad magic)")
-    if len(blob) < 16:
-        raise ValueError(f"{path}: truncated header")
-    k, n, hash_len, path_len = struct.unpack("<IIHH", blob[4:16])
-    pos = 16
-    if len(blob) < pos + hash_len + path_len + 4:
-        raise ValueError(f"{path}: truncated header")
-    if k < 2:
-        raise ValueError(f"{path}: fold count k must be at least 2")
-    if n < 1:
-        raise ValueError(f"{path}: vector length must be positive")
-    matrix_hash = blob[pos : pos + hash_len].decode()
-    pos += hash_len
-    matrix_path = blob[pos : pos + path_len].decode()
-    pos += path_len
-    (count,) = struct.unpack("<I", blob[pos : pos + 4])
-    pos += 4
-    if len(blob) != pos + count * k * n:
-        raise ValueError(f"{path}: truncated or oversized payload")
-    raw = np.frombuffer(blob[pos:], dtype=np.uint8).reshape(count, k, n)
-    if np.any(raw > 1):
+def load_instance_batch(path: str | Path) -> tuple[np.ndarray, str, str]:
+    """Read an instance file: its (count, k, N) +-1 int8 batch, the matrix
+    path and the matrix sha256 it stores. The payload size is checked
+    against the file's before anything is allocated; the sign bytes are
+    then read into the batch, checked once and converted there."""
+    with open(path, "rb") as file:
+        head = file.read(16)
+        if head[:4] != INSTANCE_MAGIC:
+            raise ValueError(f"{path}: not an instance file (bad magic)")
+        if len(head) < 16:
+            raise ValueError(f"{path}: truncated header")
+        k, n, hash_len, path_len = struct.unpack("<IIHH", head[4:16])
+        tail = file.read(hash_len + path_len + 4)
+        if len(tail) < hash_len + path_len + 4:
+            raise ValueError(f"{path}: truncated header")
+        if k < 2:
+            raise ValueError(f"{path}: fold count k must be at least 2")
+        if n < 1:
+            raise ValueError(f"{path}: vector length must be positive")
+        matrix_hash = tail[:hash_len].decode()
+        matrix_path = tail[hash_len : hash_len + path_len].decode()
+        (count,) = struct.unpack("<I", tail[-4:])
+        if os.fstat(file.fileno()).st_size != 16 + len(tail) + count * k * n:
+            raise ValueError(f"{path}: truncated or oversized payload")
+        batch = np.empty((count, k, n), dtype=np.int8)
+        if file.readinto(batch) != batch.size:  # the file shrank
+            raise ValueError(f"{path}: truncated or oversized payload")
+    if batch.view(np.uint8).max(initial=0) > 1:
         raise ValueError(f"{path}: sign bytes must be 0 or 1")
-    instances = [RorrelationInstance(k=k, vectors=raw[i].astype(np.int8) * 2 - 1)
-                 for i in range(count)]
-    return instances, matrix_path, matrix_hash
+    batch *= 2
+    batch -= 1
+    return batch, matrix_path, matrix_hash
+
+
+def load_instances(path: str | Path) -> tuple[list[RorrelationInstance], str, str]:
+    """The instances of an instance file, one per row of load_instance_batch's
+    batch, with the matrix path and sha256 it stores."""
+    batch, matrix_path, matrix_hash = load_instance_batch(path)
+    return ([RorrelationInstance(k=batch.shape[1], vectors=z) for z in batch],
+            matrix_path, matrix_hash)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import rorrlab
-from rorrlab import dtree, ortho, rorrelation
+from rorrlab import dist, dtree, ortho, rorrelation
 from rorrlab.cli import main
 from rorrlab.util import atomic_write, file_set, mean_and_stderr
 from rorrlab.verify import VerifyConfig
@@ -633,6 +633,59 @@ def test_qsim_simulates_each_instance_once(tmp_path, capsys, monkeypatch):
     for i, (line, instance) in enumerate(zip(stdout.splitlines(), instances, strict=True)):
         decision = qsim.amplified_solver(u, instance.vectors, 9, 4 + i)
         assert json.loads(line)["verdict"] == ("accept" if decision.accept else "reject")
+
+
+@pytest.mark.parametrize("command", ["rorrelate", "classify", "qsim"])
+def test_instance_commands_print_the_same_lines_across_block_splits(
+        command, tmp_path, capsys, monkeypatch):
+    # Hadamard entries are +-1/8, so every phi and amplitude is exact and no
+    # block size can move a bit. At one repetition qsim's verdicts follow
+    # each instance's seed, --seed plus its index in the file.
+    from scipy.linalg import hadamard
+
+    from rorrlab import util
+
+    matrix, inst = tmp_path / "h.mat", tmp_path / "z.inst"
+    ortho.save_matrix(matrix, ortho.OrthogonalMatrix(n=64, entries=hadamard(64) / 8.0, seed=0))
+    assert main(["sample-dist", "--dist", "uniform", "--n", "64", "--k", "3", "--count", "301",
+                 "--seed", "2", "--out", str(inst)]) == 0
+    argv = [command, "--matrix", str(matrix), "--instances", str(inst)]
+    if command == "qsim":
+        argv += ["--repetitions", "1", "--seed", "5"]
+    capsys.readouterr()
+    outputs = []
+    # One block of 301 rows, 61 blocks of 4 or 5 rows, and 301 blocks of one row.
+    for chunk in (util.MC_CHUNK, 1000, 1):
+        monkeypatch.setattr(util, "MC_CHUNK", chunk)
+        code, stdout, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        outputs.append(stdout)
+    assert outputs[0].count("\n") == 301 and outputs == outputs[:1] * 3
+    if command == "qsim":
+        assert '"verdict": "accept"' in outputs[0] and '"verdict": "reject"' in outputs[0]
+
+
+def test_a_refused_block_prints_no_line(tmp_path, capsys, monkeypatch):
+    from rorrlab import util
+
+    matrix, inst = tmp_path / "u.mat", tmp_path / "z.inst"
+    ortho.save_matrix(matrix, ortho.sample_haar(4, seed=1))
+    rorrelation.save_instance_batch(inst, dist.sample_uniform_batch(2, 4, 3, seed=0))
+    score = rorrelation.phi_batch
+    calls = []
+
+    def phi_batch(u, batch):
+        calls.append(len(batch))
+        if len(calls) == 2:
+            raise ValueError("second block refused")
+        return score(u, batch)
+
+    monkeypatch.setattr(util, "MC_CHUNK", 1)
+    monkeypatch.setattr(rorrelation, "phi_batch", phi_batch)
+    code, stdout, err = run(["rorrelate", "--matrix", str(matrix), "--instances", str(inst)],
+                            capsys)
+    assert (code, stdout, err) == (2, "", "error: second block refused\n")
+    assert calls == [1, 1]
 
 
 def test_rorrelate_reads_instances_before_matrix(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from reference import duk_empirical_moment, gaussian_chain
-from rorrlab import dist, ortho
+from rorrlab import dist, ortho, util
 from rorrlab.dist import (
     d_hat_product,
     duk_moment_bound,
@@ -135,6 +135,28 @@ def test_uniform_batch_stream_is_pinned(n, k, count, seed, digest):
     batch = sample_uniform_batch(k, n, count, seed)
     assert batch.dtype == np.int8 and batch.shape == (count, k, n)
     assert hashlib.sha256(batch.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("chunk", [1, 3000])
+def test_sampler_blocks_concatenate_to_the_default_stream(k, chunk, monkeypatch):
+    # With MC_CHUNK patched small both samplers cut several blocks, and the
+    # uniform one draws each block in sub-blocks of MC_CHUNK // 8 entries:
+    # one row at chunk 1, and 11, 7 or 5 rows at chunk 3000, which do not
+    # divide its full blocks. The blocks keep the spans of chunk_spans, and
+    # end to end they are the stream of the default chunks.
+    n, count = 16, 301
+    u = ortho.sample_haar(n, seed=3)
+    whole = {"duk": sample_duk_batch(u, k, count, seed=4),
+             "uniform": sample_uniform_batch(k, n, count, seed=4)}
+    monkeypatch.setattr(util, "MC_CHUNK", chunk)
+    for name, blocks, width in (("duk", dist.duk_chunks(u, k, count, 4), (k - 1) * n),
+                                ("uniform", dist.uniform_chunks(k, n, count, 4), k * n)):
+        blocks = list(blocks)
+        assert [len(b) for b in blocks] == \
+            [stop - start for start, stop in util.chunk_spans(count, width)], name
+        assert len(blocks) > 1 and all(b.dtype == np.int8 for b in blocks), name
+        assert np.array_equal(np.concatenate(blocks), whole[name]), name
 
 
 def test_uniform_sampler():

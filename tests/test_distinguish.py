@@ -134,7 +134,7 @@ def test_advantage_corpus_matches_per_tree_advantage():
                        for name, tree in corpus]
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("samples", [
     lambda k, n: 2,
     lambda k, n: dist.MC_CHUNK // (k * n) + 1,  # one row past the first uniform chunk
@@ -142,8 +142,8 @@ def test_advantage_corpus_matches_per_tree_advantage():
     lambda k, n: 20_000,
 ], ids=["two", "uniform-chunk-plus-one", "chain-chunk-plus-one", "20000"])
 def test_streamed_advantage_equals_the_whole_batch_reduction(k, samples):
-    # The arms are reduced chunk by chunk; every report keeps the bits of
-    # the whole-batch mean and variance.
+    # The arms are reduced chunk by chunk, from int8 output rows; every
+    # report keeps the bits of the mean and variance of whole float64 rows.
     u = ortho.sample_haar(256, seed=6)
     count = samples(k, u.n)
     pairs = standard_corpus(u, k, seed=2)
@@ -166,6 +166,25 @@ def test_advantage_memory_does_not_grow_with_whole_arms():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_advantage_keeps_two_bytes_per_sample_per_tree():
+    # The blocks do not grow with the sample count, so the traced peak grows
+    # by the output rows (one int8 per sample, tree and arm) and the float
+    # temporary of one row's variance; float64 rows took 16 bytes per sample
+    # per tree.
+    u = ortho.sample_haar(8, seed=6)
+    pairs = standard_corpus(u, 2, seed=2)
+    peaks = []
+    for samples in (100_000, 300_000):
+        tracemalloc.start()
+        try:
+            advantage_corpus(pairs, u, 2, samples, seed=9)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    growth = (peaks[1] - peaks[0]) / (200_000 * len(pairs))
+    assert growth < 4.0, f"{growth:.1f} bytes per sample per tree"
 
 
 def test_standard_corpus_needs_two_folds():

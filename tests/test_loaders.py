@@ -76,9 +76,16 @@ def test_load_instances_refuses_only_with_value_error(data, valid_files, tmp_pat
     path = tmp_path / "fuzz.inst"
     path.write_bytes(data.draw(_mutations(valid_files[1], rorrelation.INSTANCE_MAGIC)))
     loaded = _load_or_none(rorrelation.load_instances, path)
+    batch = _load_or_none(rorrelation.load_instance_batch, path)
+    # The batch loader refuses the same files, and load_instances is its rows.
+    assert (loaded is None) == (batch is None)
     if loaded is not None:
         for inst in loaded[0]:
             assert inst.k >= 2 and inst.n >= 1 and np.all(np.abs(inst.vectors) == 1)
+        assert batch[0].dtype == np.int8 and batch[0].ndim == 3
+        assert batch[0].shape[1] >= 2 and batch[0].shape[2] >= 1
+        assert np.all(np.abs(batch[0]) == 1) and batch[1:] == loaded[1:]
+        assert [inst.vectors.tolist() for inst in loaded[0]] == batch[0].tolist()
 
 
 # Scalars that are right, wrong or out of range for every field of the formats.

@@ -1,5 +1,7 @@
 """Haar sampling, sub-matrix norms, goodness, Hadamard counterexample."""
 import hashlib
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -483,6 +485,42 @@ def test_loaded_matrix_is_read_only(tmp_path):
     assert flags.aligned and not flags.owndata and not flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         u.entries[0, 0] = 1.0
+
+
+def test_load_matrix_holds_one_copy_of_the_payload(tmp_path):
+    # The payload is read into the buffer the entries view; reading it as
+    # bytes and then the rest of the file held a second copy. The Gram
+    # check's panel products add a quarter of the payload at N=1024.
+    u = ortho.sample_haar(1024, seed=4)
+    path = tmp_path / "u.mat"
+    digest = ortho.save_matrix(path, u)
+    for sha256 in ("", digest):
+        tracemalloc.start()
+        try:
+            loaded = ortho.load_matrix(path, sha256=sha256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.entries, u.entries)
+        assert peak < 1.5 * u.entries.nbytes, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("sha256", ["", "0" * 64], ids=["no-sha256", "sha256"])
+def test_a_header_is_checked_against_the_file_size_before_allocating(sha256, tmp_path):
+    # n = 2^31 asks for 2^65 payload bytes; the 84-byte file is refused by
+    # its size, or hashed as it is read, with the messages of every load.
+    path = tmp_path / "huge.mat"
+    path.write_bytes(ortho.MATRIX_MAGIC + struct.pack("<QQ", 1 << 31, 0) + bytes(64))
+    message = (f"{path}: not the matrix file of sha256 {sha256}" if sha256
+               else f"{path}: truncated or oversized payload")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ortho.load_matrix(path, sha256=sha256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_matrix_file_corruption_detected(tmp_path):

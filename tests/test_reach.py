@@ -21,6 +21,7 @@ OUTSIDE_ENTRY_POINTS = {
     ("rorrelation", "classify"),
     ("rorrelation", "phi"),
     ("rorrelation", "save_instances"),
+    ("rorrelation", "load_instances"),
     # CI's comparison of two manifests.
     ("verify", "strip_timing"),
     # perfbench/tests compares it with the benchmark's oracle.

@@ -1,6 +1,7 @@
 """phi functional, classification, exact moments, instance files."""
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,39 @@ def test_instance_files_are_written_in_blocks_with_the_format_bytes(tmp_path):
                    matrix_path="u.mat", matrix_hash="abc")
     assert (tmp_path / "list.inst").read_bytes() == (
         header[:-4] + struct.pack("<I", 5) + expect[len(header):][: 5 * k * n])
+
+
+def test_instance_batch_is_read_once_into_one_int8_batch(tmp_path):
+    # The sign bytes are read into the batch and converted in place: the
+    # traced peak is the batch, not the file bytes plus a copy per row.
+    k, n, count = 2, 64, 20_000
+    batch = dist.sample_uniform_batch(k, n, count, seed=3)
+    path = tmp_path / "batch.inst"
+    save_instance_batch(path, batch, matrix_path="u.mat", matrix_hash="abc")
+    tracemalloc.start()
+    try:
+        loaded, mpath, mhash = rorrelation.load_instance_batch(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (mpath, mhash) == ("u.mat", "abc")
+    assert loaded.dtype == np.int8 and np.array_equal(loaded, batch)
+    assert peak < 1.25 * batch.nbytes, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_instance_header_is_checked_against_the_file_size_before_allocating(tmp_path):
+    # count * k * N = 2^32 - 1 times 2^62: refused by the file's size.
+    path = tmp_path / "huge.inst"
+    path.write_bytes(rorrelation.INSTANCE_MAGIC + struct.pack("<IIHHI", 1 << 31, 1 << 31, 0, 0,
+                                                              (1 << 32) - 1) + bytes(64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated or oversized payload"):
+            rorrelation.load_instance_batch(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_instance_file_truncation_detected(tmp_path):
