@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -47,6 +48,11 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_sample_matrix(args) -> int:
+    # Refused before anything is allocated: the 8 n^2 entry bytes are the budget.
+    limit = math.isqrt(ortho.MAX_MATRIX_BYTES // 8)
+    if args.n > limit:
+        raise ValueError(f"--n {args.n} is over the limit of {limit}: its entries would take "
+                         f"more than {ortho.MAX_MATRIX_BYTES} bytes")
     u = ortho.sample_haar(args.n, args.seed)
     with file_set() as stage:
         digest = ortho.save_matrix(stage(args.out), u)

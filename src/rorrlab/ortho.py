@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .util import atomic_write, chunk_spans, derive_rng, file_set
 
@@ -42,6 +43,14 @@ ORTHOGONALITY_TOL = 1e-10
 # Columns per panel of the Gram check: at N = 4096, 128-column panels were
 # slower, and at N <= 256 the check is one SYRK.
 GRAM_PANEL = 256
+
+# Tile side of the in-place transposes around the Haar QR: one tile
+# (512 KB) is the transpose's only temporary.
+TRANSPOSE_TILE = 256
+
+# Largest entry payload (8 n^2 bytes) that `rorrlab sample-matrix` will
+# allocate: n <= 11,585, against the 2,048 that any run of the lab uses.
+MAX_MATRIX_BYTES = 1 << 30
 
 MATRIX_MAGIC = b"RORU"
 
@@ -89,16 +98,58 @@ def _abs_max(block: np.ndarray) -> np.floating:
     return np.max(np.abs(block, out=block))
 
 
+def _transpose_in_place(a: np.ndarray) -> None:
+    """a <- a.T for a square C-ordered a, one pair of TRANSPOSE_TILE tiles
+    at a time, so the one temporary is a tile."""
+    n = len(a)
+    tile = np.empty((min(TRANSPOSE_TILE, n),) * 2)
+    for i0 in range(0, n, TRANSPOSE_TILE):
+        i1 = min(i0 + TRANSPOSE_TILE, n)
+        for j0 in range(i0, n, TRANSPOSE_TILE):
+            j1 = min(j0 + TRANSPOSE_TILE, n)
+            swap = tile[: j1 - j0, : i1 - i0]
+            np.copyto(swap, a[i0:i1, j0:j1].T)
+            if j0 > i0:
+                a[i0:i1, j0:j1] = a[j0:j1, i0:i1].T
+            a[j0:j1, i0:i1] = swap
+
+
+def _lapack(routine: str, *args) -> None:
+    """numpy's lapack_lite `routine` on args (every argument before work,
+    lwork and info), with the workspace its own lwork = -1 query asks for."""
+    call = getattr(lapack_lite, routine)
+
+    def run(work: np.ndarray, lwork: int) -> None:
+        info = call(*args, work, lwork, 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"{routine} failed with info = {info}")
+
+    query = np.empty(1)
+    run(query, -1)
+    lwork = max(1, int(query[0]))
+    run(np.empty(lwork), lwork)
+
+
 def _qr_haar(gaussians: np.ndarray) -> np.ndarray:
-    """QR of iid standard Gaussians with the R-diagonal sign correction,
-    which makes the Q factor exactly Haar distributed. Works on stacked
-    (..., n, n) inputs.
+    """QR of an n x n C-ordered block of iid standard Gaussians with the
+    R-diagonal sign correction, which makes the Q factor exactly Haar
+    distributed (Mezzadri 2007), computed in the block's own buffer.
+
+    Transposed in place, the buffer holds the block column-major, which
+    dgeqrf overwrites with R and the reflectors and dorgqr with Q: the
+    calls behind np.linalg.qr, with the same workspaces, so Q has its bits
+    (tests/reference.py) without its copies of the block, Q and R.
     """
-    q, r = np.linalg.qr(gaussians)
-    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    n = len(gaussians)
+    _transpose_in_place(gaussians)
+    tau = np.empty(n)
+    _lapack("dgeqrf", n, n, gaussians, n, tau)
+    diag = gaussians.diagonal().copy()
+    _lapack("dorgqr", n, n, n, gaussians, n, tau)
+    _transpose_in_place(gaussians)
     diag[diag == 0] = 1.0
-    q *= np.sign(diag)[..., None, :]
-    return q
+    gaussians *= np.sign(diag)
+    return gaussians
 
 
 def sample_haar(n: int, seed: int) -> OrthogonalMatrix:

@@ -308,6 +308,16 @@ def goodness_whole_array(u: OrthogonalMatrix, sampled_pairs: int, max_block: int
     return report
 
 
+def haar_numpy_qr(n: int, seed: int) -> np.ndarray:
+    """ortho.sample_haar's entries from np.linalg.qr of the same Gaussians,
+    with the same R-diagonal sign correction."""
+    q, r = np.linalg.qr(derive_rng(seed, "haar", n).standard_normal((n, n)))
+    diag = np.diagonal(r).copy()
+    diag[diag == 0] = 1.0
+    q *= np.sign(diag)
+    return q
+
+
 def haar_corners_whole(n: int, count: int, seed: int) -> np.ndarray:
     """ortho.haar_corner_samples with all count x n Gaussians drawn at once."""
     g = derive_rng(seed, "haar-corner", n, count).standard_normal((count, n))

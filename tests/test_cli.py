@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -420,6 +421,7 @@ def _child(lo, hi):
                       "--set", "1;2", "--trials", "0"],
     lambda tmp_path: ["moments", "--matrix", str(tmp_path / "absent.mat"), "--k", "2",
                       "--set", "1;2", "--max-size", "6"],
+    lambda tmp_path: ["sample-matrix", "--n", "10000000", "--out", str(tmp_path / "x.mat")],
 ], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "empty-one-fold-instances",
         "instances-for-another-matrix", "negative-child",
         "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
@@ -429,7 +431,8 @@ def _child(lo, hi):
         "usage-unknown-flag", "usage-bad-int", "usage-bad-choice", "usage-missing-option",
         "usage-no-subcommand", "usage-moments-method", "config-one-sign-corr-sample",
         "config-one-mc-mean-sample", "moments-set-not-an-integer", "moments-set-with-audit",
-        "moments-trials-without-audit", "moments-max-size-without-audit"])
+        "moments-trials-without-audit", "moments-max-size-without-audit",
+        "sample-matrix-n-over-budget"])
 def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys, request):
     argv = build(tmp_path)
     with warnings.catch_warnings():
@@ -440,6 +443,31 @@ def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys, re
     # Only a usage error names the program, and it prints no usage text.
     assert err.startswith("error: rorrlab") == request.node.callspec.id.startswith("usage-")
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("n", [11586, 10**7, 10**12])
+def test_sample_matrix_refuses_an_oversized_n_before_allocating(n, tmp_path, capsys):
+    # 8 n^2 > MAX_MATRIX_BYTES from n = 11,586 on; the largest admitted n is named.
+    tracemalloc.start()
+    try:
+        code, stdout, err = run(["sample-matrix", "--n", str(n), "--out", str(tmp_path / "x.mat")],
+                                capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: --n {n} is over the limit of 11585: its entries would take "
+                   f"more than {ortho.MAX_MATRIX_BYTES} bytes\n")
+    assert peak < 1 << 20 and not (tmp_path / "x.mat").exists()
+
+
+def test_sample_matrix_admits_n_up_to_the_limit(monkeypatch, tmp_path, capsys):
+    # 11,585 passes the budget check and reaches the sampler, stubbed here.
+    def sampler(n, seed):
+        raise ValueError(f"sampler reached at n = {n}")
+    monkeypatch.setattr(ortho, "sample_haar", sampler)
+    code, _, err = run(["sample-matrix", "--n", "11585", "--out", str(tmp_path / "x.mat")], capsys)
+    assert (code, err) == (2, "error: sampler reached at n = 11585\n")
 
 
 def test_moments_set_is_parsed_before_the_matrix_is_read(tmp_path, capsys):

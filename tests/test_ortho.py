@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from reference import (dense_orthogonality_error, goodness_whole_array, hadamard_implicit_block,
-                       haar_corners_whole)
+                       haar_corners_whole, haar_numpy_qr)
 from rorrlab import ortho
 from rorrlab.util import MC_CHUNK, derive_rng
 
@@ -90,6 +90,24 @@ def test_haar_deterministic_per_seed():
     c = ortho.sample_haar(16, seed=8)
     assert np.array_equal(a.entries, b.entries)
     assert not np.array_equal(a.entries, c.entries)
+
+
+# Tiles of TRANSPOSE_TILE = 256: one partial tile (n < 256), whole tiles
+# (256), a one-row edge tile (257), and partial edges past several tiles.
+@pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 513, 1000])
+@pytest.mark.parametrize("seed", [0, 7, 2026])
+def test_haar_in_place_qr_has_the_bits_of_numpy_qr(n, seed):
+    # The in-place dgeqrf/dorgqr calls are the ones np.linalg.qr makes; a
+    # numpy whose lapack_lite differs from its qr fails here.
+    assert ortho.sample_haar(n, seed).entries.tobytes() == haar_numpy_qr(n, seed).tobytes()
+
+
+def test_haar_sample_is_factored_in_its_own_buffer():
+    # The Gaussians are the one n x n array: np.linalg.qr held a copy of
+    # them, Q and R besides (32 MB at N = 1024). The Gram check's panel
+    # products add under a quarter of the payload.
+    peak = _traced_peak(lambda: ortho.sample_haar(1024, seed=4))
+    assert peak < 1.5 * 8 * 1024**2, f"peak {peak / MB:.1f} MB"
 
 
 def test_haar_zero_dimension_rejected():
