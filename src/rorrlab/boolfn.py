@@ -94,6 +94,16 @@ class FourierSpectrum:
             raise ValueError(f"subset with variable {width} out of range for n={self.n}")
         object.__setattr__(self, "_width", width)
 
+    @classmethod
+    def _trusted(cls, n: int, masks: dict[int, float], width: int) -> FourierSpectrum:
+        """A spectrum whose keys are valid by construction, without the key
+        checks: only for the masks of this package's own Fourier merge and
+        of convert_spectrum, given with the bit length of the widest one."""
+        spec = object.__new__(cls)
+        for name, value in (("n", n), ("masks", masks), ("_width", width)):
+            object.__setattr__(spec, name, value)
+        return spec
+
     @property
     def coeffs(self) -> Mapping[tuple[int, ...], float]:
         """Read-only view keyed by sorted tuples of 1-based variables."""
@@ -147,7 +157,8 @@ def convert_spectrum(spec: FourierSpectrum, target: OutputConvention) -> Fourier
     masks[0] = scale * spec.masks.get(0, 0.0) + (1.0 - scale)
     if not masks[0]:
         del masks[0]
-    return FourierSpectrum(n=spec.n, masks=masks)
+    # The keys of a checked spectrum, and 0: its widest key is still the widest.
+    return FourierSpectrum._trusted(spec.n, masks, spec._width)
 
 
 def _mask_subset(mask: int) -> tuple[int, ...]:

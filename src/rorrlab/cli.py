@@ -48,11 +48,15 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_sample_matrix(args) -> int:
-    # Refused before anything is allocated: the 8 n^2 entry bytes are the budget.
+    # Refused before anything is allocated: the 8 n^2 entry bytes are the
+    # budget, and the seed is stored as the file's unsigned 64-bit field.
     limit = math.isqrt(ortho.MAX_MATRIX_BYTES // 8)
     if args.n > limit:
         raise ValueError(f"--n {args.n} is over the limit of {limit}: its entries would take "
                          f"more than {ortho.MAX_MATRIX_BYTES} bytes")
+    if not 0 <= args.seed < 1 << 64:
+        raise ValueError(f"--seed {args.seed} does not fit the unsigned 64-bit seed field "
+                         "of a matrix file")
     u = ortho.sample_haar(args.n, args.seed)
     with file_set() as stage:
         digest = ortho.save_matrix(stage(args.out), u)

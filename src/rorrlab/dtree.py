@@ -235,7 +235,9 @@ def sparse_fourier(
                 merged[mask] = 0.5 * a
                 merged[mask | bit] = -0.5 * a
             spectra.append(merged)
-        tree._spectrum = FourierSpectrum(n=tree.n, masks=spectra.pop())
+        # Unions of the bits of variables the valid tree queries: keys in range.
+        masks = spectra.pop()
+        tree._spectrum = FourierSpectrum._trusted(tree.n, masks, max(masks, default=0).bit_length())
     spec = tree._spectrum
     return spec if convention == OutputConvention.ZERO_ONE else convert_spectrum(spec, convention)
 

@@ -456,7 +456,7 @@ def check_goodness(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
                           "matrix_sha256": ortho.matrix_sha256(u)})
     norm, bound = ortho.hadamard_counterexample(26)
     hadamard_ok = norm == 1.0 and norm > bound and abs(bound - 0.663) < 0.01
-    identity = ortho.OrthogonalMatrix(n=2048, entries=np.eye(2048), seed=None)
+    identity = ortho.OrthogonalMatrix._trusted(2048, np.eye(2048))
     id_report = ortho.check_goodness(identity, sampled_pairs=100, max_block=4,
                                      seed=sub_seed(cfg.seed, "good-id"))
     identity_ok = id_report.violation_count > 0
