@@ -21,6 +21,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,9 +99,10 @@ class FourierSpectrum:
     def _trusted(cls, n: int, masks: dict[int, float], width: int) -> FourierSpectrum:
         """A spectrum whose keys are valid by construction, without the key
         checks: only for the masks of this package's own Fourier merge and
-        of convert_spectrum, given with the bit length of the widest one."""
+        of convert_spectrum, given with the bit length of the widest one.
+        The masks are read-only, so no key can be added after the fact."""
         spec = object.__new__(cls)
-        for name, value in (("n", n), ("masks", masks), ("_width", width)):
+        for name, value in (("n", n), ("masks", MappingProxyType(masks)), ("_width", width)):
             object.__setattr__(spec, name, value)
         return spec
 

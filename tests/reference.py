@@ -16,7 +16,7 @@ from rorrlab.dist import MomentEstimate
 from rorrlab.distinguish import evaluate_batch
 from rorrlab.dtree import DecisionTree, sparse_fourier
 from rorrlab.ortho import (GoodnessReport, OrthogonalMatrix, _goodness_draws, _record_sampled,
-                           _two_by_two_norms, goodness_bound)
+                           goodness_bound)
 from rorrlab.util import derive_rng, mean_and_stderr, sub_seed
 
 
@@ -278,6 +278,15 @@ def dense_orthogonality_error(a: np.ndarray) -> float:
     return float(np.max(np.abs(a.T @ a - np.eye(len(a)))))
 
 
+def two_by_two_norms(a, b, c, d):
+    """Spectral norms of [[a, b], [c, d]] blocks, elementwise: the square
+    root of the larger root of s^4 - fro2 s^2 + det^2, in one expression."""
+    fro2 = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    gap = np.sqrt(np.maximum(fro2 * fro2 - 4.0 * det * det, 0.0))
+    return np.sqrt(0.5 * (fro2 + gap))
+
+
 def goodness_whole_array(u: OrthogonalMatrix, sampled_pairs: int, max_block: int,
                          seed: int) -> GoodnessReport:
     """ortho.check_goodness with each exhaustive pass recorded as one array:
@@ -301,7 +310,7 @@ def goodness_whole_array(u: OrthogonalMatrix, sampled_pairs: int, max_block: int
                       lambda rp: (pair(rp[1]), (int(rp[0]) + 1,)))
         norms = np.empty((len(ci), len(ci)))
         for p, (i, j) in enumerate(zip(ci, cj)):
-            norms[p] = _two_by_two_norms(ent[i, ci], ent[i, cj], ent[j, ci], ent[j, cj])
+            norms[p] = two_by_two_norms(ent[i, ci], ent[i, cj], ent[j, ci], ent[j, cj])
         report.record(norms, goodness_bound(2, 2, n), lambda xy: (pair(xy[0]), pair(xy[1])))
     for sizes, rows, cols in _goodness_draws(n, sampled_pairs, max_block, seed):
         _record_sampled(u, sizes, rows, cols, report)

@@ -215,7 +215,8 @@ def test_coefficient_refuses_nonsense_subsets(subset, message):
 
 
 def test_spectrum_masks_are_validated():
-    for n, masks in ((2, {4: 1.0}), (3, {-1: 1.0}), (3, {(1,): 1.0}), (3, {True: 1.0})):
+    for n, masks in ((2, {4: 1.0}), (2, {8: 1.0}), (3, {-1: 1.0}), (3, {(1,): 1.0}),
+                     (3, {True: 1.0})):
         with pytest.raises(ValueError, match="subset"):
             boolfn.FourierSpectrum(n, masks)
     # A huge n is compared by bit length, never by building 1 << n.

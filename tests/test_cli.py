@@ -470,6 +470,66 @@ def test_sample_matrix_admits_n_up_to_the_limit(monkeypatch, tmp_path, capsys):
     assert (code, err) == (2, "error: sampler reached at n = 11585\n")
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 10**30])
+def test_sample_matrix_refuses_a_seed_outside_the_header_field_before_sampling(
+        seed, monkeypatch, tmp_path, capsys):
+    # The seed is the file's unsigned 64-bit field; it is refused beside
+    # --n, before the QR (1.4 s at N = 2048) that the stub stands for.
+    def sampler(n, seed):
+        raise AssertionError("sampler reached")
+    monkeypatch.setattr(ortho, "sample_haar", sampler)
+    code, stdout, err = run(["sample-matrix", "--n", "2048", "--seed", str(seed),
+                             "--out", str(tmp_path / "x.mat")], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: --seed {seed} ")
+    assert not (tmp_path / "x.mat").exists()
+
+
+@pytest.fixture
+def gram_checks(monkeypatch):
+    """The n of every Gram check (OrthogonalMatrix.orthogonality_error) made."""
+    sizes = []
+    check = ortho.OrthogonalMatrix.orthogonality_error
+    monkeypatch.setattr(ortho.OrthogonalMatrix, "orthogonality_error",
+                        lambda u: sizes.append(u.n) or check(u))
+    return sizes
+
+
+def _gram_check_argv(tmp_path):
+    matrix, inst = tmp_path / "u.mat", tmp_path / "z.inst"
+    u = ortho.sample_haar(16, seed=1)
+    rorrelation.save_instance_batch(inst, dist.sample_duk_batch(u, 2, 4, seed=2),
+                                    matrix_path=str(matrix), matrix_hash=ortho.save_matrix(matrix, u))
+    m, i = str(matrix), str(inst)
+    return {
+        "sample-matrix": ["sample-matrix", "--n", "16", "--out", str(tmp_path / "x.mat")],
+        "verify-paper": ["verify-paper", "--reduced", "--seed", "3",
+                         "--out", str(tmp_path / "m.json")],
+        "check-good": ["check-good", "--matrix", m, "--pairs", "10"],
+        "sample-dist": ["sample-dist", "--dist", "duk", "--matrix", m, "--k", "2",
+                        "--count", "3", "--out", str(tmp_path / "y.inst")],
+        "classify": ["classify", "--matrix", m, "--instances", i],
+        "rorrelate": ["rorrelate", "--matrix", m, "--instances", i],
+        "qsim": ["qsim", "--matrix", m, "--instances", i, "--repetitions", "3"],
+        "moments": ["moments", "--matrix", m, "--k", "2", "--set", "1;2"],
+        "advantage": ["advantage", "--matrix", m, "--k", "2", "--samples", "20"],
+    }
+
+
+@pytest.mark.parametrize("command, checks", [
+    ("sample-matrix", 0), ("verify-paper", 0), ("check-good", 1), ("sample-dist", 1),
+    ("classify", 1), ("rorrelate", 1), ("qsim", 1), ("moments", 1), ("advantage", 1)])
+def test_each_matrix_is_gram_checked_once(command, checks, gram_checks, tmp_path, capsys):
+    # What the package factors itself (every Haar sample, verify's identity)
+    # is orthogonal by construction and not re-checked; every matrix file is
+    # checked once, by load_matrix.
+    argv = _gram_check_argv(tmp_path)[command]
+    gram_checks.clear()
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert gram_checks == [16] * checks
+
+
 def test_moments_set_is_parsed_before_the_matrix_is_read(tmp_path, capsys):
     # The matrix path does not exist, yet the one error line is about --set.
     code, _, err = run(["moments", "--matrix", str(tmp_path / "absent.mat"), "--k", "2",

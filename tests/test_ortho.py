@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from reference import (dense_orthogonality_error, goodness_whole_array, hadamard_implicit_block,
-                       haar_corners_whole, haar_numpy_qr)
+                       haar_corners_whole, haar_numpy_qr, two_by_two_norms)
 from rorrlab import ortho
 from rorrlab.util import MC_CHUNK, derive_rng
 
@@ -35,6 +35,36 @@ def test_haar_n1_is_sign():
 def test_haar_orthogonality():
     u = ortho.sample_haar(64, seed=123)
     assert u.orthogonality_error() <= 1e-10
+
+
+# sample_haar skips the Gram check because Householder QR makes Q
+# orthogonal to O(n eps); this holds it to the full check at every size the
+# lab samples: verify's 64-256, the panel edges 300 and 513, and N = 2048.
+@pytest.mark.parametrize("n, seeds", [(1, range(5)), (2, range(5)), (64, range(5)),
+                                      (300, range(3)), (513, range(3)), (2048, [5])])
+def test_haar_samples_pass_the_full_gram_check(n, seeds):
+    for seed in seeds:
+        u = ortho.sample_haar(n, seed)
+        assert u.orthogonality_error() <= ortho.ORTHOGONALITY_TOL
+        assert ortho.OrthogonalMatrix(n, u.entries, seed) == u
+
+
+def test_a_moved_entry_is_refused_by_the_loader_and_the_constructor(tmp_path):
+    # Only what the package factors itself skips the Gram check: a file and
+    # a public construction are checked, so a Haar sample whose entry moved
+    # by 1e-9 (1e-9 / sqrt(64) off in U^T U at least) is refused by both.
+    n, seed = 64, 3
+    entries = ortho.sample_haar(n, seed).entries.copy()
+    path = tmp_path / "u.mat"
+    path.write_bytes(ortho.MATRIX_MAGIC + struct.pack("<QQ", n, seed)
+                     + entries.astype("<f8").tobytes())
+    assert ortho.load_matrix(path).seed == seed
+    entries[5, 7] += 1e-9
+    path.write_bytes(path.read_bytes()[:20] + entries.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="not orthogonal"):
+        ortho.load_matrix(path)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        ortho.OrthogonalMatrix(n, entries, seed)
 
 
 @pytest.mark.parametrize("n", [300, 513])
@@ -104,10 +134,10 @@ def test_haar_in_place_qr_has_the_bits_of_numpy_qr(n, seed):
 
 def test_haar_sample_is_factored_in_its_own_buffer():
     # The Gaussians are the one n x n array: np.linalg.qr held a copy of
-    # them, Q and R besides (32 MB at N = 1024). The Gram check's panel
-    # products add under a quarter of the payload.
+    # them, Q and R besides (32 MB at N = 1024). The tile and the LAPACK
+    # work arrays add under an eighth of the payload, and no Gram check runs.
     peak = _traced_peak(lambda: ortho.sample_haar(1024, seed=4))
-    assert peak < 1.5 * 8 * 1024**2, f"peak {peak / MB:.1f} MB"
+    assert peak < 1.125 * 8 * 1024**2, f"peak {peak / MB:.1f} MB"
 
 
 def test_haar_zero_dimension_rejected():
@@ -249,6 +279,19 @@ def test_chunked_goodness_passes_equal_whole_array_records(make, pairs, max_bloc
     u = make()
     report = ortho.check_goodness(u, pairs, max_block, seed=5)
     assert report.to_json() == goodness_whole_array(u, pairs, max_block, seed=5).to_json()
+
+
+def test_in_place_two_by_two_norms_have_the_bits_of_the_formula():
+    # Random blocks and Haar rows; rank-one and zero blocks, whose gap is
+    # clamped at 0. The inputs are left as they were.
+    rng = np.random.default_rng(26)
+    a, b, c, d = rng.standard_normal((4, 64, 2016)) / 8
+    rows = ortho.sample_haar(64, seed=1).entries
+    for block in ((a, b, c, d), tuple(rows[:4]), (a, b, 2 * a, 2 * b), (a, 0 * b, 0 * c, d),
+                  (0 * a,) * 4):
+        before = [x.copy() for x in block]
+        assert ortho._two_by_two_norms(*block).tobytes() == two_by_two_norms(*block).tobytes()
+        assert all(np.array_equal(x, y) for x, y in zip(block, before))
 
 
 @pytest.mark.parametrize("make, pairs, max_block", [
@@ -427,6 +470,10 @@ def test_hadamard_counterexample_values():
 
     with pytest.raises(ValueError):
         ortho.hadamard_counterexample(13)
+    # An even negative log2n made N = 1/4 and a NaN bound.
+    for log2n in (-2, -1, -40):
+        with pytest.raises(ValueError, match="log2n"):
+            ortho.hadamard_counterexample(log2n)
 
 
 def test_hadamard_block_is_constant():

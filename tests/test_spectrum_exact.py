@@ -50,6 +50,20 @@ def test_spectrum_json_matches_the_tuple_encoder(name):
     assert boolfn.spectrum_to_json(spec) == reference_json(spec)
 
 
+@pytest.mark.parametrize("name", sorted(SPECTRA))
+def test_merged_and_mapped_spectra_pass_the_key_checks(name):
+    # sparse_fourier's merge and convert_spectrum skip the key checks; the
+    # same masks through the public constructor are accepted, with the same
+    # widest mask.
+    spec = SPECTRA[name]
+    checked = FourierSpectrum(spec.n, dict(spec.masks))
+    assert checked == spec and checked._width == spec._width
+    # A key added to the tree's cached spectrum would reach its mapped image
+    # unchecked: the masks are read-only.
+    with pytest.raises(TypeError):
+        spec.masks[1] = 1.0
+
+
 def test_wide_masks_reach_past_a_machine_word():
     assert max(SPECTRA["random-200-7-pm1"].masks).bit_length() > 64
     assert max(SPECTRA["parity-wide-01"].masks) == (1 | 1 << 63 | 1 << 64 | 1 << 128 | 1 << 129)
