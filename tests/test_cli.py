@@ -474,7 +474,7 @@ def test_sample_matrix_admits_n_up_to_the_limit(monkeypatch, tmp_path, capsys):
 def test_sample_matrix_refuses_a_seed_outside_the_header_field_before_sampling(
         seed, monkeypatch, tmp_path, capsys):
     # The seed is the file's unsigned 64-bit field; it is refused beside
-    # --n, before the QR (1.4 s at N = 2048) that the stub stands for.
+    # --n, before the N = 2048 QR that the stub stands for.
     def sampler(n, seed):
         raise AssertionError("sampler reached")
     monkeypatch.setattr(ortho, "sample_haar", sampler)

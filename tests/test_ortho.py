@@ -46,7 +46,6 @@ def test_haar_samples_pass_the_full_gram_check(n, seeds):
     for seed in seeds:
         u = ortho.sample_haar(n, seed)
         assert u.orthogonality_error() <= ortho.ORTHOGONALITY_TOL
-        assert ortho.OrthogonalMatrix(n, u.entries, seed) == u
 
 
 def test_a_moved_entry_is_refused_by_the_loader_and_the_constructor(tmp_path):
