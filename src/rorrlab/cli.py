@@ -22,7 +22,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, boolfn, dist, distinguish, dtree, ortho, qsim, rorrelation
-from .util import atomic_write, chunk_spans, file_set
+from .util import atomic_write, chunk_spans, derive_rng, file_set
 from .verify import (
     VerifyConfig,
     build_manifest,
@@ -35,11 +35,11 @@ from .verify import (
 
 def _emit(text: str, out: str | None) -> None:
     """Write `text` to --out (atomically) when given, and echo it to stdout
-    ending with one newline, without copying it."""
+    ending with one newline unless it is empty, without copying it."""
     if out:
         atomic_write(out, text)
     sys.stdout.write(text)
-    if not text.endswith("\n"):
+    if text and not text.endswith("\n"):
         sys.stdout.write("\n")
 
 
@@ -51,6 +51,8 @@ def cmd_sample_matrix(args) -> int:
     # Refused before anything is allocated: the 8 n^2 entry bytes are the
     # budget, and the seed is stored as the file's unsigned 64-bit field.
     limit = math.isqrt(ortho.MAX_MATRIX_BYTES // 8)
+    if args.n < 1:
+        raise ValueError(f"--n {args.n} is not a positive dimension")
     if args.n > limit:
         raise ValueError(f"--n {args.n} is over the limit of {limit}: its entries would take "
                          f"more than {ortho.MAX_MATRIX_BYTES} bytes")
@@ -76,34 +78,33 @@ def cmd_check_good(args) -> int:
 
 
 def _per_instance(args, rows) -> int:
-    """One sorted JSON line per instance of --instances; rows(u, block, start)
-    gives the fields of every instance of an (m, k, N) block of the batch
-    whose first instance has index `start`, with U read from --matrix. The
-    instance file is read first, so a malformed one, or one that stores
-    another matrix file's sha256, is refused before U is Gram-checked.
-    Blocks hold at most MC_CHUNK entries, and the lines are written once
-    all blocks are scored, so a refused block prints nothing."""
+    """One sorted JSON line per instance of --instances; rows(u, block) gives
+    the fields of every instance of an (m, k, N) block of the batch, in
+    order, with U read from --matrix. The instance file is read first, so a
+    malformed one, or one that stores another matrix file's sha256, is
+    refused before U is Gram-checked. The blocks are chunk_spans' spans of
+    at most MC_CHUNK entries; an instance's values do not depend on its
+    block (the row floor of rorrelation.check_batch). The lines are written
+    once all blocks are scored, so a refused block prints nothing."""
     batch, _, matrix_hash = rorrelation.load_instance_batch(args.instances)
     u = ortho.load_matrix(args.matrix, sha256=matrix_hash)
     count, k, n = batch.shape
-    # As many blocks as chunk_spans cuts, but of equal size: BLAS scores a
-    # short last block of a few rows on another path, whose last bits differ.
-    blocks = sum(1 for _ in chunk_spans(count, k * n))
-    bounds = [count * i // blocks for i in range(blocks + 1)]
-    lines = [json.dumps(row, sort_keys=True) for start, stop in zip(bounds, bounds[1:])
-             for row in rows(u, batch[start:stop], start)]
-    _emit("\n".join(lines) + "\n", args.out)
+    lines = [json.dumps(row, sort_keys=True) for start, stop in chunk_spans(count, k * n)
+             for row in rows(u, batch[start:stop])]
+    if lines:
+        lines.append("")  # the last line's newline, without copying the joined text
+    _emit("\n".join(lines), args.out)
     return 0
 
 
 def cmd_rorrelate(args) -> int:
-    return _per_instance(args, lambda u, batch, start: [
+    return _per_instance(args, lambda u, batch: [
         {"k": batch.shape[1], "N": u.n, "phi": float(value)}
         for value in rorrelation.phi_batch(u, batch)])
 
 
 def cmd_classify(args) -> int:
-    def rows(u, batch, start):
+    def rows(u, batch):
         k = batch.shape[1]
         return [{"k": k, "N": u.n, "phi": float(value),
                  "label": rorrelation.classify_value(float(value), k).value}
@@ -115,6 +116,8 @@ def cmd_sample_dist(args) -> int:
     if args.count < 1:
         raise ValueError("count must be positive")
     if args.dist == "duk":
+        if args.n is not None:
+            raise ValueError("--n cannot be used with --dist duk, which takes N from --matrix")
         if not args.matrix:
             raise ValueError("--matrix required for the chain distribution")
         u = ortho.load_matrix(args.matrix)
@@ -123,6 +126,8 @@ def cmd_sample_dist(args) -> int:
         matrix_hash = ortho.matrix_sha256(u)
         n = u.n
     else:
+        if args.matrix is not None:
+            raise ValueError("--matrix cannot be used with --dist uniform")
         if not args.n:
             raise ValueError("--n required for the uniform distribution")
         batch = dist.sample_uniform_batch(args.k, args.n, args.count, args.seed)
@@ -182,19 +187,22 @@ def cmd_moments(args) -> int:
 
 
 def cmd_qsim(args) -> int:
-    def rows(u, batch, start):
-        reps = args.repetitions or qsim.default_repetitions(batch.shape[1])
-        out = []
-        for i, run in enumerate(qsim.simulate_batch(u, batch), start):
-            decision = qsim.amplify(run, reps, seed=args.seed + i)
-            out.append({
-                "phi": run.branch_inner_product,
-                "p_accept": run.acceptance_probability,
-                "queries": run.queries,
-                "repetitions": reps,
-                "verdict": "accept" if decision.accept else "reject",
-            })
-        return out
+    if args.repetitions < 0:
+        raise ValueError(f"--repetitions {args.repetitions} is negative; give a positive "
+                         "count, or 0 for 64*4^k")
+    rng = None  # one verdict stream for the file, drawn in instance order across blocks
+
+    def rows(u, batch):
+        nonlocal rng
+        k = batch.shape[1]
+        reps = args.repetitions or qsim.default_repetitions(k)
+        if rng is None:
+            rng = derive_rng(args.seed, "amplify", u.n, k, reps)
+        prob, inner, _ = qsim.simulate_batch(u, batch)
+        accept = qsim.amplify(prob, reps, rng) > reps * qsim.amplification_threshold(k)
+        return [{"phi": float(c), "p_accept": float(p), "queries": qsim.query_count(k),
+                 "repetitions": reps, "verdict": "accept" if a else "reject"}
+                for p, c, a in zip(prob, inner, accept)]
     return _per_instance(args, rows)
 
 

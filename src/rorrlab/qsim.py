@@ -15,7 +15,12 @@ full run costs ceil(k/2) queries.
 (m, N) block of real amplitudes, so every layer of U or U^T is one GEMM
 for the whole batch (O(mN) working space), norm drift is tracked per
 row, and every final state's norm is checked against 1 once for the
-whole batch. `simulate_circuit` is its one-row case.
+whole batch. It returns one array per quantity and pads the batch as
+`phi_batch` does (`rorrelation.check_batch`), so an instance's values
+keep their bits in any batch. `simulate_circuit` is its one-row case.
+`amplify` draws every instance's repetitions from one generator, in
+order; `amplified_solver` is its one-instance case, with the generator
+`rorrlab qsim` draws a whole instance file from.
 """
 from __future__ import annotations
 
@@ -64,27 +69,31 @@ def query_count(k: int) -> int:
 def simulate_circuit(u: OrthogonalMatrix, vectors: np.ndarray) -> CircuitRun:
     """Run the two-branch circuit on one (k, N) instance and return the full
     diagnostic record: the one-row case of simulate_batch."""
-    return simulate_batch(u, np.asarray(vectors)[None])[0]
+    prob, inner, drift = simulate_batch(u, np.asarray(vectors)[None])
+    return CircuitRun(n=u.n, k=len(vectors), acceptance_probability=float(prob[0]),
+                      branch_inner_product=float(inner[0]), queries=query_count(len(vectors)),
+                      max_norm_drift=float(drift[0]))
 
 
-def simulate_batch(u: OrthogonalMatrix, batch: np.ndarray) -> list[CircuitRun]:
-    """Run the circuit on every instance of an (m, k, N) batch; one
-    CircuitRun per instance, in order."""
-    z = np.asarray(batch)
-    check_batch(u, z)  # the (m, k, N) shape phi_batch takes
+def simulate_batch(u: OrthogonalMatrix,
+                   batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the circuit on every instance of an (m, k, N) batch: the
+    acceptance probabilities, the branch inner products <a, b> (phi_U(z))
+    and the largest norm drifts, each of shape (m,), in order."""
+    z = check_batch(u, np.asarray(batch))  # the (m, k, N) shape phi_batch takes
     if u.n & (u.n - 1) or u.n < 1:
         raise ValueError("N must be a power of two")
     if not np.all(np.abs(z) == 1):
         raise ValueError("query vectors must be +-1 valued")
-    m, k, n = z.shape
-    drift = np.zeros(m)
+    rows, k, n = z.shape
+    drift = np.zeros(rows)
 
     def track(block: np.ndarray) -> np.ndarray:
         np.maximum(drift, np.abs(np.linalg.norm(block, axis=1) - 1.0), out=drift)
         return block
 
     # Both branches start at the Hadamard layer applied to |0..0>.
-    half0 = half1 = track(np.full((m, n), 1.0 / math.sqrt(n)))
+    half0 = half1 = track(np.full((rows, n), 1.0 / math.sqrt(n)))
     queries = query_count(k)
     # Rows are amplitude vectors h, so h @ U is U^T h and h @ U^T is U h.
     # Control 0 queries z^(1), ..., z^(ceil(k/2)), each query followed by U^T.
@@ -95,6 +104,8 @@ def simulate_batch(u: OrthogonalMatrix, batch: np.ndarray) -> list[CircuitRun]:
     for t in range(k - 2, queries - 1, -1):
         half1 = track(track(half1 @ u.entries.T) * z[:, t])
 
+    m = len(batch)  # the rows past m are check_batch's padding
+    half0, half1 = half0[:m], half1[:m]
     inner = np.einsum("mi,mi->m", half0, half1)
     prob = 0.25 * np.sum((half0 + half1) ** 2, axis=1)
     # The final state (half0, half1) / sqrt(2) must have unit norm.
@@ -103,9 +114,7 @@ def simulate_batch(u: OrthogonalMatrix, batch: np.ndarray) -> list[CircuitRun]:
     drifted = final_drift[final_drift > NORM_TOL]
     if drifted.size:
         raise ValueError(f"state norm drifted by {drifted[0]:.3e}")
-    return [CircuitRun(n=n, k=k, acceptance_probability=float(p), branch_inner_product=float(c),
-                       queries=queries, max_norm_drift=float(d))
-            for p, c, d in zip(prob, inner, drift)]
+    return prob, inner, drift[:m]
 
 
 def run_rorrelation_circuit(u: OrthogonalMatrix, vectors: np.ndarray) -> float:
@@ -144,18 +153,12 @@ def amplified_solver(
     """Repeat the circuit and accept when successes exceed m * threshold.
 
     The per-run acceptance probability is computed exactly once; the
-    repetitions are classical Bernoulli draws from it.
+    repetitions are classical Bernoulli draws from it, from the stream
+    that `rorrlab qsim` draws a whole instance file from.
     """
-    return amplify(simulate_circuit(u, vectors), repetitions, seed)
-
-
-def amplify(run: CircuitRun, repetitions: int, seed: int) -> AmplifiedDecision:
-    """The amplified decision for an already simulated circuit run."""
-    if repetitions < 1:
-        raise ValueError("need at least one repetition")
+    run = simulate_circuit(u, vectors)
     rng = derive_rng(seed, "amplify", run.n, run.k, repetitions)
-    p = min(max(run.acceptance_probability, 0.0), 1.0)
-    successes = int(rng.binomial(repetitions, p))
+    successes = int(amplify(np.array([run.acceptance_probability]), repetitions, rng)[0])
     alpha = amplification_threshold(run.k)
     return AmplifiedDecision(
         accept=successes > repetitions * alpha,
@@ -165,3 +168,12 @@ def amplify(run: CircuitRun, repetitions: int, seed: int) -> AmplifiedDecision:
         run_probability=run.acceptance_probability,
         queries=run.queries * repetitions,
     )
+
+
+def amplify(acceptance: np.ndarray, repetitions: int,
+            rng: np.random.Generator) -> np.ndarray:
+    """The successes among `repetitions` runs of each instance, for an array
+    of already simulated acceptance probabilities, drawn from rng in order."""
+    if repetitions < 1:
+        raise ValueError("need at least one repetition")
+    return rng.binomial(repetitions, np.clip(acceptance, 0.0, 1.0))

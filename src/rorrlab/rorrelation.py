@@ -4,10 +4,12 @@ phi_U(z^(1), ..., z^(k)) is the normalized alternating chain
 z^(1)^T U diag(z^(2)) U ... U z^(k) / N, evaluated right-to-left for a
 whole batch of m instances at once: each of the k-1 links is one GEMM of
 the (m, N) intermediate with U^T, so U is read k-1 times per batch, not
-per instance (O(k m N^2) time, O(mN) working space). `phi` is the
-one-row case of `phi_batch`. On +-1 inputs
-its value lies in [-1, 1]; YES instances have phi >= 2^-k, NO instances
-|phi| <= 2^-(k+1), everything between is outside the promise.
+per instance (O(k m N^2) time, O(mN) working space). `check_batch` pads
+a batch to at least 64 rows, so an instance's phi (and its circuit values
+in `qsim`) keeps its bits alone, at any offset and in any batch; `phi` is
+the one-row case of `phi_batch`. On +-1 inputs its value lies in [-1, 1];
+YES instances have phi >= 2^-k, NO instances |phi| <= 2^-(k+1),
+everything between is outside the promise.
 """
 from __future__ import annotations
 
@@ -43,6 +45,12 @@ __all__ = [
 
 INSTANCE_MAGIC = b"RORI"
 
+# The fewest rows a chain product is given. BLAS scores one row (gemv) or a
+# few rows on kernels whose last bits differ; measured with OpenBLAS at
+# N = 1 to 2048, from 64 rows on a row's bits do not depend on the row
+# count, while a floor of 32 still moved them at N = 32.
+_ROW_FLOOR = 64
+
 
 class Label(enum.Enum):
     YES = "YES"
@@ -75,22 +83,28 @@ def phi(u: OrthogonalMatrix, vectors: Sequence[Sequence[float]] | np.ndarray) ->
     return float(phi_batch(u, np.asarray(vectors, dtype=float)[None])[0])
 
 
-def check_batch(u: OrthogonalMatrix, batch: np.ndarray) -> None:
-    """Refuse a batch that is not (m, k, N) with k >= 2 and N = u.n."""
+def check_batch(u: OrthogonalMatrix, batch: np.ndarray) -> np.ndarray:
+    """Refuse a batch that is not (m, k, N) with k >= 2 and N = u.n; return
+    it padded with +1 rows to at least _ROW_FLOOR rows, the batch the chain
+    products are given. Callers keep the first m rows of their results."""
     if batch.ndim != 3 or batch.shape[1] < 2 or batch.shape[2] != u.n:
         raise ValueError("batch must have shape (m, k, N) with k >= 2")
+    if len(batch) >= _ROW_FLOOR:
+        return batch
+    pad = np.ones((_ROW_FLOOR - len(batch),) + batch.shape[1:], dtype=batch.dtype)
+    return np.concatenate([batch, pad])
 
 
 def phi_batch(u: OrthogonalMatrix, batch: np.ndarray) -> np.ndarray:
     """phi for a batch of instances, shape (m, k, N) -> (m,), via k-1
     chained products of the (m, N) intermediate with U^T."""
-    check_batch(u, batch)
-    k = batch.shape[1]
-    w = batch[:, k - 1, :].astype(float)
+    z = check_batch(u, batch)
+    k = z.shape[1]
+    w = z[:, k - 1, :].astype(float)
     for j in range(k - 2, 0, -1):
-        w = batch[:, j, :] * (w @ u.entries.T)
+        w = z[:, j, :] * (w @ u.entries.T)
     w = w @ u.entries.T
-    return np.einsum("mi,mi->m", batch[:, 0, :].astype(float), w) / u.n
+    return (np.einsum("mi,mi->m", z[:, 0, :].astype(float), w) / u.n)[: len(batch)]
 
 
 def yes_threshold(k: int) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reference import sign_correlation_whole
-from rorrlab import dtree, ortho, verify
+from rorrlab import dtree, ortho, util, verify
 from rorrlab.util import MC_CHUNK
 from rorrlab.verify import (
     CheckResult,
@@ -180,6 +180,22 @@ def test_criterion_12_determinism():
     in_process = run_check("determinism", cfg)
     report(12, in_process)
     assert in_process.passed
+
+
+def test_reduced_manifest_does_not_depend_on_the_chunk_size(monkeypatch):
+    # A row's phi and circuit values have the same bits in any block (the row
+    # floor of rorrelation.check_batch) and the samplers' streams do not
+    # depend on their blocks, so the reduced manifest is the same when
+    # MC_CHUNK cuts every pass into blocks of 256 entries or of 2^21.
+    cfg = VerifyConfig.reduced(3)
+
+    def manifest() -> str:
+        return manifest_to_json(strip_timing(build_manifest(cfg, run_all(cfg))))
+
+    default = manifest()
+    for chunk in (256, 1 << 21):
+        monkeypatch.setattr(util, "MC_CHUNK", chunk)
+        assert manifest() == default, chunk
 
 
 def test_ephi_matrices_built_once_per_run(monkeypatch):

@@ -16,7 +16,7 @@ import pytest
 import rorrlab
 from rorrlab import dist, dtree, ortho, rorrelation
 from rorrlab.cli import main
-from rorrlab.util import atomic_write, file_set, mean_and_stderr
+from rorrlab.util import atomic_write, derive_rng, file_set, mean_and_stderr
 from rorrlab.verify import VerifyConfig
 
 
@@ -380,6 +380,31 @@ def _child(lo, hi):
         {"q": None, "lo": None, "hi": None, "out": 1}]}
 
 
+# Refused at the command's validation point, before any file is read: each
+# argv names files that do not exist, and its one error line names the option.
+_REFUSED_OPTIONS = {
+    ("sample-matrix", "--n", "0", "--out", "x.mat"): "sample-matrix-n-zero",
+    ("sample-matrix", "--n", "-3", "--out", "x.mat"): "sample-matrix-n-negative",
+    ("qsim", "--matrix", "absent.mat", "--instances", "absent.inst",
+     "--repetitions", "-5"): "qsim-negative-repetitions",
+    ("sample-dist", "--dist", "duk", "--matrix", "absent.mat", "--n", "8", "--k", "2",
+     "--out", "x.inst"): "sample-dist-duk-with-n",
+    ("sample-dist", "--dist", "uniform", "--matrix", "absent.mat", "--n", "8", "--k", "2",
+     "--out", "x.inst"): "sample-dist-uniform-with-matrix",
+}
+
+
+@pytest.mark.parametrize("argv", _REFUSED_OPTIONS, ids=_REFUSED_OPTIONS.values())
+def test_options_are_refused_before_any_file_is_read(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    option = {"sample-matrix": "--n", "qsim": "--repetitions"}.get(
+        argv[0], "--n" if "duk" in argv else "--matrix")
+    code, stdout, err = run(list(argv), capsys)
+    assert (code, stdout) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {option} ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("build", [
     _nan_matrix,
     _truncated_matrix,
@@ -422,6 +447,7 @@ def _child(lo, hi):
     lambda tmp_path: ["moments", "--matrix", str(tmp_path / "absent.mat"), "--k", "2",
                       "--set", "1;2", "--max-size", "6"],
     lambda tmp_path: ["sample-matrix", "--n", "10000000", "--out", str(tmp_path / "x.mat")],
+    *(lambda tmp_path, argv=argv: list(argv) for argv in _REFUSED_OPTIONS),
 ], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "empty-one-fold-instances",
         "instances-for-another-matrix", "negative-child",
         "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
@@ -432,7 +458,7 @@ def _child(lo, hi):
         "usage-no-subcommand", "usage-moments-method", "config-one-sign-corr-sample",
         "config-one-mc-mean-sample", "moments-set-not-an-integer", "moments-set-with-audit",
         "moments-trials-without-audit", "moments-max-size-without-audit",
-        "sample-matrix-n-over-budget"])
+        "sample-matrix-n-over-budget", *_REFUSED_OPTIONS.values()])
 def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys, request):
     argv = build(tmp_path)
     with warnings.catch_warnings():
@@ -699,42 +725,50 @@ def test_a_file_named_twice_in_one_set_is_refused(second, existing, tmp_path, ca
 
 
 def test_qsim_simulates_each_instance_once(tmp_path, capsys, monkeypatch):
-    from rorrlab import qsim
+    # Each instance is simulated once, in chunk_spans blocks, and the verdicts
+    # of all blocks are one draw from one generator over the whole file.
+    from rorrlab import qsim, util
 
-    matrix = tmp_path / "u.mat"
+    matrix, inst, one = tmp_path / "u.mat", tmp_path / "z.inst", tmp_path / "one.inst"
     ortho.save_matrix(matrix, ortho.sample_haar(8, seed=1))
-    rng = np.random.default_rng(0)
-    instances = [rorrelation.RorrelationInstance(k=3, vectors=2 * rng.integers(0, 2, (3, 8)) - 1)
-                 for _ in range(3)]
-    inst = tmp_path / "z.inst"
-    rorrelation.save_instances(inst, instances)
+    batch = dist.sample_uniform_batch(3, 8, 50, seed=0)
+    rorrelation.save_instance_batch(inst, batch)
+    rorrelation.save_instance_batch(one, batch[:1])
     rows = []
     simulate = qsim.simulate_batch
     monkeypatch.setattr(qsim, "simulate_batch",
-                        lambda u, batch: rows.append(len(batch)) or simulate(u, batch))
-    code, stdout, _ = run(["qsim", "--matrix", str(matrix), "--instances", str(inst),
-                           "--repetitions", "9", "--seed", "4"], capsys)
-    # One batch call holding every instance exactly once.
-    assert code == 0 and rows == [len(instances)]
+                        lambda u, block: rows.append(len(block)) or simulate(u, block))
+    monkeypatch.setattr(util, "MC_CHUNK", 7 * 3 * 8)
+    argv = ["qsim", "--matrix", str(matrix), "--repetitions", "9", "--seed", "4", "--instances"]
+    code, stdout, _ = run(argv + [str(inst)], capsys)
+    assert code == 0 and rows == [7] * 7 + [1]
     monkeypatch.undo()
     u = ortho.load_matrix(matrix)
-    for i, (line, instance) in enumerate(zip(stdout.splitlines(), instances, strict=True)):
-        decision = qsim.amplified_solver(u, instance.vectors, 9, 4 + i)
-        assert json.loads(line)["verdict"] == ("accept" if decision.accept else "reject")
+    prob = qsim.simulate_batch(u, batch)[0]
+    successes = derive_rng(4, "amplify", 8, 3, 9).binomial(9, np.clip(prob, 0.0, 1.0))
+    verdicts = ["accept" if s > 9 * qsim.amplification_threshold(3) else "reject"
+                for s in successes]
+    assert [json.loads(line)["verdict"] for line in stdout.splitlines()] == verdicts
+    assert {"accept", "reject"} <= set(verdicts)
+    # A one-instance file gets amplified_solver's verdict at the same seed,
+    # which is the first of the whole file's.
+    decision = qsim.amplified_solver(u, batch[0], 9, 4)
+    code, stdout, _ = run(argv + [str(one)], capsys)
+    assert code == 0
+    assert json.loads(stdout)["verdict"] == verdicts[0] == ("accept" if decision.accept
+                                                            else "reject")
 
 
 @pytest.mark.parametrize("command", ["rorrelate", "classify", "qsim"])
 def test_instance_commands_print_the_same_lines_across_block_splits(
         command, tmp_path, capsys, monkeypatch):
-    # Hadamard entries are +-1/8, so every phi and amplitude is exact and no
-    # block size can move a bit. At one repetition qsim's verdicts follow
-    # each instance's seed, --seed plus its index in the file.
-    from scipy.linalg import hadamard
-
+    # Haar entries round, so without the row floor of rorrelation.check_batch
+    # the last bits of phi and p_accept would follow the block sizes. qsim
+    # draws its verdicts from one stream in instance order, whatever the blocks.
     from rorrlab import util
 
-    matrix, inst = tmp_path / "h.mat", tmp_path / "z.inst"
-    ortho.save_matrix(matrix, ortho.OrthogonalMatrix(n=64, entries=hadamard(64) / 8.0, seed=0))
+    matrix, inst = tmp_path / "u.mat", tmp_path / "z.inst"
+    ortho.save_matrix(matrix, ortho.sample_haar(64, seed=3))
     assert main(["sample-dist", "--dist", "uniform", "--n", "64", "--k", "3", "--count", "301",
                  "--seed", "2", "--out", str(inst)]) == 0
     argv = [command, "--matrix", str(matrix), "--instances", str(inst)]
@@ -742,15 +776,27 @@ def test_instance_commands_print_the_same_lines_across_block_splits(
         argv += ["--repetitions", "1", "--seed", "5"]
     capsys.readouterr()
     outputs = []
-    # One block of 301 rows, 61 blocks of 4 or 5 rows, and 301 blocks of one row.
-    for chunk in (util.MC_CHUNK, 1000, 1):
+    # One block of 301 rows; blocks of 100, 100, 100 and 1; 61 blocks of 4 or
+    # 5 rows; and 301 blocks of one row, at 256 and at 1.
+    for chunk in (util.MC_CHUNK, 100 * 3 * 64, 1000, 256, 1):
         monkeypatch.setattr(util, "MC_CHUNK", chunk)
         code, stdout, err = run(argv, capsys)
         assert (code, err) == (0, "")
         outputs.append(stdout)
-    assert outputs[0].count("\n") == 301 and outputs == outputs[:1] * 3
+    assert outputs[0].count("\n") == 301 and outputs == outputs[:1] * 5
     if command == "qsim":
         assert '"verdict": "accept"' in outputs[0] and '"verdict": "reject"' in outputs[0]
+
+
+@pytest.mark.parametrize("command", ["rorrelate", "classify", "qsim"])
+def test_an_instance_file_with_no_instances_prints_no_line(command, tmp_path, capsys):
+    matrix, inst = tmp_path / "u.mat", tmp_path / "z.inst"
+    ortho.save_matrix(matrix, ortho.sample_haar(4, seed=1))
+    inst.write_bytes(rorrelation.INSTANCE_MAGIC + struct.pack("<IIHHI", 2, 4, 0, 0, 0))
+    out = tmp_path / "lines.jsonl"
+    code, stdout, err = run([command, "--matrix", str(matrix), "--instances", str(inst),
+                             "--out", str(out)], capsys)
+    assert (code, stdout, err, out.read_text()) == (0, "", "", "")
 
 
 def test_a_refused_block_prints_no_line(tmp_path, capsys, monkeypatch):

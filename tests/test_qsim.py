@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rorrlab import ortho, qsim, rorrelation
@@ -188,20 +188,21 @@ def test_odd_and_even_k_split():
 @settings(max_examples=60, deadline=None)
 @given(log_n=st.integers(0, 6), k=st.integers(2, 5), m=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
+@example(log_n=11, k=3, m=3, seed=2026)
 def test_batch_rows_match_one_row_calls(log_n, k, m, seed):
     n = 1 << log_n
     u = ortho.sample_haar(n, seed)
     rng = np.random.default_rng(seed)
     batch = (2 * rng.integers(0, 2, size=(m, k, n)) - 1).astype(np.int8)
     values = rorrelation.phi_batch(u, batch)
-    runs = simulate_batch(u, batch)
-    assert len(runs) == m
-    for z, value, run in zip(batch, values, runs):
+    prob, inner, drift = simulate_batch(u, batch)
+    assert len(prob) == len(inner) == len(drift) == m
+    for z, value, p, c, d in zip(batch, values, prob, inner, drift):
         one = simulate_circuit(u, z)
-        assert abs(value - rorrelation.phi(u, z)) <= 1e-12
-        assert abs(run.branch_inner_product - one.branch_inner_product) <= 1e-12
-        assert abs(run.acceptance_probability - one.acceptance_probability) <= 1e-12
-        assert abs(run.acceptance_probability - (1.0 + value) / 2.0) <= 1e-10
+        assert value == rorrelation.phi(u, z)
+        assert (p, c, d) == (one.acceptance_probability, one.branch_inner_product,
+                             one.max_norm_drift)
+        assert abs(p - (1.0 + value) / 2.0) <= 1e-10
 
     # Stretching one column by 1e-11 (inside the Gram tolerance) gives each
     # instance its own norm drift, so a drift shared across the batch would
@@ -209,7 +210,30 @@ def test_batch_rows_match_one_row_calls(log_n, k, m, seed):
     entries = u.entries.copy()
     entries[:, 0] *= 1.0 + 1e-11
     skew = ortho.OrthogonalMatrix(n=n, entries=entries, seed=None)
-    for z, run in zip(batch, simulate_batch(skew, batch)):
+    for z, d in zip(batch, simulate_batch(skew, batch)[2]):
         one = simulate_circuit(skew, z)
-        assert abs(run.max_norm_drift - one.max_norm_drift) <= 1e-14
-        assert run.queries == one.queries == query_count(k)
+        assert d == one.max_norm_drift
+        assert one.queries == query_count(k)
+
+
+@pytest.mark.parametrize("log_n", range(12))
+def test_a_rows_values_do_not_depend_on_what_shares_its_call(log_n):
+    # BLAS scores one row (gemv) or a few rows on kernels of their own, whose
+    # last bits differ; rorrelation.check_batch pads every call to at least
+    # 64 rows. So a row of this 100-row batch has the bits of the whole-batch
+    # call alone, in short windows and in long ones that start elsewhere.
+    n, k, m = 1 << log_n, (2, 3, 5)[log_n % 3], 100
+    u = ortho.sample_haar(n, seed=log_n)
+    rng = np.random.default_rng(log_n)
+    batch = (2 * rng.integers(0, 2, size=(m, k, n)) - 1).astype(np.int8)
+    whole = (rorrelation.phi_batch(u, batch), *simulate_batch(u, batch))
+    for i in (0, 1, 63, 64, m - 1):
+        start = max(i - 30, 0)
+        for lo, hi in ((i, i + 1), (max(i - 2, 0), i + 3), (start, start + 70), (i, m)):
+            part = batch[lo:hi]
+            got = (rorrelation.phi_batch(u, part), *simulate_batch(u, part))
+            assert [g[i - lo] for g in got] == [w[i] for w in whole], (lo, hi)
+        one = simulate_circuit(u, batch[i])
+        assert rorrelation.phi(u, batch[i]) == whole[0][i]
+        assert [one.acceptance_probability, one.branch_inner_product,
+                one.max_norm_drift] == [w[i] for w in whole[1:]]
