@@ -381,25 +381,26 @@ def _child(lo, hi):
 
 
 # Refused at the command's validation point, before any file is read: each
-# argv names files that do not exist, and its one error line names the option.
+# argv names files that do not exist, and the one error line names the option.
 _REFUSED_OPTIONS = {
-    ("sample-matrix", "--n", "0", "--out", "x.mat"): "sample-matrix-n-zero",
-    ("sample-matrix", "--n", "-3", "--out", "x.mat"): "sample-matrix-n-negative",
-    ("qsim", "--matrix", "absent.mat", "--instances", "absent.inst",
-     "--repetitions", "-5"): "qsim-negative-repetitions",
-    ("sample-dist", "--dist", "duk", "--matrix", "absent.mat", "--n", "8", "--k", "2",
-     "--out", "x.inst"): "sample-dist-duk-with-n",
-    ("sample-dist", "--dist", "uniform", "--matrix", "absent.mat", "--n", "8", "--k", "2",
-     "--out", "x.inst"): "sample-dist-uniform-with-matrix",
+    "sample-matrix-n-zero": ("--n", ["sample-matrix", "--n", "0", "--out", "x.mat"]),
+    "sample-matrix-n-negative": ("--n", ["sample-matrix", "--n", "-3", "--out", "x.mat"]),
+    "qsim-negative-repetitions": ("--repetitions", [
+        "qsim", "--matrix", "absent.mat", "--instances", "absent.inst", "--repetitions", "-5"]),
+    "sample-dist-duk-with-n": ("--n", [
+        "sample-dist", "--dist", "duk", "--matrix", "absent.mat", "--n", "8", "--k", "2",
+        "--out", "x.inst"]),
+    "sample-dist-uniform-with-matrix": ("--matrix", [
+        "sample-dist", "--dist", "uniform", "--matrix", "absent.mat", "--n", "8", "--k", "2",
+        "--out", "x.inst"]),
 }
 
 
-@pytest.mark.parametrize("argv", _REFUSED_OPTIONS, ids=_REFUSED_OPTIONS.values())
-def test_options_are_refused_before_any_file_is_read(argv, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("option, argv", _REFUSED_OPTIONS.values(), ids=_REFUSED_OPTIONS)
+def test_options_are_refused_before_any_file_is_read(option, argv, tmp_path, capsys,
+                                                      monkeypatch):
     monkeypatch.chdir(tmp_path)
-    option = {"sample-matrix": "--n", "qsim": "--repetitions"}.get(
-        argv[0], "--n" if "duk" in argv else "--matrix")
-    code, stdout, err = run(list(argv), capsys)
+    code, stdout, err = run(argv, capsys)
     assert (code, stdout) == (2, "")
     assert err.count("\n") == 1 and err.startswith(f"error: {option} ")
     assert list(tmp_path.iterdir()) == []
@@ -447,7 +448,7 @@ def test_options_are_refused_before_any_file_is_read(argv, tmp_path, capsys, mon
     lambda tmp_path: ["moments", "--matrix", str(tmp_path / "absent.mat"), "--k", "2",
                       "--set", "1;2", "--max-size", "6"],
     lambda tmp_path: ["sample-matrix", "--n", "10000000", "--out", str(tmp_path / "x.mat")],
-    *(lambda tmp_path, argv=argv: list(argv) for argv in _REFUSED_OPTIONS),
+    *(lambda tmp_path, argv=argv: argv for _, argv in _REFUSED_OPTIONS.values()),
 ], ids=["nan-matrix", "truncated-matrix", "truncated-instances", "empty-one-fold-instances",
         "instances-for-another-matrix", "negative-child",
         "child-out-of-range", "tree-is-a-list", "tree-n-over-file-limit", "empty-csv",
@@ -458,7 +459,7 @@ def test_options_are_refused_before_any_file_is_read(argv, tmp_path, capsys, mon
         "usage-no-subcommand", "usage-moments-method", "config-one-sign-corr-sample",
         "config-one-mc-mean-sample", "moments-set-not-an-integer", "moments-set-with-audit",
         "moments-trials-without-audit", "moments-max-size-without-audit",
-        "sample-matrix-n-over-budget", *_REFUSED_OPTIONS.values()])
+        "sample-matrix-n-over-budget", *_REFUSED_OPTIONS])
 def test_malformed_input_exits_2_with_one_error_line(build, tmp_path, capsys, request):
     argv = build(tmp_path)
     with warnings.catch_warnings():
@@ -776,8 +777,8 @@ def test_instance_commands_print_the_same_lines_across_block_splits(
         argv += ["--repetitions", "1", "--seed", "5"]
     capsys.readouterr()
     outputs = []
-    # One block of 301 rows; blocks of 100, 100, 100 and 1; 61 blocks of 4 or
-    # 5 rows; and 301 blocks of one row, at 256 and at 1.
+    # One block of 301 rows; blocks of 100, 100, 100 and 1; 60 blocks of 5
+    # rows and one of 1; and 301 blocks of one row, at 256 and at 1.
     for chunk in (util.MC_CHUNK, 100 * 3 * 64, 1000, 256, 1):
         monkeypatch.setattr(util, "MC_CHUNK", chunk)
         code, stdout, err = run(argv, capsys)
