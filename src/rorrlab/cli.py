@@ -113,8 +113,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_sample_dist(args) -> int:
+    # Every option is refused before the matrix file is read.
+    if args.k < 2:
+        raise ValueError(f"--k {args.k} is below 2, the least fold count")
     if args.count < 1:
-        raise ValueError("count must be positive")
+        raise ValueError(f"--count {args.count} is not a positive count")
     if args.dist == "duk":
         if args.n is not None:
             raise ValueError("--n cannot be used with --dist duk, which takes N from --matrix")
@@ -122,21 +125,19 @@ def cmd_sample_dist(args) -> int:
             raise ValueError("--matrix required for the chain distribution")
         u = ortho.load_matrix(args.matrix)
         batch = dist.sample_duk_batch(u, args.k, args.count, args.seed)
-        matrix_path = args.matrix
-        matrix_hash = ortho.matrix_sha256(u)
-        n = u.n
+        matrix_path, matrix_hash = args.matrix, ortho.matrix_sha256(u)
     else:
         if args.matrix is not None:
             raise ValueError("--matrix cannot be used with --dist uniform")
-        if not args.n:
+        if args.n is None:
             raise ValueError("--n required for the uniform distribution")
+        if args.n < 1:
+            raise ValueError(f"--n {args.n} is not a positive dimension")
         batch = dist.sample_uniform_batch(args.k, args.n, args.count, args.seed)
-        matrix_path = ""
-        matrix_hash = ""
-        n = args.n
+        matrix_path = matrix_hash = ""
     rorrelation.save_instance_batch(args.out, batch, matrix_path=matrix_path,
                                     matrix_hash=matrix_hash)
-    print(json.dumps({"dist": args.dist, "k": args.k, "N": n,
+    print(json.dumps({"dist": args.dist, "k": args.k, "N": batch.shape[2],
                       "count": args.count, "path": args.out}))
     return 0
 
@@ -229,7 +230,7 @@ def cmd_fourier(args) -> int:
 def cmd_tree_corpus(args) -> int:
     out_dir = Path(args.out_dir)
     if args.count < 1:
-        raise ValueError("count must be positive")
+        raise ValueError(f"--count {args.count} is not a positive count")
     dtree.check_random_tree_shape(args.n, args.d)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_lines = []

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ortho import OrthogonalMatrix
 from .rorrelation import sign_correlation
-from .util import MC_CHUNK, chunk_spans, derive_rng, sub_seed  # noqa: F401 (read as dist.MC_CHUNK)
+from .util import chunk_spans, derive_rng, sub_seed
 
 __all__ = [
     "MomentEstimate",
@@ -63,10 +63,18 @@ def _gather(chunks: Iterator[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
 
 
 def duk_chunks(u: OrthogonalMatrix, k: int, count: int, seed: int) -> Iterator[np.ndarray]:
-    """Signs of `count` chain draws as int8 (m, k, N) blocks in stream order;
-    each block is drawn from about MC_CHUNK Gaussian entries."""
+    """Signs of `count` chain draws as int8 (m, k, N) blocks in stream order,
+    each drawn from about MC_CHUNK Gaussian entries as it is read; checked on the call."""
     if k < 2:
         raise ValueError("fold count k must be at least 2")
+    if count < 0:
+        raise ValueError(f"sample count {count} is negative")
+    return _duk_blocks(u, k, count, seed)
+
+
+def _duk_blocks(u: OrthogonalMatrix, k: int, count: int, seed: int) -> Iterator[np.ndarray]:
+    # Checked by duk_chunks: a generator runs nothing until it is read. A block's x and y
+    # live until the next block's replace them; freed sooner, glibc kept ~6 MB more heap.
     rng = derive_rng(seed, "duk-batch", u.n, k, count)
     for start, stop in chunk_spans(count, (k - 1) * u.n):
         x = rng.standard_normal((stop - start, k - 1, u.n))
@@ -88,9 +96,17 @@ def sample_duk_batch(u: OrthogonalMatrix, k: int, count: int, seed: int) -> np.n
 
 def uniform_chunks(k: int, n: int, count: int, seed: int) -> Iterator[np.ndarray]:
     """`count` uniform +-1 draws as int8 (m, k, N) blocks of about MC_CHUNK
-    entries, in stream order."""
+    entries, in stream order; checked on the call, as `duk_chunks` is."""
     if k < 2:
         raise ValueError("fold count k must be at least 2")
+    if count < 0:
+        raise ValueError(f"sample count {count} is negative")
+    if n < 1:
+        raise ValueError(f"vector length N = {n} is not positive")
+    return _uniform_blocks(k, n, count, seed)
+
+
+def _uniform_blocks(k: int, n: int, count: int, seed: int) -> Iterator[np.ndarray]:
     rng = derive_rng(seed, "uniform-batch", n, k, count)
     for start, stop in chunk_spans(count, k * n):
         signs = np.empty((stop - start, k, n), dtype=np.int8)

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,8 +66,7 @@ MAX_FOURIER_WORK = 1 << 26
 MAX_LEAVES = 1 << 22
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """Internal node (query_var set, children set) or leaf (output set)."""
 
     query_var: int | None = None
@@ -90,10 +88,10 @@ class DecisionTree:
     The constructor walks the tree once in pre-order, minus child first,
     on an explicit stack, holding the set of the variables on the current
     path: it checks each node, refuses a variable repeated along a path
-    and counts the leaves (at most MAX_LEAVES). One pass over the reversed
-    order then computes the depth, the Fourier work (sum of 2^depth over
-    the leaves, saturated past MAX_FOURIER_WORK) and each node's
-    acceptance. Every later tree pass reads the same order.
+    and counts the leaves (at most MAX_LEAVES). Leaving an internal node,
+    it computes the node's depth, Fourier work (sum of 2^depth over the
+    leaves, saturated past MAX_FOURIER_WORK) and acceptance from its two
+    subtrees'. Every later tree pass reads the same pre-order.
     """
 
     def __init__(self, n: int, nodes: Sequence[Node], root: int = 0):
@@ -121,13 +119,19 @@ class DecisionTree:
         order: list[int] = []  # the reachable nodes in pre-order, minus child first
         reached = bytearray(size)
         path: set[int] = set()  # the variables queried above the node entered
+        below: list[tuple[int, int]] = []  # (depth, Fourier work) of subtrees awaiting a parent
+        accept: dict[int, float] = {}  # uniform acceptance of the subtree below each node
         leaves = 0
         stack = [root]  # a node to enter, or ~node to leave once its subtree is done
         pop, push = stack.pop, stack.append
         while stack:
             idx = pop()
-            if idx < 0:
-                path.remove(nodes[~idx].query_var)
+            if idx < 0:  # both subtrees are done, and the plus one was left last
+                node = nodes[~idx]
+                path.remove(node.query_var)
+                (depth1, work1), (depth0, work0) = below.pop(), below.pop()  # plus, then minus
+                below.append((1 + max(depth0, depth1), min(2 * (work0 + work1), MAX_FOURIER_WORK + 1)))
+                accept[~idx] = 0.5 * (accept[node.child_minus] + accept[node.child_plus])
                 continue
             if reached[idx]:
                 raise ValueError(f"node {idx} is reached twice: the arena is not a tree")
@@ -141,6 +145,8 @@ class DecisionTree:
                 leaves += 1
                 if leaves > MAX_LEAVES:
                     raise ValueError(f"tree has more than MAX_LEAVES = {MAX_LEAVES} leaves")
+                below.append((0, 1))
+                accept[idx] = float(node.output)
                 continue
             if not 1 <= var <= n:
                 raise ValueError(f"node {idx} queries variable {var} outside [1,{n}]")
@@ -152,19 +158,7 @@ class DecisionTree:
             push(~idx)
             push(node.child_plus)
             push(node.child_minus)
-        below: list[tuple[int, int]] = []  # (depth, Fourier work) of subtrees awaiting a parent
-        accept: dict[int, float] = {}  # uniform acceptance of the subtree below each node
-        for idx in reversed(order):  # children before parents, plus child first
-            node = nodes[idx]
-            if node.is_leaf:
-                below.append((0, 1))
-                accept[idx] = float(node.output)
-                continue
-            (depth0, work0), (depth1, work1) = below.pop(), below.pop()
-            below.append((1 + max(depth0, depth1), min(2 * (work0 + work1), MAX_FOURIER_WORK + 1)))
-            accept[idx] = 0.5 * (accept[node.child_minus] + accept[node.child_plus])
-        depth, work = below.pop()
-        return order, depth, work, accept
+        return order, *below.pop(), accept  # the root's depth and Fourier work
 
     def truth_table(self) -> np.ndarray:
         """Dense 0/1 table in position order; guarded to n <= 20."""
@@ -302,9 +296,8 @@ def relabel_nonnegative(tree: DecisionTree) -> DecisionTree:
     probability. Nodes the root cannot reach are copied.
     """
     swap = {idx for idx, a_hat in next_var_coefficients(tree).items() if a_hat < 0}
-    nodes = [Node(query_var=node.query_var, child_minus=node.child_plus,
-                  child_plus=node.child_minus) if idx in swap else node
-             for idx, node in enumerate(tree.nodes)]
+    nodes = [node._replace(child_minus=node.child_plus, child_plus=node.child_minus)
+             if idx in swap else node for idx, node in enumerate(tree.nodes)]
     return DecisionTree(tree.n, nodes, tree.root)
 
 
@@ -328,23 +321,28 @@ def grow(n: int, rule: Callable[[tuple[tuple[int, int], ...]], Node]) -> Decisio
     and returns it childless: Node(query_var=v) or Node(output=b). Nodes
     are numbered, and rule is called, in pre-order with the minus child
     first; an explicit stack stands in for recursion, so any depth works.
+    The leaf budget is the constructor's, refused at leaf MAX_LEAVES + 1.
     """
     nodes: list[Node] = []
+    leaves = 0
     stack = [((), None)]  # (path to a node, the parent whose plus child it is)
     while stack:
         path, parent = stack.pop()
         here = len(nodes)
         if parent is not None:  # the parent's minus subtree, from parent + 1, is done
-            nodes[parent] = Node(query_var=nodes[parent].query_var,
-                                 child_minus=parent + 1, child_plus=here)
+            nodes[parent] = nodes[parent]._replace(child_minus=parent + 1, child_plus=here)
         node = rule(path)
         nodes.append(node)
         var = node.query_var
-        if var is not None:
-            if len(path) >= n:
-                raise ValueError(f"rule queries more than {n} variables on one path")
-            stack.append((path + ((var, 1),), here))
-            stack.append((path + ((var, -1),), None))
+        if var is None:
+            leaves += 1
+            if leaves > MAX_LEAVES:
+                raise ValueError(f"tree has more than MAX_LEAVES = {MAX_LEAVES} leaves")
+            continue
+        if len(path) >= n:
+            raise ValueError(f"rule queries more than {n} variables on one path")
+        stack.append((path + ((var, 1),), here))
+        stack.append((path + ((var, -1),), None))
     return DecisionTree(n, nodes)
 
 
@@ -491,8 +489,6 @@ def level_ell_bound(
     """
     if p <= 0.0:
         return 0.0
-    if ell == 0:
-        return p
     product = 1.0
     for i in range(ell):
         product *= math.sqrt(math.log2(4.0 * n_vars**i / p))
@@ -504,19 +500,9 @@ def level_ell_bound(
 # ---------------------------------------------------------------------------
 
 def tree_to_json(tree: DecisionTree) -> str:
-    nodes = []
-    for node in tree.nodes:
-        if node.is_leaf:
-            nodes.append({"q": None, "lo": None, "hi": None, "out": node.output})
-        else:
-            nodes.append(
-                {
-                    "q": node.query_var - 1,
-                    "lo": node.child_minus,
-                    "hi": node.child_plus,
-                    "out": None,
-                }
-            )
+    nodes = [{"q": None, "lo": None, "hi": None, "out": node.output} if node.is_leaf else
+             {"q": node.query_var - 1, "lo": node.child_minus, "hi": node.child_plus, "out": None}
+             for node in tree.nodes]
     return json.dumps({"n": tree.n, "root": tree.root, "nodes": nodes}, sort_keys=True)
 
 
@@ -534,11 +520,7 @@ def tree_from_json(text: str) -> DecisionTree:
         if row.get("q") is None:
             nodes.append(Node(output=json_int(row.get("out"), f"node {idx} out")))
         else:
-            nodes.append(
-                Node(
-                    query_var=json_int(row["q"], f"node {idx} q") + 1,
-                    child_minus=json_int(row.get("lo"), f"node {idx} lo"),
-                    child_plus=json_int(row.get("hi"), f"node {idx} hi"),
-                )
-            )
+            nodes.append(Node(query_var=json_int(row["q"], f"node {idx} q") + 1,
+                              child_minus=json_int(row.get("lo"), f"node {idx} lo"),
+                              child_plus=json_int(row.get("hi"), f"node {idx} hi")))
     return DecisionTree(n, nodes, json_int(doc.get("root", 0), "root"))

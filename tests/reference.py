@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from rorrlab import dist
+from rorrlab import dist, util
 from rorrlab.boolfn import (DROP_THRESHOLD, FourierSpectrum, OutputConvention,
                             fourier_from_truth_table)
 from rorrlab.dist import MomentEstimate
@@ -29,7 +29,7 @@ def gaussian_chain(u: OrthogonalMatrix, k: int, count: int, seed: int):
     batched product, and interleaves Z as the dist docstring defines it.
     Returns x, y of shape (count, k-1, N) and z of shape (count, k, N).
     """
-    if count > max(1, dist.MC_CHUNK // ((k - 1) * u.n)):
+    if count > max(1, util.MC_CHUNK // ((k - 1) * u.n)):
         raise ValueError("the chain oracle reads one chunk of the stream")
     x = derive_rng(seed, "duk-batch", u.n, k, count).standard_normal((count, k - 1, u.n))
     y = (x.reshape(-1, u.n) @ u.entries).reshape(x.shape)

@@ -1,4 +1,5 @@
 """End-to-end CLI flows on temporary files."""
+import csv
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import rorrlab
-from rorrlab import dist, dtree, ortho, rorrelation
+from rorrlab import dist, distinguish, dtree, ortho, rorrelation
 from rorrlab.cli import main
 from rorrlab.util import atomic_write, derive_rng, file_set, mean_and_stderr
 from rorrlab.verify import VerifyConfig
@@ -219,6 +220,24 @@ def test_advantage_cli(tmp_path, capsys):
     assert {"tree", "estimate", "stderr", "theory_bound"} <= set(rows[0])
 
 
+def test_advantage_of_a_tree_file_is_its_corpus_line(tmp_path, capsys):
+    # The arms' seeds do not depend on the trees, so a corpus tree read from
+    # a file gets the corpus run's line, named after the file's stem.
+    matrix = tmp_path / "u.mat"
+    run(["sample-matrix", "--n", "16", "--seed", "2", "--out", str(matrix)], capsys)
+    argv = ["advantage", "--matrix", str(matrix), "--k", "2", "--samples", "500", "--seed", "1"]
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    corpus = dict(distinguish.standard_corpus(ortho.load_matrix(matrix), 2, seed=1))
+    lines = dict(zip(corpus, stdout.splitlines(), strict=True))
+    for name in ("greedy-3", "random-d6-1"):
+        path = tmp_path / "t.json"
+        path.write_text(dtree.tree_to_json(corpus[name]))
+        code, stdout, _ = run([*argv, "--tree", str(path)], capsys)
+        assert code == 0
+        assert stdout == lines[name].replace(f'"tree": "{name}"', '"tree": "t"') + "\n"
+
+
 def test_verify_paper_reduced_and_determinism(tmp_path, capsys):
     args = ["verify-paper", "--reduced",
             "--checks", "quantum_identity,address_exactness,determinism"]
@@ -290,6 +309,26 @@ def test_report_cli(tmp_path, capsys):
     code, _, err = run(["report", str(tmp_path / "missing.json"),
                         "--out-dir", str(out_dir)], capsys)
     assert code == 2
+
+
+def test_report_writes_the_expected_phi_rows(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    code, _, _ = run(["verify-paper", "--reduced", "--checks", "expected_phi",
+                      "--out", str(manifest)], capsys)
+    assert code == 0
+    (check,) = json.loads(manifest.read_text())["checks"]
+    out_dir = tmp_path / "report"
+    assert run(["report", str(manifest), "--out-dir", str(out_dir)], capsys)[0] == 0
+    with open(out_dir / "report.csv", newline="") as handle:
+        rows = {row["quantity"]: row for row in csv.DictReader(handle)}
+    assert [row["k"] for row in check["details"]["monte_carlo"]] == [2, 3]
+    for row in check["details"]["monte_carlo"]:
+        written = rows.pop(f"E[phi] k={row['k']}")
+        assert (written["manifest"], written["check"]) == ("m.json", "expected_phi")
+        assert (float(written["measured"]), float(written["reference"])) == (
+            row["estimate"], row["exact"])
+        assert written["passed"] == str(row["passed"])
+    assert all(row["check"] != "expected_phi" for row in rows.values())
 
 
 def test_missing_matrix_file_is_clean_error(tmp_path, capsys):
@@ -393,6 +432,19 @@ _REFUSED_OPTIONS = {
     "sample-dist-uniform-with-matrix": ("--matrix", [
         "sample-dist", "--dist", "uniform", "--matrix", "absent.mat", "--n", "8", "--k", "2",
         "--out", "x.inst"]),
+    "sample-dist-uniform-n-negative": ("--n -3", [
+        "sample-dist", "--dist", "uniform", "--n", "-3", "--k", "2", "--out", "x.inst"]),
+    "sample-dist-uniform-n-zero": ("--n 0", [
+        "sample-dist", "--dist", "uniform", "--n", "0", "--k", "2", "--out", "x.inst"]),
+    "sample-dist-uniform-k-negative": ("--k -2", [
+        "sample-dist", "--dist", "uniform", "--n", "8", "--k", "-2", "--out", "x.inst"]),
+    "sample-dist-duk-k-1": ("--k 1", [
+        "sample-dist", "--dist", "duk", "--matrix", "absent.mat", "--k", "1", "--out", "x.inst"]),
+    "sample-dist-duk-count-zero": ("--count 0", [
+        "sample-dist", "--dist", "duk", "--matrix", "absent.mat", "--k", "2", "--count", "0",
+        "--out", "x.inst"]),
+    "tree-corpus-count-negative": ("--count -1", [
+        "tree-corpus", "--n", "6", "--d", "3", "--count", "-1", "--out-dir", "corpus"]),
 }
 
 

@@ -114,7 +114,7 @@ def test_duk_batch_stream_is_pinned(n, k, count, seed, matrix_seed, digest):
     # Digests of the stacked (m, k-1, N) @ U sampler; the N=256 draws span
     # more than one chunk of MC_CHUNK Gaussian entries. Any change to the
     # stream or the signs shows here.
-    assert n < 256 or count * (k - 1) * n > dist.MC_CHUNK
+    assert n < 256 or count * (k - 1) * n > util.MC_CHUNK
     batch = sample_duk_batch(ortho.sample_haar(n, matrix_seed), k, count, seed)
     assert batch.dtype == np.int8 and batch.shape == (count, k, n)
     assert hashlib.sha256(batch.tobytes()).hexdigest() == digest
@@ -130,7 +130,7 @@ def test_uniform_batch_stream_is_pinned(n, k, count, seed, digest):
     # Digests of the uniform stream as one whole-batch draw wrote it. At N=256
     # the draws span three chunks of MC_CHUNK entries, or end one row past
     # the first chunk.
-    rows = dist.MC_CHUNK // (k * n)
+    rows = util.MC_CHUNK // (k * n)
     assert n < 256 or count > 2 * rows or count == rows + 1
     batch = sample_uniform_batch(k, n, count, seed)
     assert batch.dtype == np.int8 and batch.shape == (count, k, n)
@@ -157,6 +157,35 @@ def test_sampler_blocks_concatenate_to_the_default_stream(k, chunk, monkeypatch)
             [stop - start for start, stop in util.chunk_spans(count, width)], name
         assert len(blocks) > 1 and all(b.dtype == np.int8 for b in blocks), name
         assert np.array_equal(np.concatenate(blocks), whole[name]), name
+
+
+_BAD_DRAWS = {
+    "duk-chunks-k-1": (lambda u: dist.duk_chunks(u, 1, 10, 0), "fold count k must be at least 2"),
+    "duk-chunks-count-negative": (lambda u: dist.duk_chunks(u, 2, -1, 0),
+                                  "sample count -1 is negative"),
+    "duk-batch-k-negative": (lambda u: sample_duk_batch(u, -2, 3, 0),
+                             "fold count k must be at least 2"),
+    "uniform-chunks-k-1": (lambda u: dist.uniform_chunks(1, 4, 10, 0),
+                           "fold count k must be at least 2"),
+    "uniform-chunks-n-0": (lambda u: dist.uniform_chunks(2, 0, 3, 0),
+                           "vector length N = 0 is not positive"),
+    "uniform-batch-n-negative": (lambda u: sample_uniform_batch(2, -4, 3, 0),
+                                 "vector length N = -4 is not positive"),
+    "uniform-batch-count-negative": (lambda u: sample_uniform_batch(2, 4, -1, 0),
+                                     "sample count -1 is negative"),
+}
+
+
+@pytest.mark.parametrize("call, message", _BAD_DRAWS.values(), ids=_BAD_DRAWS)
+def test_samplers_check_their_arguments_on_the_call(call, message):
+    # The chunk samplers check before they return their block iterator, so
+    # a bad argument is refused on the call itself, with no block read and
+    # nothing allocated for the batch; no draws is an empty batch.
+    u = ortho.sample_haar(4, seed=1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(u)
+    assert sample_duk_batch(u, 3, 0, 0).shape == (0, 3, 4)
+    assert sample_uniform_batch(2, 4, 0, 0).shape == (0, 2, 4)
 
 
 def test_uniform_sampler():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference import advantage_whole_batch, depth_and_acceptance, evaluate
-from rorrlab import dist, distinguish, dtree, ortho, rorrelation
+from rorrlab import dist, distinguish, dtree, ortho, rorrelation, util
 from rorrlab.distinguish import (
     advantage,
     advantage_corpus,
@@ -137,8 +137,8 @@ def test_advantage_corpus_matches_per_tree_advantage():
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("samples", [
     lambda k, n: 2,
-    lambda k, n: dist.MC_CHUNK // (k * n) + 1,  # one row past the first uniform chunk
-    lambda k, n: dist.MC_CHUNK // ((k - 1) * n) + 1,  # one row past the first chain chunk
+    lambda k, n: util.MC_CHUNK // (k * n) + 1,  # one row past the first uniform chunk
+    lambda k, n: util.MC_CHUNK // ((k - 1) * n) + 1,  # one row past the first chain chunk
     lambda k, n: 20_000,
 ], ids=["two", "uniform-chunk-plus-one", "chain-chunk-plus-one", "20000"])
 def test_streamed_advantage_equals_the_whole_batch_reduction(k, samples):

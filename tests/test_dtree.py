@@ -1,6 +1,5 @@
 """Decision trees: evaluation, sparse Fourier, decomposition, families."""
 import collections
-import dataclasses
 import hashlib
 import json
 import math
@@ -627,7 +626,7 @@ def _arenas(draw):
     for _ in range(draw(st.integers(0, 2)) if internal else 0):
         i = draw(st.sampled_from(internal))
         field = draw(st.sampled_from(["child_minus", "child_plus"]))
-        nodes[i] = dataclasses.replace(nodes[i], **{field: draw(st.integers(0, size - 1))})
+        nodes[i] = nodes[i]._replace(**{field: draw(st.integers(0, size - 1))})
     return n, nodes, where[0]
 
 
@@ -756,3 +755,24 @@ def test_grow_builds_a_deep_decision_list():
 def test_grow_refuses_a_rule_that_outruns_the_variables():
     with pytest.raises(ValueError, match="more than 2 variables"):
         grow(2, lambda path: Node(query_var=1))
+
+
+def test_grow_applies_the_leaf_budget_while_it_builds(monkeypatch):
+    # The complete depth-12 tree has 4,096 leaves in 8,191 nodes. Under a
+    # budget of 16 the rule is called for the first 17 leaves and the
+    # queries above them, 44 nodes in pre-order, and the refusal is the
+    # constructor's; at the budget of 4,096 the whole tree is built.
+    calls = 0
+
+    def rule(path):
+        nonlocal calls
+        calls += 1
+        return Node(output=1) if len(path) == 12 else Node(query_var=len(path) + 1)
+
+    monkeypatch.setattr(dtree, "MAX_LEAVES", 16)
+    with pytest.raises(ValueError, match="^tree has more than MAX_LEAVES = 16 leaves$"):
+        grow(12, rule)
+    assert calls == 44
+    monkeypatch.setattr(dtree, "MAX_LEAVES", 4096)
+    calls = 0
+    assert len(leaf_paths(grow(12, rule))) == 4096 and calls == 8191
