@@ -70,6 +70,11 @@ def cmd_sample_matrix(args) -> int:
 
 
 def cmd_check_good(args) -> int:
+    # Refused before the matrix file is read.
+    if args.pairs < 0:
+        raise ValueError(f"--pairs {args.pairs} is a negative count")
+    if args.max_block < 1:
+        raise ValueError(f"--max-block {args.max_block} is below 1, the least block size")
     u = ortho.load_matrix(args.matrix)
     report = ortho.check_goodness(u, sampled_pairs=args.pairs,
                                   max_block=args.max_block, seed=args.seed)
@@ -152,17 +157,23 @@ def _parse_parts(text: str) -> list[tuple[int, ...]]:
 
 
 def cmd_moments(args) -> int:
-    # Options of the mode that does not run are refused, and --set is
-    # checked in full, before the matrix file is read.
+    # Options of the mode that does not run are refused, and the options of
+    # the one that does are checked in full, before the matrix file is read.
+    if args.k < 2:
+        raise ValueError(f"--k {args.k} is below 2, the least fold count")
     if args.audit:
         if args.set is not None:
             raise ValueError("--set cannot be used with --audit")
-        report = dist.moment_bound_audit(
-            ortho.load_matrix(args.matrix), args.k,
-            trials=200 if args.trials is None else args.trials,
-            max_size=6 if args.max_size is None else args.max_size,
-            seed=args.seed, mc_samples=args.mc_samples,
-        )
+        trials = 200 if args.trials is None else args.trials
+        max_size = 6 if args.max_size is None else args.max_size
+        if trials < 1:
+            raise ValueError(f"--trials {trials} is not a positive count")
+        if max_size < args.k:
+            raise ValueError(f"--max-size {max_size} is below --k {args.k}: a set has at "
+                             "least one index per block")
+        report = dist.moment_bound_audit(ortho.load_matrix(args.matrix), args.k, trials=trials,
+                                         max_size=max_size, seed=args.seed,
+                                         mc_samples=args.mc_samples)
         _emit(report.to_json(), args.out)
         return 0 if not report.violations else 1
     for flag, value in (("--trials", args.trials), ("--max-size", args.max_size)):

@@ -20,6 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import util
 from .ortho import OrthogonalMatrix
 from .rorrelation import sign_correlation
 from .util import chunk_spans, derive_rng, sub_seed
@@ -42,6 +43,10 @@ __all__ = [
 # The universal constant of the good-matrix moment budget.
 MOMENT_CONSTANT = 100.0
 
+# Fewest rows of a chain sub-block's GEMM: at N = 2048 a row cost about the
+# same from 128 rows up, and two to three times as much in a 16-row GEMM.
+GEMM_ROW_FLOOR = 128
+
 
 def sgn(values: np.ndarray) -> np.ndarray:
     """Sign as int8 with sgn(0) := +1 (-0.0 included) and NaN -> -1: the
@@ -59,12 +64,14 @@ def _gather(chunks: Iterator[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     for chunk in chunks:
         out[done : done + len(chunk)] = chunk
         done += len(chunk)
+        del chunk  # before the next block is drawn
     return out
 
 
 def duk_chunks(u: OrthogonalMatrix, k: int, count: int, seed: int) -> Iterator[np.ndarray]:
     """Signs of `count` chain draws as int8 (m, k, N) blocks in stream order,
-    each drawn from about MC_CHUNK Gaussian entries as it is read; checked on the call."""
+    each of about MC_CHUNK Gaussian entries, drawn in sub-blocks as it is
+    read; checked on the call."""
     if k < 2:
         raise ValueError("fold count k must be at least 2")
     if count < 0:
@@ -73,19 +80,30 @@ def duk_chunks(u: OrthogonalMatrix, k: int, count: int, seed: int) -> Iterator[n
 
 
 def _duk_blocks(u: OrthogonalMatrix, k: int, count: int, seed: int) -> Iterator[np.ndarray]:
-    # Checked by duk_chunks: a generator runs nothing until it is read. A block's x and y
-    # live until the next block's replace them; freed sooner, glibc kept ~6 MB more heap.
+    # Checked by duk_chunks: a generator runs nothing until it is read. It
+    # keeps no block, so a block is freed once its reader lets it go.
     rng = derive_rng(seed, "duk-batch", u.n, k, count)
     for start, stop in chunk_spans(count, (k - 1) * u.n):
-        x = rng.standard_normal((stop - start, k - 1, u.n))
-        # One GEMM over all m(k-1) rows; row i of a draw becomes U^T x_i.
+        yield _duk_block(u, k, stop - start, rng)
+
+
+def _duk_block(u: OrthogonalMatrix, k: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Signs of the next m chain draws of rng, drawn in sub-blocks of about
+    MC_CHUNK // 8 Gaussian entries but never fewer than GEMM_ROW_FLOOR GEMM
+    rows; draws are sequential in the stream, so the sub-blocks do not move it."""
+    z = np.empty((m, k, u.n), dtype=np.int8)
+    step = max(util.MC_CHUNK // (8 * (k - 1) * u.n), -(-GEMM_ROW_FLOOR // (k - 1)))
+    for lo in range(0, m, step):
+        sub = z[lo : lo + step]
+        x = rng.standard_normal((len(sub), k - 1, u.n))
+        # One GEMM over all rows of the sub-block; row i of a draw becomes U^T x_i.
         y = (x.reshape(-1, u.n) @ u.entries).reshape(x.shape)
-        z = np.empty((stop - start, k, u.n), dtype=np.int8)
-        z[:, 0] = sgn(x[:, 0])
+        sub[:, 0] = sgn(x[:, 0])
         for i in range(1, k - 1):
-            z[:, i] = sgn(y[:, i - 1] * x[:, i])
-        z[:, k - 1] = sgn(y[:, k - 2])
-        yield z
+            sub[:, i] = sgn(y[:, i - 1] * x[:, i])
+        sub[:, k - 1] = sgn(y[:, k - 2])
+        del x, y  # before the next sub-block's are drawn
+    return z
 
 
 def sample_duk_batch(u: OrthogonalMatrix, k: int, count: int, seed: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from .util import atomic_write, chunk_spans, derive_rng, file_set
 __all__ = [
     "OrthogonalMatrix",
     "GoodnessReport",
+    "identity",
     "sample_haar",
     "haar_corner_samples",
     "spectral_norm",
@@ -102,6 +103,20 @@ class OrthogonalMatrix:
         for name, value in (("n", n), ("entries", entries), ("seed", seed)):
             object.__setattr__(u, name, value)
         return u
+
+
+def identity(n: int) -> OrthogonalMatrix:
+    """The n x n identity as a read-only strided view of one buffer of
+    2n - 1 entries, zero but for its middle 1: entry (i, j) is at offset
+    n - 1 - i + j, so 8 (2n - 1) bytes stand for 8 n^2."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    line = np.zeros(2 * n - 1)
+    line[n - 1] = 1.0
+    step = line.itemsize
+    entries = np.lib.stride_tricks.as_strided(line[n - 1 :], (n, n), (-step, step),
+                                              writeable=False)
+    return OrthogonalMatrix._trusted(n, entries)
 
 
 def _abs_max(block: np.ndarray) -> np.floating:

@@ -52,12 +52,18 @@ def derive_rng(seed: int, *tags) -> np.random.Generator:
 
 
 def mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean with its CLT standard error (ddof=1)."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
+    """Sample mean with its CLT standard error (ddof=1), equal bit for bit
+    to values.mean() and values.std(ddof=1) / sqrt(n): numpy's steps in
+    numpy's order, on one float copy of values that is centred and squared
+    in place, so 8 bytes per sample."""
+    work = np.array(values, dtype=float)
+    n = work.size
     if n < 2:
         raise ValueError("need at least two samples")
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n))
+    mean = work.sum() / n
+    work -= mean
+    work *= work
+    return float(mean), float(np.sqrt(work.sum() / (n - 1)) / np.sqrt(n))
 
 
 def variance_and_stderr(values: np.ndarray) -> tuple[float, float]:

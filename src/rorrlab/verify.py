@@ -148,15 +148,18 @@ def check_sign_correlation(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]
     ok = True
     for i, rho in enumerate((0.0, 0.3, -0.3, 0.7, -0.7, 0.95, -0.95)):
         rng = derive_rng(cfg.seed, "accept-signcorr", i)
-        # The stream holds all of z1 before z2: z1 is drawn whole, z2 in
-        # chunks, and sgn(x) sgn(y) is built up in int8.
+        # The stream holds all of z1 before z2: z1 is drawn whole, z2 in the
+        # samplers' sub-blocks of about MC_CHUNK // 8 entries, and
+        # sgn(x) sgn(y) is built up in int8.
         z1 = rng.standard_normal(cfg.sign_corr_samples)
         prods = dist.sgn(z1)
-        for start, stop in chunk_spans(cfg.sign_corr_samples, 1):
-            x = z1[start:stop]
-            y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(len(x))
+        for start, stop in chunk_spans(cfg.sign_corr_samples, 8):
+            # y = rho x + sqrt(1 - rho^2) z2, formed in z2's buffer.
+            y = rng.standard_normal(stop - start)
+            y *= math.sqrt(1.0 - rho * rho)
+            y += rho * z1[start:stop]
             prods[start:stop] *= dist.sgn(y)
-        del z1, x, y  # mean_and_stderr takes its own float copy of prods
+        del z1, y  # mean_and_stderr takes its own float copy of prods
         mean, stderr = mean_and_stderr(prods)
         target = rorrelation.sign_correlation(rho)
         passed = abs(mean - target) <= 4.0 * stderr
@@ -456,8 +459,7 @@ def check_goodness(cfg: VerifyConfig, shared: dict) -> tuple[bool, dict]:
                           "matrix_sha256": ortho.matrix_sha256(u)})
     norm, bound = ortho.hadamard_counterexample(26)
     hadamard_ok = norm == 1.0 and norm > bound and abs(bound - 0.663) < 0.01
-    identity = ortho.OrthogonalMatrix._trusted(2048, np.eye(2048))
-    id_report = ortho.check_goodness(identity, sampled_pairs=100, max_block=4,
+    id_report = ortho.check_goodness(ortho.identity(2048), sampled_pairs=100, max_block=4,
                                      seed=sub_seed(cfg.seed, "good-id"))
     identity_ok = id_report.violation_count > 0
     return haar_ok and hadamard_ok and identity_ok, dict(

@@ -64,14 +64,19 @@ def test_check_good_cli(tmp_path, capsys):
     ("--max-block", "0", "max_block"),
 ])
 def test_check_good_refuses_bad_counts(flag, value, name, tmp_path, capsys):
+    # The command names its option; the library refuses the same count by
+    # the name of its parameter.
     out = tmp_path / "u.mat"
-    ortho.save_matrix(out, ortho.sample_haar(16, seed=1))
+    u = ortho.sample_haar(16, seed=1)
+    ortho.save_matrix(out, u)
     report_path = tmp_path / "good.json"
     code, stdout, err = run(["check-good", "--matrix", str(out), flag, value,
                              "--out", str(report_path)], capsys)
     assert code == 2 and stdout == ""
-    assert err.count("\n") == 1 and err.startswith("error:") and name in err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} {value} ")
     assert not report_path.exists()
+    with pytest.raises(ValueError, match=name):
+        ortho.check_goodness(u, **{name: int(value)})
 
 
 def test_sample_classify_qsim_flow(tmp_path, capsys):
@@ -445,6 +450,15 @@ _REFUSED_OPTIONS = {
         "--out", "x.inst"]),
     "tree-corpus-count-negative": ("--count -1", [
         "tree-corpus", "--n", "6", "--d", "3", "--count", "-1", "--out-dir", "corpus"]),
+    "check-good-pairs-negative": ("--pairs -5", [
+        "check-good", "--matrix", "absent.mat", "--pairs", "-5"]),
+    "check-good-max-block-zero": ("--max-block 0", [
+        "check-good", "--matrix", "absent.mat", "--max-block", "0"]),
+    "moments-audit-trials-zero": ("--trials 0", [
+        "moments", "--matrix", "absent.mat", "--k", "2", "--audit", "--trials", "0"]),
+    "moments-audit-max-size-below-k": ("--max-size 2", [
+        "moments", "--matrix", "absent.mat", "--k", "3", "--audit", "--max-size", "2"]),
+    "moments-audit-k-1": ("--k 1", ["moments", "--matrix", "absent.mat", "--k", "1", "--audit"]),
 }
 
 
@@ -944,3 +958,34 @@ def test_mean_and_stderr_needs_two_samples():
         with pytest.raises(ValueError, match="at least two samples"):
             mean_and_stderr(np.array(values))
     assert mean_and_stderr(np.array([1.0, 3.0])) == (2.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["pm1", "01", "float"])
+@pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 127, 128, 129, 1000, 65_537, 10**6])
+def test_mean_and_stderr_equals_numpy(kind, n):
+    # numpy's mean and std(ddof=1) / sqrt(n), with the same pairwise sums in
+    # the same order, on a float copy; the input is left as it was.
+    rng = np.random.default_rng([n, len(kind)])
+    if kind == "float":
+        values = 3.0 * rng.standard_normal(n) + 0.7
+    else:
+        values = rng.integers(0, 2, size=n).astype(np.int8)
+        if kind == "pm1":
+            values = 2 * values - 1
+    before = values.copy()
+    floats = values.astype(float)
+    assert mean_and_stderr(values) == (float(floats.mean()),
+                                       float(floats.std(ddof=1) / np.sqrt(n)))
+    assert np.array_equal(values, before)
+
+
+def test_mean_and_stderr_takes_8_bytes_per_sample():
+    # One float work array; a float copy and numpy's deviation array took 16.
+    values = (2 * np.random.default_rng(3).integers(0, 2, size=10**6) - 1).astype(np.int8)
+    tracemalloc.start()
+    try:
+        mean_and_stderr(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * values.size

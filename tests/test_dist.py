@@ -1,6 +1,7 @@
 """Chain distribution samplers and moment machinery."""
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,15 +110,35 @@ def test_duk_batch_matches_single():
     (16, 3, 50, 1, 2, "3126ec396476106c9537fe124ac06cde4e34669ff2273eef66463c8401e9904b"),
     (256, 2, 8200, 5, 4, "79e3caf504cd9acb2a9ecf792beaf034f971989432af7f8b9ce3b05a4a7feee6"),
     (256, 3, 8200, 5, 4, "ee5ef9d290e99720c86e6e2cdb39ade0d4c733790f09b287bfe327010f894dac"),
+    (2048, 3, 200, 5, 4, "3f77b951d78c4355243a864b0371137dd99ae08c8c9b6511c434e84174c110d9"),
+    (64, 3, 9000, 5, 4, "e5707a1c6308a02f40530aa824353006aa6de03eb4fcf4f729854b6dbe470d2b"),
 ])
 def test_duk_batch_stream_is_pinned(n, k, count, seed, matrix_seed, digest):
-    # Digests of the stacked (m, k-1, N) @ U sampler; the N=256 draws span
-    # more than one chunk of MC_CHUNK Gaussian entries. Any change to the
-    # stream or the signs shows here.
-    assert n < 256 or count * (k - 1) * n > util.MC_CHUNK
+    # Digests of the stacked (m, k-1, N) @ U sampler as one GEMM per chunk
+    # wrote them; the N >= 256 draws span more than one chunk of MC_CHUNK
+    # Gaussian entries. At N = 2048 a sub-block takes GEMM_ROW_FLOOR rows, not
+    # the 32 of MC_CHUNK // 8 entries, and at N = 64 every chunk splits into
+    # sub-blocks, the last one short. Any change to the stream or the signs
+    # shows here.
+    assert n < 64 or count * (k - 1) * n > util.MC_CHUNK
     batch = sample_duk_batch(ortho.sample_haar(n, matrix_seed), k, count, seed)
     assert batch.dtype == np.int8 and batch.shape == (count, k, n)
     assert hashlib.sha256(batch.tobytes()).hexdigest() == digest
+
+
+def test_duk_batch_holds_only_its_output_and_one_block():
+    # One chunk's signs (1 MB at N = 256, k = 2) and one sub-block's x and
+    # U^T x (512 KB each) beside the 10 MB output; drawn whole per chunk, x and
+    # U^T x took 4 MB each, and two chunks were alive at once.
+    u = ortho.sample_haar(256, seed=1)
+    count = 20_000
+    tracemalloc.start()
+    try:
+        sample_duk_batch(u, 2, count, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - count * 2 * 256 < 3 << 20
 
 
 @pytest.mark.parametrize("n, k, count, seed, digest", [

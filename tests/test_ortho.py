@@ -10,7 +10,7 @@ from scipy import stats
 
 from reference import (dense_orthogonality_error, goodness_whole_array, hadamard_implicit_block,
                        haar_corners_whole, haar_numpy_qr, two_by_two_norms)
-from rorrlab import ortho
+from rorrlab import ortho, verify
 from rorrlab.util import MC_CHUNK, derive_rng
 
 MB = 1 << 20
@@ -302,6 +302,27 @@ def test_goodness_in_bounded_memory(make, pairs, max_block):
     # pairs of 2 x 2 blocks at n = 64 took 36 MB.
     u = make()
     assert _traced_peak(lambda: ortho.check_goodness(u, pairs, max_block, seed=0)) < 12 * MB
+
+
+def test_identity_is_a_read_only_view_of_one_line():
+    # 2N - 1 entries stand for N^2; goodness reads them as it reads np.eye.
+    u = ortho.identity(2048)
+    assert u.entries.shape == (2048, 2048) and not u.entries.flags.writeable
+    assert np.array_equal(u.entries, np.eye(2048))
+    with pytest.raises(ValueError):
+        u.entries[0, 0] = 2.0
+    eye = ortho.OrthogonalMatrix._trusted(2048, np.eye(2048))
+    for seed in (0, 5):
+        assert (ortho.check_goodness(u, 100, 4, seed).to_json()
+                == ortho.check_goodness(eye, 100, 4, seed).to_json())
+    assert [ortho.identity(n).entries.tolist() for n in (1, 2, 3)] == [
+        np.eye(n).tolist() for n in (1, 2, 3)]
+
+
+def test_goodness_check_holds_no_n_squared_array():
+    # The 2048 identity of check 9 was a 32 MB np.eye.
+    peak = _traced_peak(lambda: verify.run_check("goodness", verify.VerifyConfig.reduced()))
+    assert peak < 12 * MB
 
 
 def test_goodness_requires_n_at_least_two():
